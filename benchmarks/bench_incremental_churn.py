@@ -16,8 +16,7 @@ Gates:
 * **sparseness** — the cache refresh must classify exactly the edited leaf
   as dirty and migrate every clean function's payloads;
 * **determinism** — the incremental verdicts must be bit-identical to a
-  cold solve of the edited source in a fresh session, for every worklist
-  ordering policy.
+  cold solve of the edited source in a fresh session.
 
 The fingerprint scope of the ``lt`` spec is *region* (a function plus its
 transitive callers), so editing a leaf leaves every other function's key
@@ -31,12 +30,11 @@ import os
 
 from harness import full_scale, print_table, write_results
 
-from repro.api import ReproConfig, Session, env_float
+from repro.api import Session, env_float
 
 FUNCTION_COUNT = 20 if full_scale() else 20  # acceptance bar is fixed at 20
 SPECS = (("lt",),)
 MIN_WARM_HIT_RATE = env_float("REPRO_MIN_WARM_HIT_RATE", 0.95)
-ORDERS = ("fifo", "scc", "loopdepth")
 
 
 def build_churn_source(count: int, leaf_bump: int = 1) -> str:
@@ -85,10 +83,9 @@ def _fingerprint_counts(session):
     return counters["hits"], counters["misses"]
 
 
-def _churn_round(store_path, order):
+def _churn_round(store_path):
     """Cold baseline + one-leaf edit through ``update_source``; returns rows."""
-    config = ReproConfig(worklist_order=order)
-    with Session(config, store_path=store_path) as session:
+    with Session(store_path=store_path) as session:
         baseline = session.update_source(
             "churn", build_churn_source(FUNCTION_COUNT), SPECS)
         hits_before, misses_before = _fingerprint_counts(session)
@@ -104,7 +101,6 @@ def _churn_round(store_path, order):
     # new), so the aggregate hit delta is exactly the untouched hit count.
     hit_rate = warm_hits / float(untouched)
     return baseline, update, {
-        "order": order,
         "functions": FUNCTION_COUNT,
         "dirty": len(update.refresh.dirty),
         "clean": len(update.refresh.clean),
@@ -116,33 +112,29 @@ def _churn_round(store_path, order):
 
 
 def test_incremental_churn_warm_hit_rate(benchmark, tmp_path):
-    rows = []
     edited_source = build_churn_source(FUNCTION_COUNT, leaf_bump=5)
-    for order in ORDERS:
-        store_path = str(tmp_path / "churn-{}.sqlite".format(order))
-        baseline, update, row = _churn_round(store_path, order)
-        rows.append(row)
+    baseline, update, row = _churn_round(str(tmp_path / "churn.sqlite"))
+    rows = [row]
 
-        # --- sparseness: exactly the edited leaf is dirty -------------------
-        assert sorted(update.refresh.dirty) == ["leaf0"], row
-        assert len(update.refresh.clean) == FUNCTION_COUNT - 1, row
+    # --- sparseness: exactly the edited leaf is dirty -----------------------
+    assert sorted(update.refresh.dirty) == ["leaf0"], row
+    assert len(update.refresh.clean) == FUNCTION_COUNT - 1, row
 
-        # --- containment: untouched functions hit the store warm ------------
-        assert row["untouched_hit_rate"] >= MIN_WARM_HIT_RATE, (
-            "warm hit rate {} below the {} gate under order={}".format(
-                row["untouched_hit_rate"], MIN_WARM_HIT_RATE, order))
+    # --- containment: untouched functions hit the store warm ----------------
+    assert row["untouched_hit_rate"] >= MIN_WARM_HIT_RATE, (
+        "warm hit rate {} below the {} gate".format(
+            row["untouched_hit_rate"], MIN_WARM_HIT_RATE))
 
-        # --- determinism: incremental == cold, per ordering policy ----------
-        with Session(ReproConfig(worklist_order=order)) as cold_session:
-            cold = cold_session.evaluate_source("churn", edited_source, SPECS)
-        reference = _verdict_map(cold)
-        # The gate must compare real verdict streams: the strict-inequality
-        # walk disambiguates some pairs, so the comparison is not vacuous.
-        all_codes = "".join(reference.values())
-        assert "N" in all_codes and "M" in all_codes, reference
-        assert _verdict_map(update.result) == reference, (
-            "incremental verdicts differ from cold solve under order="
-            + order)
+    # --- determinism: incremental == cold -----------------------------------
+    with Session() as cold_session:
+        cold = cold_session.evaluate_source("churn", edited_source, SPECS)
+    reference = _verdict_map(cold)
+    # The gate must compare real verdict streams: the strict-inequality
+    # walk disambiguates some pairs, so the comparison is not vacuous.
+    all_codes = "".join(reference.values())
+    assert "N" in all_codes and "M" in all_codes, reference
+    assert _verdict_map(update.result) == reference, (
+        "incremental verdicts differ from cold solve")
 
     print_table("Incremental churn - one-leaf edit", rows)
     write_results("incremental_churn", rows)
@@ -151,6 +143,6 @@ def test_incremental_churn_warm_hit_rate(benchmark, tmp_path):
         store_path = str(tmp_path / "churn-bench.sqlite")
         if os.path.exists(store_path):
             os.remove(store_path)
-        return _churn_round(store_path, "scc")[2]
+        return _churn_round(store_path)[2]
 
     benchmark(run_update_round)

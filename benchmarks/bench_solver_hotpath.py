@@ -21,20 +21,7 @@ contracts are enforced:
 * the sparse path is not slower than the dense baseline in wall time
   (relaxable to ``REPRO_MAX_SPARSE_RATIO`` for noisy shared runners).
 
-On top of the solver comparison, the ``scc`` worklist policy (topological
-ranks + the unboxed ``IntervalTable`` inner loop) is measured against the
-``fifo`` replay policy — the "current sparse solver" baseline — with two
-MPRGP-style gates: it must run the chain-loop workload at least
-``MIN_SCC_SPEEDUP`` (1.3×, relaxable via ``REPRO_MIN_SCC_SPEEDUP``) faster
-in wall time, and it must not evaluate more transfer functions than the
-FIFO replay does.
-
-A second leg (``test_batched_kernel_leg``) stacks the ``batch``
-interval-kernel backend on the scc policy: level-synchronous batched sweeps
-over the same ``IntervalTable``, gated at ``MIN_BATCH_SPEEDUP`` (1.2×,
-relaxable via ``REPRO_MIN_BATCH_SPEEDUP``) on the large chain programs
-where the cyclic solve dominates the pass, with bit-identical fixpoints
-asserted value for value.
+A second test gates the cost of the disabled tracer on the sparse solve.
 """
 
 import time
@@ -57,22 +44,6 @@ MIN_EVAL_REDUCTION = 3.0
 #: wall-clock gate; sparse must not be slower than dense (1.0), relaxed on
 #: noisy shared CI runners via the environment.
 MAX_SPARSE_RATIO = env_float("REPRO_MAX_SPARSE_RATIO", 1.0)
-#: wall-clock gate of the scc policy over the fifo replay on the chain-loop
-#: programs; relaxable on noisy shared CI runners via the environment.
-MIN_SCC_SPEEDUP = env_float("REPRO_MIN_SCC_SPEEDUP", 1.3)
-#: chain sizes of the batched interval-kernel leg.  The batch backend
-#: restructures the *cyclic component solve*; on short chains the shared
-#: pipeline (graph build, SCC condensation, opcode compilation) dominates
-#: the pass and dilutes the figure, so the gate measures the sizes where
-#: the solve is the workload.  Smaller chains are still reported above.
-BATCH_CHAIN_LINKS = (96, 128, 192)
-#: interleaved best-of rounds of the batched leg (min-of-rounds timing —
-#: the standard anti-jitter discipline for millisecond-scale passes).
-BATCH_ROUNDS = 5
-BATCH_REPEATS = 20
-#: wall-clock gate of the batch kernel backend over the scalar scc policy
-#: on the chain-loop workload; relaxable on noisy shared CI runners.
-MIN_BATCH_SPEEDUP = env_float("REPRO_MIN_BATCH_SPEEDUP", 1.2)
 #: disabled-tracer overhead budget as a fraction of the sparse solve wall
 #: time (the obs contract: tracing off must stay within 2% of baseline).
 MAX_TRACE_OVERHEAD = env_float("REPRO_MAX_TRACE_OVERHEAD", 0.02)
@@ -116,10 +87,9 @@ def _prepared_functions(name, source):
     return module, functions
 
 
-def _range_pass(functions, solver, order="fifo", kernel=None):
+def _range_pass(functions, solver):
     """One full range-analysis pass; returns (analyses, evaluations)."""
-    analyses = [RangeAnalysis(function, solver=solver, order=order,
-                              kernel=kernel)
+    analyses = [RangeAnalysis(function, solver=solver)
                 for function in functions]
     return analyses, sum(analysis.statistics.evaluations for analysis in analyses)
 
@@ -147,14 +117,10 @@ def _measure_program(name, source):
         lambda: _range_pass(functions, "dense"), REPEATS)
     sparse_seconds, (sparse_analyses, sparse_evals) = _time_repeats(
         lambda: _range_pass(functions, "sparse"), REPEATS)
-    scc_seconds, (scc_analyses, scc_evals) = _time_repeats(
-        lambda: _range_pass(functions, "sparse", "scc"), REPEATS)
 
-    # Contract: identical fixed points, value for value — dense vs the fifo
-    # replay and dense vs the scc-ranked IntervalTable inner loop.
-    for dense, sparse, scc in zip(dense_analyses, sparse_analyses, scc_analyses):
+    # Contract: identical fixed points, value for value.
+    for dense, sparse in zip(dense_analyses, sparse_analyses):
         assert dense.ranges == sparse.ranges, name
-        assert dense.ranges == scc.ranges, name
 
     legacy_solution, legacy_stats = _lt_solve(module, functions, "constraint")
     sparse_solution, sparse_stats = _lt_solve(module, functions, "sparse")
@@ -165,19 +131,15 @@ def _measure_program(name, source):
         "values": sum(len(analysis.ranges) for analysis in sparse_analyses),
         "dense_evals": dense_evals,
         "sparse_evals": sparse_evals,
-        "scc_evals": scc_evals,
         "eval_reduction": round(dense_evals / sparse_evals, 2) if sparse_evals else 0.0,
         "lt_evals_legacy": legacy_stats.worklist_pops,
         "lt_evals_sparse": sparse_stats.worklist_pops,
         "lt_skip_ratio": round(sparse_stats.skip_ratio, 2),
         "dense_ms": round(1000.0 * dense_seconds / REPEATS, 2),
         "sparse_ms": round(1000.0 * sparse_seconds / REPEATS, 2),
-        "scc_ms": round(1000.0 * scc_seconds / REPEATS, 2),
         "speedup": round(dense_seconds / sparse_seconds, 2) if sparse_seconds else 0.0,
-        "scc_speedup": round(sparse_seconds / scc_seconds, 2) if scc_seconds else 0.0,
         "_dense_seconds": dense_seconds,
         "_sparse_seconds": sparse_seconds,
-        "_scc_seconds": scc_seconds,
     }
 
 
@@ -189,32 +151,22 @@ def test_sparse_solver_hotpath(benchmark):
     _bench_module, bench_functions = _prepared_functions(*programs[len(CHAIN_LINKS) - 1])
     benchmark(_range_pass, bench_functions, "sparse")
 
-    # Chain-loop subset totals for the scc wall-clock gate (the kernels are
-    # tiny; the chain programs are the workload the policy targets).
-    chain_sparse = sum(row["_sparse_seconds"] for row in rows[:len(CHAIN_LINKS)])
-    chain_scc = sum(row["_scc_seconds"] for row in rows[:len(CHAIN_LINKS)])
     total_dense = sum(row.pop("_dense_seconds") for row in rows)
     total_sparse = sum(row.pop("_sparse_seconds") for row in rows)
-    total_scc = sum(row.pop("_scc_seconds") for row in rows)
     dense_evals = sum(row["dense_evals"] for row in rows)
     sparse_evals = sum(row["sparse_evals"] for row in rows)
-    scc_evals = sum(row["scc_evals"] for row in rows)
     reduction = dense_evals / sparse_evals
     time_ratio = total_sparse / total_dense
-    scc_speedup = chain_sparse / chain_scc if chain_scc else 0.0
     rows.append({
         "benchmark": "TOTAL",
         "dense_evals": dense_evals,
         "sparse_evals": sparse_evals,
-        "scc_evals": scc_evals,
         "eval_reduction": round(reduction, 2),
         "lt_evals_legacy": sum(row["lt_evals_legacy"] for row in rows),
         "lt_evals_sparse": sum(row["lt_evals_sparse"] for row in rows),
         "dense_ms": round(1000.0 * total_dense / REPEATS, 2),
         "sparse_ms": round(1000.0 * total_sparse / REPEATS, 2),
-        "scc_ms": round(1000.0 * total_scc / REPEATS, 2),
         "speedup": round(total_dense / total_sparse, 2),
-        "scc_speedup": round(scc_speedup, 2),
         "repeats": REPEATS,
     })
     print_table("Solver hot path - sparse worklist vs dense sweeps", rows)
@@ -228,105 +180,10 @@ def test_sparse_solver_hotpath(benchmark):
         "sparse solver only cut evaluations by {:.2f}x".format(reduction)
     assert time_ratio <= MAX_SPARSE_RATIO, \
         "sparse path took {:.2f}x the dense wall time".format(time_ratio)
-    # MPRGP-style gates on the scc policy: faster than the fifo replay on the
-    # chain-loop workload, and never more transfer-function evaluations.
-    assert scc_speedup >= MIN_SCC_SPEEDUP, \
-        "scc policy only {:.2f}x faster than the fifo replay".format(scc_speedup)
-    assert scc_evals <= sparse_evals, \
-        "scc policy evaluated more than the fifo replay ({} > {})".format(
-            scc_evals, sparse_evals)
     # The sparse LT strategy never evaluates more constraints than the
-    # legacy constraint-keyed scheme.
+    # reference constraint-keyed scheme.
     for row in rows[:-1]:
         assert row["lt_evals_sparse"] <= row["lt_evals_legacy"], row["benchmark"]
-
-
-def test_batched_kernel_leg(benchmark):
-    """The ``batch`` interval-kernel backend vs the scalar ``scc`` policy.
-
-    Same IR, same ranked policy, same fixpoints (asserted value for value) —
-    the only difference is the sweep executor: level-synchronous batched
-    sweeps over the ``IntervalTable`` instead of per-pop heap dispatch.  The
-    wall-clock gate (``MIN_BATCH_SPEEDUP``, default 1.2×, relaxable via
-    ``REPRO_MIN_BATCH_SPEEDUP``) runs on the large chain programs where the
-    cyclic solve dominates the pass; timing is interleaved min-of-rounds so
-    scheduler jitter hits both kernels alike.
-    """
-    rows = []
-    total_scalar = total_batch = 0.0
-    bench_functions = None
-    for links in BATCH_CHAIN_LINKS:
-        name = "chain{}".format(links)
-        _module, functions = _prepared_functions(
-            name, _chain_source(name, links))
-        bench_functions = functions
-
-        # Contract first, clock second: identical fixed points, the batch
-        # executor actually engaged, and no extra transfer evaluations
-        # hiding behind the wall-clock figure.
-        scalar_analyses, scalar_evals = _range_pass(
-            functions, "sparse", "scc", kernel="scalar")
-        batch_analyses, batch_evals = _range_pass(
-            functions, "sparse", "scc", kernel="batch")
-        batched_sweeps = 0
-        for scalar_analysis, batch_analysis in zip(scalar_analyses,
-                                                   batch_analyses):
-            assert scalar_analysis.ranges == batch_analysis.ranges, name
-            assert batch_analysis.statistics.kernel_backend == "batch", name
-            batched_sweeps += batch_analysis.statistics.batched_sweeps
-        assert batched_sweeps > 0, name
-
-        scalar_seconds = batch_seconds = float("inf")
-        for _ in range(BATCH_ROUNDS):
-            elapsed, _result = _time_repeats(
-                lambda: _range_pass(functions, "sparse", "scc",
-                                    kernel="scalar"), BATCH_REPEATS)
-            scalar_seconds = min(scalar_seconds, elapsed)
-            elapsed, _result = _time_repeats(
-                lambda: _range_pass(functions, "sparse", "scc",
-                                    kernel="batch"), BATCH_REPEATS)
-            batch_seconds = min(batch_seconds, elapsed)
-        total_scalar += scalar_seconds
-        total_batch += batch_seconds
-        rows.append({
-            "benchmark": name,
-            "values": sum(len(analysis.ranges)
-                          for analysis in batch_analyses),
-            "scalar_evals": scalar_evals,
-            "batch_evals": batch_evals,
-            "batched_sweeps": batched_sweeps,
-            "batched_evaluations": sum(
-                analysis.statistics.batched_evaluations
-                for analysis in batch_analyses),
-            "scalar_ms": round(1000.0 * scalar_seconds / BATCH_REPEATS, 3),
-            "batch_ms": round(1000.0 * batch_seconds / BATCH_REPEATS, 3),
-            "speedup": round(scalar_seconds / batch_seconds, 2),
-        })
-
-    speedup = total_scalar / total_batch if total_batch else 0.0
-    rows.append({
-        "benchmark": "TOTAL",
-        "scalar_evals": sum(row["scalar_evals"] for row in rows),
-        "batch_evals": sum(row["batch_evals"] for row in rows),
-        "scalar_ms": round(1000.0 * total_scalar / BATCH_REPEATS, 3),
-        "batch_ms": round(1000.0 * total_batch / BATCH_REPEATS, 3),
-        "speedup": round(speedup, 2),
-        "repeats": BATCH_REPEATS,
-        "rounds": BATCH_ROUNDS,
-    })
-    print_table("Interval kernels - batched sweeps vs scalar scc", rows)
-    write_results("kernel_batch", rows)
-
-    # pytest-benchmark tracks the batched pass on the largest chain program.
-    benchmark(_range_pass, bench_functions, "sparse", "scc", "batch")
-
-    # The batch executor walks the same sweep trajectory; its full batched
-    # sweeps evaluate a superset of the scalar heap's pending pops (the
-    # extras are provable no-ops), never fewer.
-    for row in rows[:-1]:
-        assert row["batch_evals"] >= row["scalar_evals"], row["benchmark"]
-    assert speedup >= MIN_BATCH_SPEEDUP, \
-        "batch kernel only {:.2f}x over the scalar scc policy".format(speedup)
 
 
 def test_tracer_disabled_overhead():

@@ -17,9 +17,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    extras_require={
-        # Optional: vectorized interval kernels (REPRO_INTERVAL_KERNEL=numpy).
-        # Without it the numpy knob degrades to the pure-python batch backend.
-        "numpy": ["numpy"],
-    },
 )

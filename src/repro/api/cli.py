@@ -14,7 +14,7 @@ Subcommands:
   (``info`` / ``evict`` / ``clear``).
 
 Every subcommand accepts the configuration flags (``--workers``,
-``--store``, ``--range-solver``, ...), which become *explicit arguments*
+``--store``, ``--class-limit``, ...), which become *explicit arguments*
 of a :class:`~repro.api.config.ReproConfig` — the top of the precedence
 chain, above the ``REPRO_*`` environment.  Invalid values exit with code 2
 and the config boundary's actionable message instead of a traceback.
@@ -35,13 +35,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.config import (
     ConfigError,
-    INTERVAL_KERNELS,
-    LT_SOLVERS,
-    RANGE_SOLVERS,
     ReproConfig,
     STORE_BACKENDS,
     VERIFY_MODES,
-    WORKLIST_ORDERS,
 )
 from repro.obs import TRACER
 
@@ -63,19 +59,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                        choices=STORE_BACKENDS, help="force a store backend")
     group.add_argument("--store-max-mb", type=float, default=None, metavar="MB",
                        help="store byte budget (0 = unbounded)")
-    group.add_argument("--range-solver", default=None,
-                       choices=RANGE_SOLVERS, help="range fixed-point solver")
-    group.add_argument("--lt-solver", default=None,
-                       choices=LT_SOLVERS,
-                       help="less-than worklist strategy")
-    group.add_argument("--worklist-order", default=None,
-                       choices=WORKLIST_ORDERS,
-                       help="sparse-solver worklist ordering policy")
-    group.add_argument("--interval-kernel", default=None,
-                       choices=INTERVAL_KERNELS,
-                       help="interval-kernel backend of the ranked table "
-                            "solver (numpy degrades to batch when numpy is "
-                            "not installed)")
     group.add_argument("--class-limit", type=int, default=None, metavar="N",
                        help="equivalence-class truncation limit (0 = unlimited)")
     group.add_argument("--verify", default=None, choices=VERIFY_MODES,
@@ -97,10 +80,6 @@ def _config_from_arguments(args: argparse.Namespace) -> ReproConfig:
             ("store_path", "store"),
             ("store_backend", "store_backend"),
             ("store_max_mb", "store_max_mb"),
-            ("range_solver", "range_solver"),
-            ("lt_solver", "lt_solver"),
-            ("worklist_order", "worklist_order"),
-            ("interval_kernel", "interval_kernel"),
             ("class_limit", "class_limit"),
             ("verify", "verify"),
             ("synth_seed", "seed"),
@@ -380,28 +359,21 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             for function in unit.module.defined_functions():
                 for key, value in (session.cache.ranges(function)
                                    .statistics.as_dict().items()):
-                    if isinstance(value, (int, float)):
-                        range_totals[key] = range_totals.get(key, 0) + value
+                    range_totals[key] = range_totals.get(key, 0) + value
 
         print("module {}: {} instructions, {} functions".format(
             name, unit.module.instruction_count(),
             len(list(unit.module.defined_functions()))))
         print()
-        print("[less-than solver]  strategy={}".format(session.config.lt_solver))
+        print("[less-than solver]")
         for key, value in lt_statistics.as_dict().items():
             print("  {:24s} {}".format(key, value))
-        print("[range analysis]    solver={}".format(session.config.range_solver))
+        print("[range analysis]")
         for key, value in range_totals.items():
             print("  {:24s} {}".format(key, value))
-        print("[solver]            order={} kernel={}".format(
-            session.config.worklist_order, session.config.interval_kernel))
+        print("[solver]")
         for key, value in report.statistics.solver.as_dict().items():
-            if isinstance(value, dict):
-                for subkey, count in value.items():
-                    print("  {:24s} {}".format(
-                        "{}[{}]".format(key, subkey), count))
-            else:
-                print("  {:24s} {}".format(key, value))
+            print("  {:24s} {}".format(key, value))
         intern = Interval.intern_info()
         print("[interval intern]   capacity={}".format(intern["capacity"]))
         for key in ("size", "hits", "misses"):

@@ -1,8 +1,8 @@
 """The typed configuration surface of the reproduction.
 
 Every knob of the system — worker count, persistent-store location and
-byte budget, fixed-point solver strategies, equivalence-class truncation,
-synthetic-workload seeding — is a field of one frozen dataclass,
+byte budget, equivalence-class truncation, self-checks, synthetic-workload
+seeding, tracing — is a field of one frozen dataclass,
 :class:`ReproConfig`, resolved through a single documented precedence
 chain:
 
@@ -16,14 +16,14 @@ constructor receives it; unset fields fall back to the corresponding
 
 Validation happens *once*, at the ``ReproConfig`` boundary: an invalid
 value — ``REPRO_WORKERS=abc``, a negative ``REPRO_STORE_MAX_MB``, an
-unknown solver name — raises :class:`ConfigError` with a message naming
+unknown verify mode — raises :class:`ConfigError` with a message naming
 the offending field or environment variable and the accepted values,
 instead of the silent fallbacks (or raw ``ValueError`` deep in the stack)
 of earlier revisions.
 
 This module is the *only* place in ``src/repro`` that reads ``REPRO_*``
 environment variables.  Lower layers (the engine driver, the analysis
-store, the range and less-than solvers, the disambiguator) call the
+store, the disambiguator, the verification hooks) call the
 ``resolved_*`` functions below, which consult the innermost *active*
 config — installed by ``Session`` for the duration of its operations and
 re-installed inside worker processes — before falling back to the
@@ -39,10 +39,6 @@ field                environment variable     default
 ``store_path``       ``REPRO_STORE``          ``None`` (no persistence)
 ``store_backend``    ``REPRO_STORE_BACKEND``  ``None`` (auto-detect)
 ``store_max_mb``     ``REPRO_STORE_MAX_MB``   ``None`` (unbounded)
-``range_solver``     ``REPRO_RANGE_SOLVER``   ``"sparse"``
-``lt_solver``        ``REPRO_LT_SOLVER``      ``"sparse"``
-``worklist_order``   ``REPRO_WORKLIST_ORDER`` ``"fifo"``
-``interval_kernel``  ``REPRO_INTERVAL_KERNEL`` ``"scalar"``
 ``class_limit``      ``REPRO_CLASS_LIMIT``    ``64`` (``0`` = unlimited)
 ``verify``           ``REPRO_VERIFY``         ``"off"``
 ``synth_seed``       ``REPRO_SYNTH_SEED``     ``7``
@@ -57,7 +53,7 @@ import dataclasses
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, List, Optional
 
 
 class ConfigError(ValueError):
@@ -84,17 +80,6 @@ class _Unset:
 
 UNSET = _Unset()
 
-#: accepted solver names, by field.
-RANGE_SOLVERS = ("sparse", "dense")
-LT_SOLVERS = ("sparse", "constraint")
-#: worklist-ordering policies of the sparse solvers (mirrors
-#: ``repro.util.worklist.WORKLIST_ORDERS`` — this module imports nothing
-#: from the rest of the package by design).
-WORKLIST_ORDERS = ("fifo", "scc", "loopdepth")
-#: interval-kernel backends of the ranked table solver (mirrors
-#: ``repro.rangeanalysis.kernels.KERNEL_BACKENDS``; ``numpy`` degrades to
-#: ``batch`` at runtime when numpy is not installed).
-INTERVAL_KERNELS = ("scalar", "batch", "numpy")
 STORE_BACKENDS = ("sqlite", "pickle")
 #: self-check modes of the verification pass suite (``repro.verify``):
 #: ``off`` skips it, ``post`` re-checks every in-process solve, and
@@ -222,50 +207,6 @@ def _resolve_store_max_mb(value: object) -> Optional[float]:
     return parsed if parsed > 0 else None
 
 
-def _resolve_range_solver(value: object) -> str:
-    if isinstance(value, _Unset):
-        raw = _env("REPRO_RANGE_SOLVER")
-        if raw is None:
-            return "sparse"
-        return _parse_choice("range_solver", "REPRO_RANGE_SOLVER", raw, True,
-                             RANGE_SOLVERS)
-    return _parse_choice("range_solver", "REPRO_RANGE_SOLVER", value, False,
-                         RANGE_SOLVERS)
-
-
-def _resolve_lt_solver(value: object) -> str:
-    if isinstance(value, _Unset):
-        raw = _env("REPRO_LT_SOLVER")
-        if raw is None:
-            return "sparse"
-        return _parse_choice("lt_solver", "REPRO_LT_SOLVER", raw, True,
-                             LT_SOLVERS)
-    return _parse_choice("lt_solver", "REPRO_LT_SOLVER", value, False,
-                         LT_SOLVERS)
-
-
-def _resolve_worklist_order(value: object) -> str:
-    if isinstance(value, _Unset):
-        raw = _env("REPRO_WORKLIST_ORDER")
-        if raw is None:
-            return "fifo"
-        return _parse_choice("worklist_order", "REPRO_WORKLIST_ORDER", raw,
-                             True, WORKLIST_ORDERS)
-    return _parse_choice("worklist_order", "REPRO_WORKLIST_ORDER", value,
-                         False, WORKLIST_ORDERS)
-
-
-def _resolve_interval_kernel(value: object) -> str:
-    if isinstance(value, _Unset):
-        raw = _env("REPRO_INTERVAL_KERNEL")
-        if raw is None:
-            return "scalar"
-        return _parse_choice("interval_kernel", "REPRO_INTERVAL_KERNEL", raw,
-                             True, INTERVAL_KERNELS)
-    return _parse_choice("interval_kernel", "REPRO_INTERVAL_KERNEL", value,
-                         False, INTERVAL_KERNELS)
-
-
 def _resolve_verify(value: object) -> str:
     if isinstance(value, _Unset):
         raw = _env("REPRO_VERIFY")
@@ -330,10 +271,6 @@ class ReproConfig:
     store_path: Optional[str] = UNSET        # type: ignore[assignment]
     store_backend: Optional[str] = UNSET     # type: ignore[assignment]
     store_max_mb: Optional[float] = UNSET    # type: ignore[assignment]
-    range_solver: str = UNSET                # type: ignore[assignment]
-    lt_solver: str = UNSET                   # type: ignore[assignment]
-    worklist_order: str = UNSET              # type: ignore[assignment]
-    interval_kernel: str = UNSET             # type: ignore[assignment]
     verify: str = UNSET                      # type: ignore[assignment]
     class_limit: int = UNSET                 # type: ignore[assignment]
     synth_seed: int = UNSET                  # type: ignore[assignment]
@@ -346,12 +283,6 @@ class ReproConfig:
         resolve(self, "store_path", _resolve_store_path(self.store_path))
         resolve(self, "store_backend", _resolve_store_backend(self.store_backend))
         resolve(self, "store_max_mb", _resolve_store_max_mb(self.store_max_mb))
-        resolve(self, "range_solver", _resolve_range_solver(self.range_solver))
-        resolve(self, "lt_solver", _resolve_lt_solver(self.lt_solver))
-        resolve(self, "worklist_order",
-                _resolve_worklist_order(self.worklist_order))
-        resolve(self, "interval_kernel",
-                _resolve_interval_kernel(self.interval_kernel))
         resolve(self, "verify", _resolve_verify(self.verify))
         resolve(self, "class_limit", _resolve_class_limit(self.class_limit))
         resolve(self, "synth_seed", _resolve_synth_seed(self.synth_seed))
@@ -377,7 +308,7 @@ class ReproConfig:
         While active, every ``resolved_*`` lookup below answers from this
         config instead of the environment — this is how a
         :class:`~repro.api.session.Session`'s knobs reach code deep in the
-        pipeline (solver selection, class truncation) without threading a
+        pipeline (class truncation, self-checks) without threading a
         parameter through every layer.
         """
         push_config(self)
@@ -419,7 +350,7 @@ def install_config(config: ReproConfig) -> None:
     """Install ``config`` as this process's base config (no pairing pop).
 
     Worker processes call this from their pool initializer so that the
-    coordinator's session config governs solver selection and truncation
+    coordinator's session config governs truncation and self-checks
     inside every worker, under both the ``fork`` and ``spawn`` start
     methods.
     """
@@ -454,29 +385,6 @@ def resolved_store_max_bytes() -> Optional[int]:
         return config.store_max_bytes
     megabytes = _resolve_store_max_mb(UNSET)
     return int(megabytes * 1024 * 1024) if megabytes is not None else None
-
-
-def resolved_range_solver() -> str:
-    config = active_config()
-    return (config.range_solver if config is not None
-            else _resolve_range_solver(UNSET))
-
-
-def resolved_lt_solver() -> str:
-    config = active_config()
-    return config.lt_solver if config is not None else _resolve_lt_solver(UNSET)
-
-
-def resolved_worklist_order() -> str:
-    config = active_config()
-    return (config.worklist_order if config is not None
-            else _resolve_worklist_order(UNSET))
-
-
-def resolved_interval_kernel() -> str:
-    config = active_config()
-    return (config.interval_kernel if config is not None
-            else _resolve_interval_kernel(UNSET))
 
 
 def resolved_verify() -> str:

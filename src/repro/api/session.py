@@ -23,14 +23,12 @@ The three call shapes::
         results = session.run_workload(sources)
 
 Every operation runs with the session's config *active*
-(:meth:`ReproConfig.activate`), so solver selection, class truncation and
+(:meth:`ReproConfig.activate`), so class truncation, self-checks and
 store parameters resolve from the config deep inside the pipeline — and
 are re-installed inside worker processes by the engine's pool initializer.
 
-The pre-existing module-level entry points
-(:func:`repro.engine.run_workload`, :func:`repro.engine.evaluate_module`,
-:func:`repro.engine.evaluate_module_parallel`) remain as thin deprecation
-shims that construct a default ``Session``; verdicts are bit-identical.
+``Session`` is the only evaluation entry point; the engine package holds
+the coordinator internals it drives.
 """
 
 from __future__ import annotations

@@ -7,11 +7,7 @@ from repro.core.lessthan.constraints import (
     UnionConstraint,
 )
 from repro.core.lessthan.generation import ConstraintGenerator
-from repro.core.lessthan.solver import (
-    ConstraintSolver,
-    SolverStatistics,
-    default_lt_solver,
-)
+from repro.core.lessthan.solver import ConstraintSolver, SolverStatistics
 from repro.core.lessthan.analysis import LessThanAnalysis, LessThanAnalysisPass
 from repro.core.lessthan.inequality_graph import InequalityGraph
 
@@ -23,7 +19,6 @@ __all__ = [
     "ConstraintGenerator",
     "ConstraintSolver",
     "SolverStatistics",
-    "default_lt_solver",
     "LessThanAnalysis",
     "LessThanAnalysisPass",
     "InequalityGraph",

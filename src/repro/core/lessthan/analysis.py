@@ -16,7 +16,7 @@ parameters to the actual arguments of their call sites (Section 4).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Union
+from typing import Dict, FrozenSet, List, Optional, Union
 
 from repro.core.lessthan.constraints import Constraint
 from repro.core.lessthan.generation import ConstraintGenerator
@@ -52,23 +52,18 @@ class LessThanAnalysis:
         analyses over the same functions share one computation.
     solver_strategy:
         Worklist scheduling of the constraint solver: ``"sparse"``
-        (variable-keyed, the default) or ``"constraint"`` (the legacy
-        constraint-keyed scheme).  ``None`` defers to ``REPRO_LT_SOLVER``.
-        Both reach the same fixed point; the knob exists for differential
-        tests and the solver hot-path benchmark.
-    worklist_order:
-        Pop-order policy of the sparse strategy (``"fifo"``/``"scc"``/
-        ``"loopdepth"``); ``None`` defers to ``REPRO_WORKLIST_ORDER``.
+        (variable-keyed, the default) or ``"constraint"`` (the reference
+        constraint-keyed scheme).  Both reach the same fixed point; the
+        argument exists for differential tests and the solver hot-path
+        benchmark.
     """
 
     def __init__(self, subject: Union[Function, Module], build_essa: bool = True,
                  interprocedural: bool = True, cache: Optional[object] = None,
-                 solver_strategy: Optional[str] = None,
-                 worklist_order: Optional[str] = None) -> None:
+                 solver_strategy: str = "sparse") -> None:
         self.subject = subject
         self.cache = cache
         self.solver_strategy = solver_strategy
-        self.worklist_order = worklist_order
         self.functions: List[Function] = (
             [subject] if isinstance(subject, Function)
             else [f for f in subject.functions if not f.is_declaration()]
@@ -107,8 +102,7 @@ class LessThanAnalysis:
             else:
                 self.constraints = generator.generate_for_function(self.subject)
             span.annotate(constraints=len(self.constraints))
-        solver = ConstraintSolver(self.constraints, strategy=self.solver_strategy,
-                                  order=self.worklist_order)
+        solver = ConstraintSolver(self.constraints, strategy=self.solver_strategy)
         self.lt_sets = solver.solve()
         self.statistics = solver.statistics
 

@@ -15,18 +15,10 @@ point regardless of evaluation order, which the differential tests assert):
   variable whose LT set actually shrank are re-evaluated.  Multiple changes
   to the same variable coalesce into one pending entry, so a constraint is
   revisited once per batch of source changes rather than once per change.
-* ``constraint`` — the legacy scheme: the worklist holds whole constraints
-  and a change re-pushes every dependent constraint individually.
-
-The sparse strategy's pop order is a swappable policy shared with the range
-solver (``order`` constructor argument / ``REPRO_WORKLIST_ORDER``): ``fifo``
-is the legacy queue, ``scc`` pops variables in the condensation
-(topological SCC) order of the constraint dependency graph — sources before
-the variables they constrain, so each variable tends to see all its inputs
-settled before it is revisited — and ``loopdepth`` falls back to the
-``scc`` ranks (constraints carry no loop structure).  The fixed point is
-the same under every policy (descending iteration on a finite lattice);
-only the visit counts differ.
+* ``constraint`` — the reference scheme: the worklist holds whole
+  constraints and a change re-pushes every dependent constraint
+  individually.  Select it with ``ConstraintSolver(constraints,
+  strategy="constraint")``; it exists for the differential tests.
 
 The solver records the statistics the paper reports in Section 4.2: number
 of constraints, number of constraint (re-)evaluations, and the
@@ -39,36 +31,15 @@ quantify the work the dependents-only scheme avoids.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Sequence
 
-from repro.api.config import (
-    ConfigError,
-    LT_SOLVERS,
-    resolved_lt_solver,
-    resolved_worklist_order,
-)
 from repro.core.lessthan.constraints import Constraint, LTState, TOP
 from repro.ir.values import Value
 from repro.obs import TRACER
-from repro.rangeanalysis.graph import strongly_connected_components
-from repro.util.worklist import (
-    PriorityWorklist,
-    SolverInfo,
-    Worklist,
-    validate_order,
-)
+from repro.util.worklist import SolverInfo, Worklist
 
-
-def default_lt_solver() -> str:
-    """The configured strategy (default ``sparse``).
-
-    Resolution — active :class:`~repro.api.config.ReproConfig` first, the
-    ``REPRO_LT_SOLVER`` environment variable second — lives in
-    :mod:`repro.api.config`; invalid values raise
-    :class:`~repro.api.config.ConfigError` there instead of silently
-    falling back.
-    """
-    return resolved_lt_solver()
+#: the scheduling strategies :class:`ConstraintSolver` accepts.
+LT_STRATEGIES = ("sparse", "constraint")
 
 
 class SolverStatistics:
@@ -86,18 +57,15 @@ class SolverStatistics:
         self.variable_pops = 0
         self.coalesced_pushes = 0
         self.solve_time_seconds = 0.0
-        self.order = "fifo"
 
     def solver_info(self) -> SolverInfo:
         """These counters as a mergeable cross-solver :class:`SolverInfo`.
 
         Constraint evaluations map onto ``evaluations`` (there is no widening
-        on the finite LT lattice); variable pops are keyed by the ordering
-        policy that served them.
+        on the finite LT lattice); variable pops map onto ``pops``.
         """
-        info = SolverInfo(evaluations=self.worklist_pops)
-        info.record_pops(self.order, self.variable_pops)
-        return info
+        return SolverInfo(evaluations=self.worklist_pops,
+                          pops=self.variable_pops)
 
     @property
     def pops_per_constraint(self) -> float:
@@ -124,7 +92,6 @@ class SolverStatistics:
             "coalesced_pushes": self.coalesced_pushes,
             "skip_ratio": self.skip_ratio,
             "solve_time_seconds": self.solve_time_seconds,
-            "order": self.order,
         }
 
     def __repr__(self) -> str:
@@ -136,16 +103,13 @@ class ConstraintSolver:
     """Solves a system of less-than constraints to a fixed point."""
 
     def __init__(self, constraints: Sequence[Constraint],
-                 strategy: Optional[str] = None,
-                 order: Optional[str] = None) -> None:
+                 strategy: str = "sparse") -> None:
+        if strategy not in LT_STRATEGIES:
+            raise ValueError("less-than strategy {!r} is not one of {}".format(
+                strategy, "/".join(LT_STRATEGIES)))
         self.constraints: List[Constraint] = list(constraints)
-        self.strategy = strategy or default_lt_solver()
-        if self.strategy not in LT_SOLVERS:
-            raise ConfigError("lt_solver={!r} is not one of {}".format(
-                self.strategy, "/".join(LT_SOLVERS)))
-        self.order = validate_order(order or resolved_worklist_order())
+        self.strategy = strategy
         self.statistics = SolverStatistics()
-        self.statistics.order = self.order
         # Dependency map: which constraints must be re-evaluated when the LT
         # set of a given variable changes.
         self._dependents: Dict[Value, List[Constraint]] = {}
@@ -175,37 +139,6 @@ class ConstraintSolver:
             result[value] = frozenset() if lt_set is TOP else lt_set  # type: ignore[assignment]
         return result
 
-    def _policy_ranks(self) -> Optional[Dict[Value, int]]:
-        """Variable pop ranks for the active ordering policy.
-
-        ``fifo`` needs none (insertion order).  ``scc`` — and ``loopdepth``,
-        which degrades to it here — ranks every variable by the topological
-        position of its SCC in the condensation of the constraint dependency
-        graph (an edge per constraint, source → target), so a popped variable
-        tends to have all its sources already settled.
-        """
-        if self.order == "fifo":
-            return None
-        nodes: List[Value] = []
-        successors: Dict[Value, List[Value]] = {}
-
-        def add_node(value: Value) -> None:
-            if value not in successors:
-                nodes.append(value)
-                successors[value] = []
-
-        for constraint in self.constraints:
-            add_node(constraint.target)
-            for source in constraint.sources():
-                add_node(source)
-                successors[source].append(constraint.target)
-        components = strongly_connected_components(nodes, successors)
-        ranks: Dict[Value, int] = {}
-        for rank, component in enumerate(reversed(components)):
-            for value in component:
-                ranks[value] = rank
-        return ranks
-
     def _solve_sparse(self, state: LTState) -> None:
         """Variable-keyed worklist: re-evaluate only affected dependents.
 
@@ -214,10 +147,10 @@ class ConstraintSolver:
         counter, stamps every evaluation and every state change, and skips
         dependents whose last evaluation already saw the change.  Changes to
         the same variable coalesce into one pending entry (the shared
-        :class:`~repro.util.worklist.PriorityWorklist` counts them), and the
-        pop order follows the policy ranks of :meth:`_policy_ranks`.
+        :class:`~repro.util.worklist.Worklist` counts them), and variables
+        pop in FIFO order.
         """
-        worklist: PriorityWorklist[Value] = PriorityWorklist(self._policy_ranks())
+        worklist: Worklist[Value] = Worklist()
         evaluations = 0
         skipped = 0
         step = 0
@@ -256,7 +189,7 @@ class ConstraintSolver:
         self.statistics.coalesced_pushes = worklist.coalesced + skipped
 
     def _solve_constraint_keyed(self, state: LTState) -> None:
-        """Legacy scheme: the worklist holds whole constraints."""
+        """Reference scheme: the worklist holds whole constraints."""
         worklist: Worklist[Constraint] = Worklist(self.constraints)
         while worklist:
             constraint = worklist.pop()

@@ -14,13 +14,12 @@ package scales it out:
 * :mod:`repro.engine.store` — the persistent :class:`AnalysisStore`
   (sqlite, pickle fallback) content-addressed by IR text hashes with
   versioned invalidation, so repeated runs skip analysis entirely;
-* :mod:`repro.engine.driver` — the coordinator internals plus the legacy
-  module-level entry points (:func:`run_workload`,
-  :func:`evaluate_module_parallel`, :func:`evaluate_module`), kept as thin
-  deprecation shims over :class:`repro.api.session.Session`; configuration
-  resolves through :class:`repro.api.config.ReproConfig` (explicit argument
-  > config field > ``REPRO_*`` environment variable > default), with a
-  serial in-process fallback.
+* :mod:`repro.engine.driver` — the coordinator internals behind
+  :class:`repro.api.session.Session`, the package's only evaluation entry
+  point; configuration resolves through
+  :class:`repro.api.config.ReproConfig` (explicit argument > config field >
+  ``REPRO_*`` environment variable > default), with a serial in-process
+  fallback.
 
 Every path — serial, sharded, store-warmed — produces bit-identical
 per-pair verdicts; the engine records the verdict streams precisely so that
@@ -44,9 +43,6 @@ from repro.engine.driver import (
     UnitResult,
     default_store_path,
     default_workers,
-    evaluate_module,
-    evaluate_module_parallel,
-    run_workload,
 )
 
 __all__ = [
@@ -65,7 +61,4 @@ __all__ = [
     "UnitResult",
     "default_store_path",
     "default_workers",
-    "evaluate_module",
-    "evaluate_module_parallel",
-    "run_workload",
 ]

@@ -1,27 +1,21 @@
 """The coordinator: sharding, worker pools, merging and the store life cycle.
 
-Public API:
+:class:`repro.api.session.Session` drives everything here:
 
-* :func:`run_workload` — evaluate a list of benchmark programs, one work
-  unit per program, fanned out over ``multiprocessing`` workers (or run
-  in-process when ``workers <= 1`` — the serial fallback needs no
-  subprocesses, which keeps the tier-1 test suite self-contained).  The
-  pooled path is a *streaming* driver: shard payloads are consumed with
-  ``imap_unordered`` as they land, store write-back overlaps with
-  still-running shards, an optional ``on_result`` observer sees every
-  result immediately, and a post-merge sort on the input index restores
-  deterministic output order.
-* :func:`evaluate_module_parallel` — shard *one* module's functions across
-  workers; every worker compiles the same source (bit-identical IR, since
-  the frontend and mem2reg are deterministic) and evaluates only its shard.
-* :func:`evaluate_module` — the in-process entry point for an already
-  compiled module, sharing its :class:`FunctionAnalysisCache` with the
-  caller.
+* :func:`_run_units` evaluates work units — one per program, or one per
+  shard of a module's functions — fanned out over ``multiprocessing``
+  workers (or run in-process when ``workers <= 1`` — the serial fallback
+  needs no subprocesses, which keeps the tier-1 test suite
+  self-contained).  The pooled path is a *streaming* driver: shard
+  payloads are consumed with ``imap_unordered`` as they land, store
+  write-back overlaps with still-running shards, an optional observer sees
+  every payload immediately, and a post-merge sort on the input index
+  restores deterministic output order.
+* :func:`_merge_aaeval_payloads` merges the shards of one module
+  losslessly.
 
-The public functions above are deprecation shims over the
-:class:`repro.api.session.Session` facade; defaults resolve through
-:class:`repro.api.config.ReproConfig` (explicit argument > config field >
-``REPRO_*`` environment variable > default):
+Defaults resolve through :class:`repro.api.config.ReproConfig` (explicit
+argument > config field > ``REPRO_*`` environment variable > default):
 
 * ``workers`` / ``REPRO_WORKERS`` — worker-process count (``0`` = serial).
 * ``store_path`` / ``REPRO_STORE`` — path of the persistent analysis store
@@ -47,10 +41,8 @@ from repro.alias.aaeval import AliasEvaluation
 from repro.core.disambiguation import DisambiguationStatistics
 from repro.engine import worker as worker_module
 from repro.engine.store import AnalysisStore
-from repro.engine.workunit import DEFAULT_SPECS, WorkUnit
-from repro.ir.module import Module
+from repro.engine.workunit import WorkUnit
 from repro.obs import TRACER
-from repro.passes.analysis_cache import FunctionAnalysisCache
 
 
 def default_workers() -> int:
@@ -242,8 +234,8 @@ def _run_units(units: List[WorkUnit], workers: int,
     if store is not None:
         store_spec = (store.path, store.version, store.backend_name)
     context = multiprocessing.get_context(_start_method())
-    # Ship the active config (if any) into every worker so that solver
-    # selection and class truncation resolve exactly as on the coordinator.
+    # Ship the active config (if any) into every worker so that self-checks
+    # and class truncation resolve exactly as on the coordinator.
     pool = context.Pool(processes=workers,
                         initializer=worker_module.initialize_worker,
                         initargs=(_source_root(), api_config.active_config()),
@@ -265,37 +257,6 @@ def _run_units(units: List[WorkUnit], workers: int,
         pool.join()
     arrived.sort(key=lambda item: item[0])
     return [payload for _index, payload in arrived]
-
-
-def run_workload(units: Sequence[UnitLike], kind: str = "aaeval",
-                 specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
-                 workers: Optional[int] = None,
-                 store: Union[None, bool, str, AnalysisStore] = None,
-                 interprocedural: bool = True,
-                 max_tasks_per_child: Optional[int] = None,
-                 on_result=None) -> List[UnitResult]:
-    """Evaluate one work unit per benchmark program, possibly in parallel.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.api.session.Session.run_workload`; it
-        constructs a default (environment-configured) session per call.
-        New code should hold a :class:`~repro.api.session.Session` so
-        repeated workloads share one cache and one store handle.
-
-    ``units`` may be ``WorkUnit`` objects, ``(name, source)`` tuples or
-    anything with ``name``/``source`` attributes (``WorkloadProgram``).
-    Results come back in input order regardless of worker scheduling.
-    ``store=None`` defers to the configured store path; pass ``store=False``
-    to force a persistence-free run (e.g. a timing baseline).  ``on_result``
-    streams: it observes each :class:`UnitResult` as the unit lands.
-    """
-    from repro.api.session import Session
-
-    with Session() as session:
-        return session.run_workload(
-            units, kind=kind, specs=specs, workers=workers, store=store,
-            interprocedural=interprocedural,
-            max_tasks_per_child=max_tasks_per_child, on_result=on_result)
 
 
 def _merge_aaeval_payloads(name: str,
@@ -329,55 +290,3 @@ def _merge_aaeval_payloads(name: str,
         "store_hits": store_hits,
         "store_misses": store_misses,
     }
-
-
-def evaluate_module_parallel(name: str, source: str,
-                             specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
-                             workers: Optional[int] = None,
-                             store: Union[None, bool, str, AnalysisStore] = None,
-                             interprocedural: bool = True) -> UnitResult:
-    """Shard one module's functions across worker processes and merge.
-
-    The coordinator compiles the module once to discover function names and
-    weights (pointer count squared — the query loop is quadratic); each
-    worker recompiles the identical source and evaluates only its shard.
-    With ``workers <= 1`` the whole module is evaluated in-process.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.api.session.Session.evaluate_source`.
-    """
-    from repro.api.session import Session
-
-    with Session() as session:
-        return session.evaluate_source(name, source, specs=specs,
-                                       workers=workers, store=store,
-                                       interprocedural=interprocedural)
-
-
-def evaluate_module(module: Module,
-                    specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
-                    cache: Optional[FunctionAnalysisCache] = None,
-                    store: Union[None, bool, str, AnalysisStore] = None,
-                    interprocedural: bool = True,
-                    record_verdicts: bool = True,
-                    memoize_evaluations: bool = True) -> UnitResult:
-    """Evaluate an already compiled module in-process.
-
-    Shares ``cache`` with the caller so repeated evaluation hits memoized
-    analyses; with a store, results are warm-loaded/persisted exactly like
-    the worker path.  Store keys content-address the *pre-conversion* IR, so
-    a module that has already been e-SSA-converted outside the engine cannot
-    be addressed canonically any more — persistence is skipped for it rather
-    than growing an incompatible second key family.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.api.session.Session.evaluate`.  A held
-        session additionally shares its cache across calls automatically.
-    """
-    from repro.api.session import Session
-
-    with Session() as session:
-        return session.evaluate(module, specs=specs, cache=cache, store=store,
-                                interprocedural=interprocedural,
-                                record_verdicts=record_verdicts,
-                                memoize_evaluations=memoize_evaluations)

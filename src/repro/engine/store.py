@@ -72,7 +72,10 @@ except ImportError:  # pragma: no cover
 #:     ``aaeval-4`` stores are cleared on the first writable open (their
 #:     entries are unreachable under the new derivation anyway); read-only
 #:     opens of an old store miss cleanly on every lookup, no crash.
-STORE_VERSION = "aaeval-5"
+#: v6: persisted SolverInfo counters drop the per-order pop tallies and the
+#:     interval-kernel fields (``pops`` is a plain count).  ``aaeval-5``
+#:     stores are cleared on the first writable open, as above.
+STORE_VERSION = "aaeval-6"
 
 
 def default_store_max_bytes() -> Optional[int]:

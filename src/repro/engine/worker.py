@@ -73,7 +73,7 @@ def initialize_worker(src_path: Optional[str],
     source root it imported ``repro`` from.
 
     ``config`` is the coordinator's active :class:`ReproConfig`, installed
-    as this process's base config so that solver selection and
+    as this process's base config so that self-checks and
     equivalence-class truncation resolve identically in every worker —
     under ``spawn`` as well as ``fork`` (environment variables alone would
     miss a session whose config differs from the environment).  When that

@@ -166,7 +166,7 @@ class MetricsRegistry:
     def absorb(self, prefix: str, mapping: Mapping[str, object]) -> None:
         """Fold a statistics dict in as ``prefix.key`` counters.
 
-        Nested dicts recurse (``solver.pops.scc``); non-numeric leaves and
+        Nested dicts recurse (``cache.by_kind.ranges``); non-numeric leaves and
         ratio-style floats computed elsewhere are kept as gauges when the
         key ends in ``_ratio``/``_rate``, counters otherwise.
         """

@@ -18,7 +18,6 @@ from repro.rangeanalysis.analysis import (
     RangeAnalysis,
     RangeAnalysisPass,
     RangeStatistics,
-    default_range_solver,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "RangeAnalysis",
     "RangeAnalysisPass",
     "RangeStatistics",
-    "default_range_solver",
 ]

@@ -33,78 +33,33 @@ Two solver implementations compute the fixed point of a cyclic component:
 * ``dense`` — the reference implementation: every member of the component is
   re-evaluated on every iteration/widening/narrowing sweep.  Kept for
   differential testing and as the baseline of
-  ``benchmarks/bench_solver_hotpath.py``.
-
-Select with the ``solver`` constructor argument or the ``REPRO_RANGE_SOLVER``
-environment variable (``sparse``/``dense``).
-
-On top of the solver choice, the *worklist order* is a swappable policy
-(``order`` constructor argument / ``REPRO_WORKLIST_ORDER``):
-
-* ``fifo`` (default) — member-index ranks; the sparse solver replays the
-  dense trajectory bit-identically on ``Interval`` objects.
-* ``scc`` — intra-component reverse-postorder ranks; the inner loop runs on
-  an unboxed :class:`~repro.rangeanalysis.interval.IntervalTable` with
-  members precompiled to opcode tuples (no isinstance dispatch, no dict
-  probes, no Interval allocation) and boxes results back at the component
-  boundary.
-* ``loopdepth`` — like ``scc`` but ranked by loop-nesting depth first
-  (outermost values first), topological rank second.
+  ``benchmarks/bench_solver_hotpath.py``; select it with
+  ``RangeAnalysis(function, solver="dense")``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.api.config import (
-    ConfigError,
-    RANGE_SOLVERS,
-    resolved_interval_kernel,
-    resolved_range_solver,
-    resolved_worklist_order,
-)
 from repro.ir.function import Function
 from repro.ir.instructions import (
     BinaryOp,
     Copy,
     GetElementPtr,
     ICmp,
-    Instruction,
     Load,
     Phi,
 )
-from repro.ir.loops import LoopInfo
 from repro.ir.printer import format_instruction
 from repro.ir.values import Argument, ConstantInt, Undef, Value
 from repro.obs import TRACER
 from repro.passes.pass_base import AnalysisPass
 from repro.rangeanalysis.graph import DependencyGraph, SCCComponent
-from repro.rangeanalysis.interval import (
-    Interval,
-    IntervalTable,
-    NEG_INF,
-    POS_INF,
-    bounds_join,
-    bounds_narrow,
-    bounds_widen,
-)
-from repro.rangeanalysis.kernels import (
-    BatchedComponentSolver,
-    OP_ADD,
-    OP_CONST,
-    OP_COPY,
-    OP_DIV,
-    OP_MUL,
-    OP_PHI,
-    OP_REM,
-    OP_SIGMA,
-    OP_SUB,
-    REFINE_KERNELS,
-    SCALAR_BINARY_KERNELS,
-    get_backend,
-    validate_kernel,
-)
-from repro.util.worklist import SolverInfo, SweepWorklist, validate_order
+from repro.rangeanalysis.interval import Interval
+from repro.util.worklist import SolverInfo, SweepWorklist
+
+#: the range solvers :class:`RangeAnalysis` accepts.
+RANGE_SOLVERS = ("sparse", "dense")
 
 
 def value_signature(value: Value) -> tuple:
@@ -155,26 +110,14 @@ def _transfer_inputs(value: Value) -> List[Value]:
     return []
 
 
-def default_range_solver() -> str:
-    """The configured solver (default ``sparse``).
-
-    Resolution — active :class:`~repro.api.config.ReproConfig` first, the
-    ``REPRO_RANGE_SOLVER`` environment variable second — lives in
-    :mod:`repro.api.config`; invalid values raise
-    :class:`~repro.api.config.ConfigError` there instead of silently
-    falling back.
-    """
-    return resolved_range_solver()
-
-
 class RangeStatistics:
     """Counters describing one range-analysis solve.
 
     ``evaluations`` counts transfer-function applications — the quantity the
     sparse solver exists to reduce, and what
     ``benchmarks/bench_solver_hotpath.py`` compares across solvers.
-    ``pops``/``coalesced_pushes`` account the worklist traffic under the
-    active ordering policy (``order``).
+    ``pops``/``coalesced_pushes`` account the sparse solver's worklist
+    traffic.
     """
 
     def __init__(self) -> None:
@@ -184,18 +127,8 @@ class RangeStatistics:
         self.widenings = 0
         self.narrowings = 0
         self.widening_points = 0
-        self.order = "fifo"
         self.pops = 0
         self.coalesced_pushes = 0
-        #: the kernel backend that actually served the ranked table solver
-        #: ("scalar" whenever the batched sweep executor was not in play —
-        #: including under the fifo order, where the knob is a no-op).
-        self.kernel_backend = "scalar"
-        #: full level-synchronous sweeps run by the batched executor, and the
-        #: member evaluations those sweeps performed (a subset of
-        #: ``evaluations``).
-        self.batched_sweeps = 0
-        self.batched_evaluations = 0
         #: components whose previous-solve intervals were copied instead of
         #: solved (incremental re-solve only; always 0 on a fresh solve).
         self.reused_components = 0
@@ -206,17 +139,13 @@ class RangeStatistics:
 
     def solver_info(self) -> SolverInfo:
         """These counters as a mergeable cross-solver :class:`SolverInfo`."""
-        info = SolverInfo(
+        return SolverInfo(
             evaluations=self.evaluations,
             widenings=self.widenings,
             narrowings=self.narrowings,
             sccs=self.components,
             cyclic_sccs=self.cyclic_components,
-            batched_sweeps=self.batched_sweeps,
-            batched_evaluations=self.batched_evaluations)
-        info.record_pops(self.order, self.pops)
-        info.record_backend(self.kernel_backend)
-        return info
+            pops=self.pops)
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -226,13 +155,9 @@ class RangeStatistics:
             "widenings": self.widenings,
             "narrowings": self.narrowings,
             "widening_points": self.widening_points,
-            "order": self.order,
             "pops": self.pops,
             "coalesced_pushes": self.coalesced_pushes,
             "reused_components": self.reused_components,
-            "kernel_backend": self.kernel_backend,
-            "batched_sweeps": self.batched_sweeps,
-            "batched_evaluations": self.batched_evaluations,
         }
 
     def __repr__(self) -> str:
@@ -250,53 +175,33 @@ class RangeAnalysis:
     #: bound on narrowing iterations (narrowing always terminates, this is a
     #: belt-and-braces fuel limit).
     MAX_NARROWING_ITERATIONS = 16
-    #: pre-widening budget of the ranked (scc/loopdepth) table solver, in
-    #: sweeps.  A topologically ranked sweep propagates one *full* round of
-    #: the cycle (φ-rooted, single back-edge wrap), whereas the dense member
-    #: order advances roughly one value per sweep — so one ranked sweep is
-    #: the equivalent of the legacy ``ITERATIONS_BEFORE_WIDENING`` budget,
-    #: and a larger value only multiplies full-component rounds.
-    RANKED_ITERATIONS_BEFORE_WIDENING = 1
 
     def __init__(self, function: Function,
                  argument_ranges: Optional[Dict[Argument, Interval]] = None,
-                 solver: Optional[str] = None,
-                 order: Optional[str] = None,
-                 kernel: Optional[str] = None,
+                 solver: str = "sparse",
                  previous: Optional["RangeAnalysis"] = None) -> None:
+        """``previous`` is a finished analysis of an earlier compile of (an
+        edit of) the same function: components whose structure and external
+        inputs are unchanged copy its intervals instead of re-solving
+        (incremental re-solve, bit-identical to a fresh solve — see
+        :meth:`_try_reuse`).  It is only read during the solve, so an
+        analysis never keeps its predecessor alive."""
+        if solver not in RANGE_SOLVERS:
+            raise ValueError("range solver {!r} is not one of {}".format(
+                solver, "/".join(RANGE_SOLVERS)))
         self.function = function
         self.argument_ranges = argument_ranges or {}
         self.ranges: Dict[Value, Interval] = {}
-        self.solver = solver or default_range_solver()
-        if self.solver not in RANGE_SOLVERS:
-            raise ConfigError("range_solver={!r} is not one of {}".format(
-                self.solver, "/".join(RANGE_SOLVERS)))
-        self.order = validate_order(order or resolved_worklist_order())
-        self.kernel = validate_kernel(kernel or resolved_interval_kernel())
-        # The kernel backends plug into the ranked table solver; the boxed
-        # fifo replay and the dense reference solver stay scalar (the knob is
-        # a documented no-op there — fixpoints are bit-identical either way).
-        if self.solver == "sparse" and self.order != "fifo":
-            self._kernel_backend = get_backend(self.kernel)
-        else:
-            self._kernel_backend = None
+        self.solver = solver
         self.statistics = RangeStatistics()
-        self.statistics.order = self.order
-        if self._kernel_backend is not None:
-            self.statistics.kernel_backend = self._kernel_backend.name
-        #: a finished analysis of an earlier compile of (an edit of) the same
-        #: function: components whose structure and external inputs are
-        #: unchanged copy its intervals instead of re-solving (incremental
-        #: re-solve, bit-identical to a fresh solve — see :meth:`_try_reuse`).
-        self.previous = previous
         self._schedule = None
         self._reuse_table: Optional[Dict[tuple, List[tuple]]] = None
         #: values whose bounds widening actually changed — the per-value
         #: widening points (back-edge φ/σ nodes and the chains they feed).
         self.widening_points: Set[Value] = set()
         with TRACER.timer("range.solve", fn=function.name,
-                          solver=self.solver, order=self.order) as timer:
-            self._run()
+                          solver=self.solver) as timer:
+            self._run(previous)
         self.statistics.solve_time_seconds = timer.seconds
 
     # -- public API ---------------------------------------------------------------
@@ -315,13 +220,12 @@ class RangeAnalysis:
         return self.range_of(value).is_strictly_negative()
 
     # -- solving ---------------------------------------------------------------------
-    def _run(self) -> None:
+    def _run(self, previous: Optional["RangeAnalysis"]) -> None:
         if self.function.is_declaration():
             return
         schedule = DependencyGraph(self.function).condense()
         self._schedule = schedule
-        reuse = self._previous_reuse_table()
-        depth_of = self._loop_depth_of() if self.order == "loopdepth" else None
+        reuse = self._previous_reuse_table(previous)
         for node in schedule.graph.nodes:
             self.ranges[node] = Interval.bottom()
         for component in schedule:
@@ -338,10 +242,8 @@ class RangeAnalysis:
                 continue
             if self.solver == "dense":
                 self._solve_cyclic_dense(component.members)
-            elif self.order == "fifo":
-                self._solve_cyclic_sparse(component)
             else:
-                self._solve_cyclic_table(component, depth_of)
+                self._solve_cyclic_sparse(component)
         self.statistics.widening_points = len(self.widening_points)
 
     # -- incremental re-solve --------------------------------------------------------
@@ -361,19 +263,20 @@ class RangeAnalysis:
         if self._schedule is not None:
             self._component_snapshot()
 
-    def _previous_reuse_table(self) -> Optional[Dict[tuple, List[tuple]]]:
-        """The previous analysis' components, keyed for signature matching.
+    def _previous_reuse_table(self, previous: Optional["RangeAnalysis"]
+                              ) -> Optional[Dict[tuple, List[tuple]]]:
+        """``previous``'s components, keyed for signature matching.
 
         Reuse is only attempted when neither analysis carries argument
         ranges: an Argument's transfer function reads ``argument_ranges``
         directly, which the signatures do not (and need not, for the cache
         paths that drive incremental re-solves) capture.
         """
-        if self.previous is None or self.previous._schedule is None:
+        if previous is None or previous._schedule is None:
             return None
-        if self.argument_ranges or self.previous.argument_ranges:
+        if self.argument_ranges or previous.argument_ranges:
             return None
-        return self.previous._component_snapshot()
+        return previous._component_snapshot()
 
     def _component_snapshot(self) -> Dict[tuple, List[tuple]]:
         """This (finished) analysis, as a reuse table for a later one.
@@ -438,21 +341,6 @@ class RangeAnalysis:
             self.ranges[value] = interval
         return True
 
-    def _loop_depth_of(self) -> Callable[[Value], int]:
-        """Loop-nesting depth of a value, for the ``loopdepth`` policy ranks."""
-        info = LoopInfo(self.function)
-        depths: Dict[Value, int] = {}
-
-        def depth_of(value: Value) -> int:
-            cached = depths.get(value)
-            if cached is None:
-                block = getattr(value, "parent", None)
-                cached = info.loop_depth(block) if block is not None else 0
-                depths[value] = cached
-            return cached
-
-        return depth_of
-
     def _solve_acyclic(self, value: Value) -> None:
         self.ranges[value] = self._evaluate(value)
 
@@ -503,23 +391,22 @@ class RangeAnalysis:
         """Change-driven solver: re-evaluate only users of changed values.
 
         The :class:`~repro.util.worklist.SweepWorklist` holds member indices
-        keyed ``(sweep, rank)``; under the ``fifo`` policy ranks are member
-        indices, which replays the dense solver's Gauss–Seidel sweeps: when
-        the value at index ``i`` changes during sweep ``s``, a user at index
-        ``j > i`` is re-evaluated later in the same sweep (it would have seen
-        the update in the dense pass too) and a user at ``j <= i`` in sweep
-        ``s + 1``.  Values whose operands did not change are skipped outright
-        — their re-evaluation would reproduce the stored interval, so the
-        dense sweep's visit is a no-op there.  The per-phase sweep limits are
-        shared with the dense solver, which makes the two solvers' results
-        bit-identical.
+        keyed ``(sweep, index)``, which replays the dense solver's
+        Gauss–Seidel sweeps: when the value at index ``i`` changes during
+        sweep ``s``, a user at index ``j > i`` is re-evaluated later in the
+        same sweep (it would have seen the update in the dense pass too) and
+        a user at ``j <= i`` in sweep ``s + 1``.  Values whose operands did
+        not change are skipped outright — their re-evaluation would
+        reproduce the stored interval, so the dense sweep's visit is a no-op
+        there.  The per-phase sweep limits are shared with the dense solver,
+        which makes the two solvers' results bit-identical.
         """
         members = component.members
         users = component.users
         ranges = self.ranges
         statistics = self.statistics
 
-        worklist = SweepWorklist(component.ranks("fifo"))
+        worklist = SweepWorklist(len(members))
         # Phase 1a: bounded chaotic iteration.
         while True:
             sweep = worklist.next_sweep()
@@ -549,7 +436,7 @@ class RangeAnalysis:
         # Phase 2: narrowing.  Every member re-enters once — the transfer
         # changes from widening to narrowing, so "operands unchanged" no
         # longer implies a no-op — then only users of refined values follow.
-        worklist = SweepWorklist(component.ranks("fifo"))
+        worklist = SweepWorklist(len(members))
         while True:
             sweep = worklist.next_sweep()
             if sweep is None or sweep >= self.MAX_NARROWING_ITERATIONS:
@@ -562,245 +449,6 @@ class RangeAnalysis:
                 statistics.narrowings += 1
                 worklist.schedule(sweep, index, users[index])
         self._harvest(worklist)
-
-    # -- unboxed (IntervalTable) solver ------------------------------------------------
-    #
-    # Opcodes of the precompiled transfer functions.  Every member of a
-    # cyclic component compiles to one tuple; operands are IntervalTable
-    # handles (member slots first, then preloaded external slots), so the
-    # inner loop touches only flat lists and local ints.  The opcode values
-    # and the scalar kernel tables live in
-    # :mod:`repro.rangeanalysis.kernels.opcodes` (shared with the batched
-    # sweep executor); the class aliases keep the historical spelling.
-    _OP_CONST = OP_CONST    # (op, lower, upper)                fixed interval
-    _OP_ADD = OP_ADD        # (op, lhs, rhs)
-    _OP_SUB = OP_SUB        # (op, lhs, rhs)
-    _OP_MUL = OP_MUL        # (op, lhs, rhs)
-    _OP_DIV = OP_DIV        # (op, lhs, rhs)
-    _OP_REM = OP_REM        # (op, lhs, rhs)
-    _OP_PHI = OP_PHI        # (op, (incoming, ...))
-    _OP_COPY = OP_COPY      # (op, source)
-    _OP_SIGMA = OP_SIGMA    # (op, source, other, refine_kernel)
-
-    #: σ-refinement kernels by (already NEGATED/SWAPPED-resolved) predicate.
-    _REFINE_KERNELS = REFINE_KERNELS
-
-    #: binary opcode → scalar bounds kernel, built once at import time (it
-    #: used to be reconstructed inside ``_solve_cyclic_table`` for every
-    #: cyclic component).
-    _TABLE_KERNELS = SCALAR_BINARY_KERNELS
-
-    def _compile_component(self, members: List[Value],
-                           index_of: Dict[Value, int],
-                           table: IntervalTable) -> List[tuple]:
-        """Precompile each member's transfer function to an opcode tuple.
-
-        External operands (values of earlier components, constants, undef)
-        are final by topological order, so they are preloaded into extra
-        table slots once and addressed by handle like everything else.
-        """
-        extern: Dict[Value, int] = {}
-
-        def handle_of(operand: Value) -> int:
-            index = index_of.get(operand)
-            if index is not None:
-                return index
-            handle = extern.get(operand)
-            if handle is None:
-                handle = table.alloc(self._operand_range(operand))
-                extern[operand] = handle
-            return handle
-
-        binary_ops = {"add": self._OP_ADD, "sub": self._OP_SUB,
-                      "mul": self._OP_MUL, "div": self._OP_DIV,
-                      "rem": self._OP_REM}
-        compiled: List[tuple] = []
-        for value in members:
-            if isinstance(value, BinaryOp) and value.op in binary_ops:
-                compiled.append((binary_ops[value.op],
-                                 handle_of(value.lhs), handle_of(value.rhs)))
-                continue
-            if isinstance(value, Phi):
-                compiled.append((self._OP_PHI,
-                                 tuple(handle_of(incoming)
-                                       for incoming, _block in value.incoming())))
-                continue
-            if isinstance(value, Copy):
-                compiled.append(self._compile_copy(value, handle_of))
-                continue
-            # Arguments, loads, geps, unknown binary ops: the evaluation does
-            # not depend on the table state, so bake the interval in.
-            fixed = self._evaluate_fixed(value)
-            compiled.append((self._OP_CONST, fixed.lower, fixed.upper))
-        return compiled
-
-    def _compile_copy(self, copy: Copy, handle_of) -> tuple:
-        """A σ-copy compiles to its refinement kernel, a plain copy to a move."""
-        condition = getattr(copy, "sigma_condition", None)
-        side = getattr(copy, "sigma_operand_side", None)
-        if not isinstance(condition, ICmp) or side not in ("lhs", "rhs"):
-            return (self._OP_COPY, handle_of(copy.source))
-        predicate = condition.predicate
-        if not getattr(copy, "sigma_on_true_branch", True):
-            predicate = ICmp.NEGATED[predicate]
-        if side == "rhs":
-            predicate = ICmp.SWAPPED[predicate]
-        other = condition.rhs if side == "lhs" else condition.lhs
-        kernel = self._REFINE_KERNELS.get(predicate)
-        if kernel is None:
-            # _refine_sigma returns the source range untouched for predicates
-            # it cannot exploit (e.g. "ne").
-            return (self._OP_COPY, handle_of(copy.source))
-        return (self._OP_SIGMA, handle_of(copy.source), handle_of(other), kernel)
-
-    def _evaluate_fixed(self, value: Value) -> Interval:
-        """The (state-independent) interval of a non-arithmetic member."""
-        if isinstance(value, Argument):
-            return self.argument_ranges.get(value, Interval.top())
-        if isinstance(value, ConstantInt):
-            return Interval.constant(value.value)
-        return Interval.top()
-
-    def _solve_cyclic_table(self, component: SCCComponent,
-                            depth_of: Optional[Callable[[Value], int]]) -> None:
-        """The sparse solver on unboxed bounds, under a ranked policy.
-
-        Same three phases and sweep limits as :meth:`_solve_cyclic_sparse`,
-        but the inner loop reads and writes an :class:`IntervalTable` through
-        precompiled opcodes — no isinstance dispatch, no ``ranges`` dict
-        probes, no Interval allocation or interning until the component is
-        done and the final bounds are boxed back into ``self.ranges``.
-        """
-        members = component.members
-        count = len(members)
-        users = component.users
-        index_of = {value: index for index, value in enumerate(members)}
-        table = IntervalTable(count)
-        compiled = self._compile_component(members, index_of, table)
-        ranks = component.ranks(self.order, depth_of)
-        statistics = self.statistics
-
-        if self._kernel_backend is not None:
-            self._solve_cyclic_batched(component, compiled, ranks, table)
-            return
-
-        lo = table.lo
-        hi = table.hi
-
-        op_const = OP_CONST
-        op_phi = OP_PHI
-        op_copy = OP_COPY
-        op_sigma = OP_SIGMA
-        kernels = self._TABLE_KERNELS
-        evaluations = 0
-
-        def evaluate(index: int) -> Tuple:
-            nonlocal evaluations
-            evaluations += 1
-            code = compiled[index]
-            op = code[0]
-            if op == op_phi:
-                rlo, rhi = POS_INF, NEG_INF
-                for operand in code[1]:
-                    rlo, rhi = bounds_join(rlo, rhi, lo[operand], hi[operand])
-                return rlo, rhi
-            if op == op_copy:
-                source = code[1]
-                return lo[source], hi[source]
-            if op == op_sigma:
-                _op, source, other, kernel = code
-                return kernel(lo[source], hi[source], lo[other], hi[other])
-            if op == op_const:
-                return code[1], code[2]
-            lhs = code[1]
-            rhs = code[2]
-            return kernels[op](lo[lhs], hi[lhs], lo[rhs], hi[rhs])
-
-        def finish() -> None:
-            statistics.evaluations += evaluations
-            load = table.load
-            for index, value in enumerate(members):
-                self.ranges[value] = load(index)
-
-        worklist = SweepWorklist(ranks)
-        # Phase 1a: bounded chaotic iteration (see
-        # RANKED_ITERATIONS_BEFORE_WIDENING for why the budget differs from
-        # the replay solver's).
-        while True:
-            sweep = worklist.next_sweep()
-            if sweep is None or sweep >= self.RANKED_ITERATIONS_BEFORE_WIDENING:
-                break
-            sweep, index = worklist.pop()
-            new_lo, new_hi = evaluate(index)
-            if new_lo != lo[index] or new_hi != hi[index]:
-                lo[index] = new_lo
-                hi[index] = new_hi
-                worklist.schedule(sweep, index, users[index])
-        if not worklist:
-            self._harvest(worklist)
-            finish()
-            return
-        # Phase 1b: widening until the change frontier drains.
-        while worklist:
-            sweep, index = worklist.pop()
-            new_lo, new_hi = evaluate(index)
-            wide_lo, wide_hi = bounds_widen(lo[index], hi[index], new_lo, new_hi)
-            if wide_lo != lo[index] or wide_hi != hi[index]:
-                lo[index] = wide_lo
-                hi[index] = wide_hi
-                self.widening_points.add(members[index])
-                statistics.widenings += 1
-                worklist.schedule(sweep, index, users[index])
-        self._harvest(worklist)
-        # Phase 2: narrowing (every member re-enters once, as in the boxed
-        # sparse solver).
-        worklist = SweepWorklist(ranks)
-        while True:
-            sweep = worklist.next_sweep()
-            if sweep is None or sweep >= self.MAX_NARROWING_ITERATIONS:
-                break
-            sweep, index = worklist.pop()
-            new_lo, new_hi = evaluate(index)
-            narrow_lo, narrow_hi = bounds_narrow(lo[index], hi[index],
-                                                 new_lo, new_hi)
-            if narrow_lo != lo[index] or narrow_hi != hi[index]:
-                lo[index] = narrow_lo
-                hi[index] = narrow_hi
-                statistics.narrowings += 1
-                worklist.schedule(sweep, index, users[index])
-        self._harvest(worklist)
-        finish()
-
-    def _solve_cyclic_batched(self, component: SCCComponent,
-                              compiled: List[tuple], ranks,
-                              table: IntervalTable) -> None:
-        """Hand one compiled component to the batched sweep executor.
-
-        The executor replays the ranked sparse trajectory with
-        level-synchronous batched sweeps (see
-        :class:`~repro.rangeanalysis.kernels.sweep.BatchedComponentSolver`);
-        this wrapper only folds its counters back into the statistics and
-        boxes the fixpoint, exactly like ``finish()`` on the scalar path.
-        """
-        members = component.members
-        solver = BatchedComponentSolver(
-            compiled, component.users, ranks, table, self._kernel_backend,
-            self.RANKED_ITERATIONS_BEFORE_WIDENING,
-            self.MAX_NARROWING_ITERATIONS)
-        solver.solve()
-        statistics = self.statistics
-        statistics.evaluations += solver.evaluations
-        statistics.widenings += solver.widenings
-        statistics.narrowings += solver.narrowings
-        statistics.pops += solver.pops
-        statistics.coalesced_pushes += solver.coalesced
-        statistics.batched_sweeps += solver.batched_sweeps
-        statistics.batched_evaluations += solver.batched_evaluations
-        for index in solver.widened:
-            self.widening_points.add(members[index])
-        load = table.load
-        for index, value in enumerate(members):
-            self.ranges[value] = load(index)
 
     # -- transfer functions -----------------------------------------------------------
     def _operand_range(self, value: Value) -> Interval:

@@ -9,14 +9,13 @@ topological order.  Acyclic components are evaluated once; cyclic components
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from repro.ir.function import Function
 from repro.ir.instructions import (
     BinaryOp,
     Copy,
     GetElementPtr,
-    Instruction,
     Load,
     Phi,
 )
@@ -112,49 +111,20 @@ class SCCComponent:
     ``members`` is the component in its canonical (Tarjan) order — the
     order the dense reference sweeps visit; ``users`` holds, per member
     index, the sorted member indices of its intra-component dependants (the
-    def-use slice the sparse solver schedules from); ``topo_rank`` is an
-    intra-component reverse postorder from the canonical first member —
-    the data-flow order the ``scc`` worklist policy pops in.  Acyclic
-    singletons (``cyclic`` false) are solved in one pass with no widening.
+    def-use slice the sparse solver schedules from).  Acyclic singletons
+    (``cyclic`` false) are solved in one pass with no widening.
     """
 
-    __slots__ = ("members", "cyclic", "users", "topo_rank")
+    __slots__ = ("members", "cyclic", "users")
 
     def __init__(self, members: List[Value], cyclic: bool,
-                 users: List[List[int]], topo_rank: List[int]) -> None:
+                 users: List[List[int]]) -> None:
         self.members = members
         self.cyclic = cyclic
         self.users = users
-        self.topo_rank = topo_rank
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def ranks(self, order: str,
-              depth_of: Optional[Callable[[Value], int]] = None) -> List[int]:
-        """Per-member pop ranks under worklist policy ``order``.
-
-        ``fifo`` ranks by member index (the dense-replay order), ``scc`` by
-        the intra-component reverse postorder, and ``loopdepth`` by
-        ``(loop depth, topological rank)`` flattened to a total order —
-        outermost (shallowest) values first, data-flow order within a
-        depth.  ``depth_of`` supplies the loop depth of a member;
-        ``loopdepth`` degrades to ``scc`` without it.
-        """
-        if order == "fifo" or len(self.members) <= 1:
-            return list(range(len(self.members)))
-        if order == "scc" or depth_of is None:
-            return list(self.topo_rank)
-        if order == "loopdepth":
-            count = len(self.members)
-            keyed = sorted(range(count),
-                           key=lambda i: (depth_of(self.members[i]),
-                                          self.topo_rank[i]))
-            ranks = [0] * count
-            for rank, index in enumerate(keyed):
-                ranks[index] = rank
-            return ranks
-        raise ValueError("unknown worklist order {!r}".format(order))
 
     def __repr__(self) -> str:
         return "<SCCComponent size={} cyclic={}>".format(
@@ -165,10 +135,10 @@ class SCCSchedule:
     """Topological SCC schedule of a :class:`DependencyGraph`.
 
     The condensation of the def-use graph: components appear with every
-    dependency before its dependants, each carrying its member slice, its
-    intra-component def-use index lists and its policy rank orders.  The
-    solvers walk the schedule once; widening/narrowing only ever runs
-    inside components flagged ``cyclic``.
+    dependency before its dependants, each carrying its member slice and
+    its intra-component def-use index lists.  The solvers walk the schedule
+    once; widening/narrowing only ever runs inside components flagged
+    ``cyclic``.
     """
 
     def __init__(self, graph: DependencyGraph) -> None:
@@ -180,70 +150,14 @@ class SCCSchedule:
                 # Fast path for the overwhelmingly common case: a singleton
                 # needs no slicing (a self-loop is its own only user).
                 self.components.append(SCCComponent(
-                    members, cyclic, [[0] if cyclic else []], [0]))
+                    members, cyclic, [[0] if cyclic else []]))
                 continue
             index_of = {value: index for index, value in enumerate(members)}
-            users: List[List[int]] = []
-            entries: List[int] = []
-            for index, value in enumerate(members):
-                users.append(sorted({index_of[user]
-                                     for user in graph.successors.get(value, [])
-                                     if user in index_of}))
-                if any(pred not in index_of
-                       for pred in graph.predecessors.get(value, [])):
-                    entries.append(index)
-            # Root preference: the loop-header φs (they join the cycle's
-            # external seed value — often an untracked constant, hence not an
-            # "entry" by predecessor inspection), then members fed from
-            # outside the component, then anything.
-            phis = [index for index, value in enumerate(members)
-                    if isinstance(value, Phi)]
-            topo_rank = self._reverse_postorder(members, users, phis + entries)
-            self.components.append(
-                SCCComponent(members, cyclic, users, topo_rank))
-
-    @staticmethod
-    def _reverse_postorder(members: List[Value], users: List[List[int]],
-                           entries: List[int]) -> List[int]:
-        """Intra-component reverse postorder rooted at a component *entry*.
-
-        An entry is a member fed from outside the component — the loop-header
-        φ (or the σ reading the loop bound) in practice.  Rooting there makes
-        the order follow the data flow around the cycle with a single
-        back-edge wrap, so a ranked Gauss–Seidel sweep propagates one full
-        round per sweep instead of re-visiting rotated members mid-sweep.  A
-        strongly connected component is reachable in full from any member, so
-        one DFS covers it; components with no external input fall back to the
-        canonical first member.
-        """
-        count = len(members)
-        if count <= 1:
-            return [0] * count
-        postorder: List[int] = []
-        visited = [False] * count
-        roots = entries + [index for index in range(count)
-                           if index not in entries]
-        for root in roots:
-            if visited[root]:
-                continue
-            visited[root] = True
-            stack = [(root, iter(users[root]))]
-            while stack:
-                node, successors = stack[-1]
-                advanced = False
-                for succ in successors:
-                    if not visited[succ]:
-                        visited[succ] = True
-                        stack.append((succ, iter(users[succ])))
-                        advanced = True
-                        break
-                if not advanced:
-                    stack.pop()
-                    postorder.append(node)
-        ranks = [0] * count
-        for rank, index in enumerate(reversed(postorder)):
-            ranks[index] = rank
-        return ranks
+            users = [sorted({index_of[user]
+                             for user in graph.successors.get(value, [])
+                             if user in index_of})
+                     for value in members]
+            self.components.append(SCCComponent(members, cyclic, users))
 
     def __len__(self) -> int:
         return len(self.components)

@@ -18,7 +18,7 @@ common case after the first few iterations) no object is created at all.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 # Extended integers: plain Python ints plus the two infinities, represented
 # with floats so that comparisons work out of the box.
@@ -352,197 +352,3 @@ _BOTTOM = Interval(empty=True)
 _TOP = Interval(NEG_INF, POS_INF)
 Interval._interned[(NEG_INF, POS_INF)] = _TOP
 
-
-# -- unboxed bounds kernels -------------------------------------------------------
-#
-# The SCC solver's inner loop works on raw ``(lower, upper)`` pairs held in an
-# :class:`IntervalTable` instead of ``Interval`` objects.  The kernels below
-# are the bounds-level mirrors of the ``Interval`` methods of the same name:
-# same emptiness checks, same helper functions (``_add``/``_mul``/
-# ``_div_trunc``) on the same operands, so boxing a kernel result with
-# :meth:`Interval.of` yields exactly the interval the object method would
-# have returned.  The empty interval is the canonical pair
-# ``(POS_INF, NEG_INF)`` — precisely how ``Interval`` stores bottom — which
-# makes ``lower > upper`` the emptiness test throughout.
-
-Bounds = Tuple[Extended, Extended]
-
-BOTTOM_BOUNDS: Bounds = (POS_INF, NEG_INF)
-TOP_BOUNDS: Bounds = (NEG_INF, POS_INF)
-
-
-def bounds_join(alo: Extended, ahi: Extended,
-                blo: Extended, bhi: Extended) -> Bounds:
-    if alo > ahi:
-        return blo, bhi
-    if blo > bhi:
-        return alo, ahi
-    return (alo if alo <= blo else blo), (ahi if ahi >= bhi else bhi)
-
-
-def bounds_meet(alo: Extended, ahi: Extended,
-                blo: Extended, bhi: Extended) -> Bounds:
-    if alo > ahi or blo > bhi:
-        return BOTTOM_BOUNDS
-    lo = alo if alo >= blo else blo
-    hi = ahi if ahi <= bhi else bhi
-    if lo > hi:
-        return BOTTOM_BOUNDS
-    return lo, hi
-
-
-def bounds_widen(alo: Extended, ahi: Extended,
-                 blo: Extended, bhi: Extended) -> Bounds:
-    """``[alo, ahi]`` widened by the newer ``[blo, bhi]``."""
-    if alo > ahi:
-        return blo, bhi
-    if blo > bhi:
-        return alo, ahi
-    return (alo if blo >= alo else NEG_INF), (ahi if bhi <= ahi else POS_INF)
-
-
-def bounds_narrow(alo: Extended, ahi: Extended,
-                  blo: Extended, bhi: Extended) -> Bounds:
-    if alo > ahi or blo > bhi:
-        return BOTTOM_BOUNDS
-    lo = blo if alo == NEG_INF else alo
-    hi = bhi if ahi == POS_INF else ahi
-    if lo > hi:
-        return BOTTOM_BOUNDS
-    return lo, hi
-
-
-def bounds_add(alo: Extended, ahi: Extended,
-               blo: Extended, bhi: Extended) -> Bounds:
-    if alo > ahi or blo > bhi:
-        return BOTTOM_BOUNDS
-    # All-finite fast path (non-empty intervals can only be infinite at
-    # ``alo``/``blo`` towards -inf and ``ahi``/``bhi`` towards +inf).
-    if (alo != NEG_INF and blo != NEG_INF
-            and ahi != POS_INF and bhi != POS_INF):
-        return alo + blo, ahi + bhi
-    return _add(alo, blo, NEG_INF), _add(ahi, bhi, POS_INF)
-
-
-def bounds_sub(alo: Extended, ahi: Extended,
-               blo: Extended, bhi: Extended) -> Bounds:
-    if alo > ahi or blo > bhi:
-        return BOTTOM_BOUNDS
-    return _add(alo, -bhi, NEG_INF), _add(ahi, -blo, POS_INF)
-
-
-def bounds_mul(alo: Extended, ahi: Extended,
-               blo: Extended, bhi: Extended) -> Bounds:
-    if alo > ahi or blo > bhi:
-        return BOTTOM_BOUNDS
-    products = (_mul(alo, blo), _mul(alo, bhi), _mul(ahi, blo), _mul(ahi, bhi))
-    return min(products), max(products)
-
-
-def bounds_div(alo: Extended, ahi: Extended,
-               blo: Extended, bhi: Extended) -> Bounds:
-    if alo > ahi or blo > bhi:
-        return BOTTOM_BOUNDS
-    if blo == bhi and blo not in (0, NEG_INF, POS_INF):
-        divisor = blo
-        candidates = []
-        for bound in (alo, ahi):
-            if bound in (NEG_INF, POS_INF):
-                candidates.append(bound if divisor > 0 else -bound)
-            else:
-                candidates.append(_div_trunc(int(bound), divisor))
-        return min(candidates), max(candidates)
-    return TOP_BOUNDS
-
-
-def bounds_rem(alo: Extended, ahi: Extended,
-               blo: Extended, bhi: Extended) -> Bounds:
-    if alo > ahi or blo > bhi:
-        return BOTTOM_BOUNDS
-    if blo == bhi and blo not in (0, NEG_INF, POS_INF):
-        magnitude = abs(blo) - 1
-        return -magnitude, magnitude
-    return TOP_BOUNDS
-
-
-def bounds_refine_less_than(alo: Extended, ahi: Extended,
-                            blo: Extended, bhi: Extended) -> Bounds:
-    if alo > ahi or blo > bhi:
-        return BOTTOM_BOUNDS
-    bound = bhi if bhi in (NEG_INF, POS_INF) else bhi - 1
-    return bounds_meet(alo, ahi, NEG_INF, bound)
-
-
-def bounds_refine_less_equal(alo: Extended, ahi: Extended,
-                             blo: Extended, bhi: Extended) -> Bounds:
-    if alo > ahi or blo > bhi:
-        return BOTTOM_BOUNDS
-    return bounds_meet(alo, ahi, NEG_INF, bhi)
-
-
-def bounds_refine_greater_than(alo: Extended, ahi: Extended,
-                               blo: Extended, bhi: Extended) -> Bounds:
-    if alo > ahi or blo > bhi:
-        return BOTTOM_BOUNDS
-    bound = blo if blo in (NEG_INF, POS_INF) else blo + 1
-    return bounds_meet(alo, ahi, bound, POS_INF)
-
-
-def bounds_refine_greater_equal(alo: Extended, ahi: Extended,
-                                blo: Extended, bhi: Extended) -> Bounds:
-    if alo > ahi or blo > bhi:
-        return BOTTOM_BOUNDS
-    return bounds_meet(alo, ahi, blo, POS_INF)
-
-
-class IntervalTable:
-    """Struct-of-arrays interval storage: parallel lower/upper bound lists.
-
-    Slots are addressed by integer *handles* (the index returned by
-    :meth:`alloc`).  The solver's inner loop reads and writes raw bounds —
-    no attribute lookups, no object allocation, no interning probes — and
-    boxes results back into canonical :class:`Interval` objects only at the
-    solver boundary via :meth:`load`, so the interned-``Interval`` public
-    API is untouched.  The layout is deliberately two flat ``list``s of
-    numbers: the shape a vectorized or C kernel can adopt wholesale later.
-    """
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, size: int = 0) -> None:
-        self.lo: list = [POS_INF] * size
-        self.hi: list = [NEG_INF] * size
-
-    def alloc(self, interval: Optional[Interval] = None) -> int:
-        """Append a slot (bottom unless ``interval`` given); return its handle."""
-        handle = len(self.lo)
-        if interval is None:
-            self.lo.append(POS_INF)
-            self.hi.append(NEG_INF)
-        else:
-            self.lo.append(interval.lower)
-            self.hi.append(interval.upper)
-        return handle
-
-    def store(self, handle: int, interval: Interval) -> None:
-        """Unbox ``interval`` into slot ``handle``."""
-        self.lo[handle] = interval.lower
-        self.hi[handle] = interval.upper
-
-    def set_bounds(self, handle: int, lower: Extended, upper: Extended) -> None:
-        self.lo[handle] = lower
-        self.hi[handle] = upper
-
-    def bounds(self, handle: int) -> Bounds:
-        return self.lo[handle], self.hi[handle]
-
-    def load(self, handle: int) -> Interval:
-        """Box slot ``handle`` back into a canonical :class:`Interval`."""
-        lower = self.lo[handle]
-        upper = self.hi[handle]
-        if lower > upper:
-            return _BOTTOM
-        return Interval.of(lower, upper)
-
-    def __len__(self) -> int:
-        return len(self.lo)

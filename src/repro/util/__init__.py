@@ -7,8 +7,6 @@ that every other subsystem may rely on it freely.
 from repro.util.ordered_set import OrderedSet
 from repro.util.unionfind import UnionFind
 from repro.util.worklist import (
-    WORKLIST_ORDERS,
-    PriorityWorklist,
     SolverInfo,
     SweepWorklist,
     Worklist,
@@ -23,11 +21,9 @@ from repro.util.stats import (
 
 __all__ = [
     "OrderedSet",
-    "PriorityWorklist",
     "SolverInfo",
     "SweepWorklist",
     "UnionFind",
-    "WORKLIST_ORDERS",
     "Worklist",
     "coefficient_of_determination",
     "linear_regression",

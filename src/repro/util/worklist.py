@@ -7,39 +7,18 @@ state changed.  Pushing an item that is already pending is wasteful, so every
 worklist here tracks membership and counts the pushes it absorbed
 (*coalesced* pushes) next to the pops it served.
 
-The *order* in which pending items are popped is a swappable policy — the
-MPRGP expansion-strategy shape: one iteration skeleton, interchangeable
-per-round policies, and an info struct of counters.  Three policies are
-registered (``WORKLIST_ORDERS``):
+Two classes implement the scheme:
 
-``fifo``
-    Insertion order.  For the range solver this replays the dense
-    Gauss–Seidel trajectory bit-identically; for the less-than solver it is
-    the legacy queue behaviour.
-``scc``
-    Topological order of the dependence structure: members of a cyclic SCC
-    are ranked by an intra-component reverse postorder, less-than variables
-    by the condensation order of their constraint dependency graph.
-``loopdepth``
-    Loop-nesting depth first (outermost first), topological rank second.
-    Falls back to ``scc`` ranks where no loop structure exists (the
-    constraint graph).
-
-Three classes implement the scheme:
-
-* :class:`Worklist` — the plain FIFO worklist (kept for the Andersen solver
-  and the legacy constraint-keyed strategy).
-* :class:`PriorityWorklist` — a keyed worklist whose pop order follows an
-  optional rank map; without ranks it degrades to FIFO.  This is the single
-  home of the "coalesced push" bookkeeping both sparse solvers used to
-  duplicate.
-* :class:`SweepWorklist` — the range solver's ``(sweep, rank)`` heap: a pop
-  at rank *r* schedules lower-ranked dependents into the *next* sweep and
-  higher-ranked ones into the *current* one, which is exactly a ranked
-  Gauss–Seidel sweep without the no-op visits.
+* :class:`Worklist` — the FIFO worklist with duplicate suppression (the
+  less-than solver's variable queue, its constraint-keyed reference
+  strategy and the Andersen solver).
+* :class:`SweepWorklist` — the range solver's ``(sweep, index)`` heap: a
+  pop at member index *i* schedules lower-indexed dependents into the
+  *next* sweep and higher-indexed ones into the *current* one, which is
+  exactly a Gauss–Seidel sweep without the no-op visits.
 
 :class:`SolverInfo` is the cross-solver counter struct (transfer-function
-evaluations, widenings, SCC counts, per-policy pops).  It merges losslessly,
+evaluations, widenings, SCC counts, worklist pops).  It merges losslessly,
 which is how per-shard counters survive the execution engine's coordinator.
 """
 
@@ -61,22 +40,10 @@ from typing import (
     TypeVar,
 )
 
-from repro.api.config import ConfigError
-
 T = TypeVar("T", bound=Hashable)
 
-#: the registered worklist-ordering policies (the ``REPRO_WORKLIST_ORDER``
-#: values; :mod:`repro.api.config` validates against the same names).
-WORKLIST_ORDERS = ("fifo", "scc", "loopdepth")
-
-
-def validate_order(order: str) -> str:
-    """Return ``order`` or raise ``ConfigError`` naming the accepted policies."""
-    if order not in WORKLIST_ORDERS:
-        raise ConfigError(
-            "worklist_order={!r} is not one of {}".format(
-                order, "/".join(WORKLIST_ORDERS)))
-    return order
+_COUNTERS = ("evaluations", "widenings", "narrowings", "sccs", "cyclic_sccs",
+             "pops")
 
 
 class SolverInfo:
@@ -84,90 +51,32 @@ class SolverInfo:
 
     ``evaluations`` counts transfer-function applications (the quantity the
     sparse solvers exist to reduce), ``sccs``/``cyclic_sccs`` the dependence
-    components the schedule visited, and ``pops`` the worklist pops keyed by
-    the ordering policy that served them — the MPRGP-style evidence that one
-    ordering does no more rounds than another.
+    components the schedule visited, and ``pops`` the worklist pops.
     """
 
-    __slots__ = ("evaluations", "widenings", "narrowings", "sccs",
-                 "cyclic_sccs", "pops", "batched_sweeps",
-                 "batched_evaluations", "backends")
+    __slots__ = _COUNTERS
 
     def __init__(self, evaluations: int = 0, widenings: int = 0,
                  narrowings: int = 0, sccs: int = 0, cyclic_sccs: int = 0,
-                 pops: Optional[Dict[str, int]] = None,
-                 batched_sweeps: int = 0, batched_evaluations: int = 0,
-                 backends: Optional[Dict[str, int]] = None) -> None:
+                 pops: int = 0) -> None:
         self.evaluations = evaluations
         self.widenings = widenings
         self.narrowings = narrowings
         self.sccs = sccs
         self.cyclic_sccs = cyclic_sccs
-        self.pops: Dict[str, int] = dict(pops) if pops else {}
-        #: full batched sweeps run by the interval-kernel sweep executor and
-        #: the member evaluations they performed (a subset of
-        #: ``evaluations``; both 0 under the scalar backend).
-        self.batched_sweeps = batched_sweeps
-        self.batched_evaluations = batched_evaluations
-        #: solves served, keyed by the kernel backend that served them.
-        self.backends: Dict[str, int] = dict(backends) if backends else {}
-
-    def record_pops(self, order: str, count: int) -> None:
-        if count:
-            self.pops[order] = self.pops.get(order, 0) + count
-
-    def record_backend(self, backend: str, solves: int = 1) -> None:
-        if solves:
-            self.backends[backend] = self.backends.get(backend, 0) + solves
+        self.pops = pops
 
     def merge(self, other: "SolverInfo") -> "SolverInfo":
         """Lossless sum of two counter sets (commutative)."""
-        pops = dict(self.pops)
-        for order, count in other.pops.items():
-            pops[order] = pops.get(order, 0) + count
-        backends = dict(self.backends)
-        for backend, count in other.backends.items():
-            backends[backend] = backends.get(backend, 0) + count
-        return SolverInfo(
-            evaluations=self.evaluations + other.evaluations,
-            widenings=self.widenings + other.widenings,
-            narrowings=self.narrowings + other.narrowings,
-            sccs=self.sccs + other.sccs,
-            cyclic_sccs=self.cyclic_sccs + other.cyclic_sccs,
-            pops=pops,
-            batched_sweeps=self.batched_sweeps + other.batched_sweeps,
-            batched_evaluations=(self.batched_evaluations
-                                 + other.batched_evaluations),
-            backends=backends)
+        return SolverInfo(**{name: getattr(self, name) + getattr(other, name)
+                             for name in _COUNTERS})
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "evaluations": self.evaluations,
-            "widenings": self.widenings,
-            "narrowings": self.narrowings,
-            "sccs": self.sccs,
-            "cyclic_sccs": self.cyclic_sccs,
-            "pops": dict(sorted(self.pops.items())),
-            "batched_sweeps": self.batched_sweeps,
-            "batched_evaluations": self.batched_evaluations,
-            "backends": dict(sorted(self.backends.items())),
-        }
+    def as_dict(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in _COUNTERS}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SolverInfo":
-        pops = data.get("pops", {}) or {}
-        backends = data.get("backends", {}) or {}
-        return cls(
-            evaluations=int(data.get("evaluations", 0)),
-            widenings=int(data.get("widenings", 0)),
-            narrowings=int(data.get("narrowings", 0)),
-            sccs=int(data.get("sccs", 0)),
-            cyclic_sccs=int(data.get("cyclic_sccs", 0)),
-            pops={str(order): int(count) for order, count in dict(pops).items()},
-            batched_sweeps=int(data.get("batched_sweeps", 0)),
-            batched_evaluations=int(data.get("batched_evaluations", 0)),
-            backends={str(backend): int(count)
-                      for backend, count in dict(backends).items()})
+        return cls(**{name: int(data.get(name, 0)) for name in _COUNTERS})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SolverInfo):
@@ -180,13 +89,18 @@ class SolverInfo:
 
 
 class Worklist(Generic[T]):
-    """FIFO worklist with duplicate suppression and pop accounting."""
+    """FIFO worklist with duplicate suppression and pop accounting.
+
+    A push of an item that is already pending coalesces into the pending
+    entry and is counted (``coalesced``).
+    """
 
     def __init__(self, items: Optional[Iterable[T]] = None) -> None:
         self._queue: Deque[T] = deque()
         self._pending: Set[T] = set()
         self.pops = 0
         self.pushes = 0
+        self.coalesced = 0
         if items is not None:
             for item in items:
                 self.push(item)
@@ -194,6 +108,7 @@ class Worklist(Generic[T]):
     def push(self, item: T) -> bool:
         """Add ``item`` unless it is already pending.  Return True if added."""
         if item in self._pending:
+            self.coalesced += 1
             return False
         self._pending.add(item)
         self._queue.append(item)
@@ -220,81 +135,22 @@ class Worklist(Generic[T]):
         return item in self._pending
 
 
-class PriorityWorklist(Generic[T]):
-    """Keyed worklist whose pop order follows an optional rank map.
-
-    ``ranks`` maps items to integer priorities (smaller pops first); ties
-    and unranked items fall back to insertion order, so with ``ranks=None``
-    the worklist is exactly FIFO.  Duplicate pushes coalesce into the one
-    pending entry and are counted (``coalesced``) — the dedup bookkeeping
-    the sparse solvers used to carry each on their own.
-    """
-
-    def __init__(self, ranks: Optional[Mapping[T, int]] = None,
-                 items: Optional[Iterable[T]] = None) -> None:
-        self._ranks = ranks
-        self._heap: List[Tuple[int, int, T]] = []
-        self._queue: Deque[T] = deque()
-        self._pending: Set[T] = set()
-        self._sequence = 0
-        self.pops = 0
-        self.pushes = 0
-        self.coalesced = 0
-        if items is not None:
-            for item in items:
-                self.push(item)
-
-    def push(self, item: T) -> bool:
-        """Schedule ``item``; absorbed (and counted) when already pending."""
-        if item in self._pending:
-            self.coalesced += 1
-            return False
-        self._pending.add(item)
-        self.pushes += 1
-        if self._ranks is None:
-            self._queue.append(item)
-        else:
-            self._sequence += 1
-            heapq.heappush(self._heap,
-                           (self._ranks.get(item, 0), self._sequence, item))
-        return True
-
-    def pop(self) -> T:
-        if self._ranks is None:
-            item = self._queue.popleft()
-        else:
-            _rank, _seq, item = heapq.heappop(self._heap)
-        self._pending.discard(item)
-        self.pops += 1
-        return item
-
-    def __bool__(self) -> bool:
-        return bool(self._queue) or bool(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._queue) + len(self._heap)
-
-    def __contains__(self, item: T) -> bool:
-        return item in self._pending
-
-
 class SweepWorklist:
-    """The sparse range solver's ``(sweep, rank)`` heap with dedup.
+    """The sparse range solver's ``(sweep, index)`` heap with dedup.
 
-    Items are member indices of one dependence component; ``ranks[index]``
-    is the policy rank of that member.  The heap is ordered by
-    ``(sweep, rank)``: popping replays ranked Gauss–Seidel sweeps, and
-    :meth:`schedule` implements the sweep rule — a dependent ranked after
-    the changed member is revisited in the *same* sweep (it would have seen
-    the update in a dense pass too), one ranked before it in the *next*.
+    Items are member indices of one dependence component.  The heap is
+    ordered by ``(sweep, index)``: popping replays Gauss–Seidel sweeps in
+    member order, and :meth:`schedule` implements the sweep rule — a
+    dependent after the changed member is revisited in the *same* sweep (it
+    would have seen the update in a dense pass too), one before it in the
+    *next*.
     """
 
-    __slots__ = ("_ranks", "_heap", "_pending", "pops", "pushes", "coalesced")
+    __slots__ = ("_count", "_heap", "_pending", "pops", "pushes", "coalesced")
 
-    def __init__(self, ranks: List[int],
-                 seed_sweep: Optional[int] = 0) -> None:
-        self._ranks = ranks
-        self._heap: List[Tuple[int, int, int]] = []
+    def __init__(self, count: int, seed_sweep: Optional[int] = 0) -> None:
+        self._count = count
+        self._heap: List[Tuple[int, int]] = []
         self._pending: Set[Tuple[int, int]] = set()
         self.pops = 0
         self.pushes = 0
@@ -304,7 +160,7 @@ class SweepWorklist:
 
     def seed(self, sweep: int) -> None:
         """Schedule every member for ``sweep`` (the initial full round)."""
-        for index in range(len(self._ranks)):
+        for index in range(self._count):
             self.push(sweep, index)
 
     def push(self, sweep: int, index: int) -> bool:
@@ -314,23 +170,21 @@ class SweepWorklist:
             return False
         self._pending.add(entry)
         self.pushes += 1
-        heapq.heappush(self._heap, (sweep, self._ranks[index], index))
+        heapq.heappush(self._heap, entry)
         return True
 
     def schedule(self, sweep: int, source_index: int,
                  dependents: Iterable[int]) -> None:
         """Schedule ``dependents`` of a member that changed during ``sweep``."""
-        source_rank = self._ranks[source_index]
         for target_index in dependents:
-            target_sweep = (sweep if self._ranks[target_index] > source_rank
-                            else sweep + 1)
+            target_sweep = sweep if target_index > source_index else sweep + 1
             self.push(target_sweep, target_index)
 
     def pop(self) -> Tuple[int, int]:
-        sweep, _rank, index = heapq.heappop(self._heap)
-        self._pending.discard((sweep, index))
+        entry = heapq.heappop(self._heap)
+        self._pending.discard(entry)
         self.pops += 1
-        return sweep, index
+        return entry
 
     def next_sweep(self) -> Optional[int]:
         """The sweep of the next pop, or ``None`` when drained."""

@@ -1,16 +1,16 @@
 """Fixpoint certificate checkers and the NoAlias verdict audit.
 
 The solvers are fast because they are clever (sparse worklists, SCC
-condensation, batched kernels, incremental re-solve); the checkers here are
+condensation, incremental re-solve); the checkers here are
 trustworthy because they are dumb.  Each one re-derives an artifact with the
 most naive machinery available and compares:
 
 * **range certificate** — the solved interval state is a *post-fixpoint*:
   re-applying every transfer function once, using only the plain
-  :class:`~repro.rangeanalysis.interval.Interval` methods (no kernels, no
-  tables, no worklists), must produce a result the stored interval
-  ``includes``.  A sound over-approximating fixpoint is inductive in exactly
-  this sense, whichever solver/kernel/order produced it.
+  :class:`~repro.rangeanalysis.interval.Interval` methods (no worklists, no
+  SCC schedule), must produce a result the stored interval ``includes``.  A
+  sound over-approximating fixpoint is inductive in exactly this sense,
+  whichever solver produced it.
 
 * **less-than certificate** — the final LT sets satisfy every constraint:
   ``LT(target) ⊆ constraint.evaluate(lt_sets)`` for each generated
@@ -119,9 +119,8 @@ def recompute_transfer(value: Value, ranges: Dict[Value, Interval],
     """One application of ``value``'s transfer function over ``ranges``.
 
     Semantically identical to ``RangeAnalysis._evaluate`` but independent of
-    it: plain ``Interval`` methods over a plain dict, with no statistics,
-    tables, or kernels involved — the reference the solved state is checked
-    against.
+    it: plain ``Interval`` methods over a plain dict, with no statistics or
+    worklists involved — the reference the solved state is checked against.
     """
     if isinstance(value, Argument):
         return argument_ranges.get(value, Interval.top())

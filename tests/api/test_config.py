@@ -20,22 +20,18 @@ from repro.api.config import (
     install_config,
     resolved_class_limit,
     resolved_full_scale,
-    resolved_lt_solver,
-    resolved_range_solver,
     resolved_store_backend,
     resolved_store_max_bytes,
     resolved_store_path,
     resolved_synth_seed,
-    resolved_interval_kernel,
+    resolved_verify,
     resolved_workers,
-    resolved_worklist_order,
 )
 
 ALL_VARS = (
     "REPRO_WORKERS", "REPRO_STORE", "REPRO_STORE_BACKEND",
-    "REPRO_STORE_MAX_MB", "REPRO_RANGE_SOLVER", "REPRO_LT_SOLVER",
-    "REPRO_WORKLIST_ORDER", "REPRO_INTERVAL_KERNEL", "REPRO_CLASS_LIMIT",
-    "REPRO_SYNTH_SEED", "REPRO_FULL", "REPRO_VERIFY",
+    "REPRO_STORE_MAX_MB", "REPRO_CLASS_LIMIT", "REPRO_SYNTH_SEED",
+    "REPRO_FULL", "REPRO_VERIFY",
 )
 
 
@@ -52,10 +48,6 @@ def test_defaults_without_environment():
     assert config.store_backend is None
     assert config.store_max_mb is None
     assert config.store_max_bytes is None
-    assert config.range_solver == "sparse"
-    assert config.lt_solver == "sparse"
-    assert config.worklist_order == "fifo"
-    assert config.interval_kernel == "scalar"
     assert config.class_limit == 64
     assert config.synth_seed == 7
     assert config.full_scale is False
@@ -67,10 +59,6 @@ def test_environment_resolution(monkeypatch):
     monkeypatch.setenv("REPRO_STORE", "/tmp/store.sqlite")
     monkeypatch.setenv("REPRO_STORE_BACKEND", "pickle")
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "1.5")
-    monkeypatch.setenv("REPRO_RANGE_SOLVER", "dense")
-    monkeypatch.setenv("REPRO_LT_SOLVER", "constraint")
-    monkeypatch.setenv("REPRO_WORKLIST_ORDER", "scc")
-    monkeypatch.setenv("REPRO_INTERVAL_KERNEL", "batch")
     monkeypatch.setenv("REPRO_CLASS_LIMIT", "8")
     monkeypatch.setenv("REPRO_SYNTH_SEED", "11")
     monkeypatch.setenv("REPRO_FULL", "1")
@@ -81,10 +69,6 @@ def test_environment_resolution(monkeypatch):
     assert config.store_backend == "pickle"
     assert config.store_max_mb == 1.5
     assert config.store_max_bytes == int(1.5 * 1024 * 1024)
-    assert config.range_solver == "dense"
-    assert config.lt_solver == "constraint"
-    assert config.worklist_order == "scc"
-    assert config.interval_kernel == "batch"
     assert config.class_limit == 8
     assert config.synth_seed == 11
     assert config.full_scale is True
@@ -94,11 +78,11 @@ def test_environment_resolution(monkeypatch):
 def test_explicit_field_beats_environment(monkeypatch):
     monkeypatch.setenv("REPRO_WORKERS", "4")
     monkeypatch.setenv("REPRO_STORE", "/tmp/env-store.sqlite")
-    monkeypatch.setenv("REPRO_RANGE_SOLVER", "dense")
-    config = ReproConfig(workers=1, store_path=None, range_solver="sparse")
+    monkeypatch.setenv("REPRO_VERIFY", "post")
+    config = ReproConfig(workers=1, store_path=None, verify="off")
     assert config.workers == 1
     assert config.store_path is None  # explicit None disables the env store
-    assert config.range_solver == "sparse"
+    assert config.verify == "off"
 
 
 def test_zero_budget_means_unbounded():
@@ -112,10 +96,6 @@ def test_zero_budget_means_unbounded():
     ("REPRO_STORE_MAX_MB", "-5"),
     ("REPRO_STORE_MAX_MB", "lots"),
     ("REPRO_STORE_BACKEND", "mysql"),
-    ("REPRO_RANGE_SOLVER", "nonsense"),
-    ("REPRO_LT_SOLVER", "bogus"),
-    ("REPRO_WORKLIST_ORDER", "priority"),
-    ("REPRO_INTERVAL_KERNEL", "simd"),
     ("REPRO_CLASS_LIMIT", "-3"),
     ("REPRO_SYNTH_SEED", "x"),
     ("REPRO_FULL", "maybe"),
@@ -132,10 +112,6 @@ def test_invalid_environment_values_raise(monkeypatch, env_var, value):
     ("workers", -1),
     ("store_max_mb", -0.5),
     ("store_backend", "mysql"),
-    ("range_solver", "nonsense"),
-    ("lt_solver", "bogus"),
-    ("worklist_order", "priority"),
-    ("interval_kernel", "simd"),
     ("class_limit", -3),
     ("verify", "always"),
 ])
@@ -154,18 +130,16 @@ def test_replace_revalidates():
 
 def test_active_config_wins_over_environment(monkeypatch):
     monkeypatch.setenv("REPRO_WORKERS", "4")
-    monkeypatch.setenv("REPRO_RANGE_SOLVER", "dense")
-    config = ReproConfig(workers=0, range_solver="sparse", class_limit=0,
+    monkeypatch.setenv("REPRO_VERIFY", "post")
+    config = ReproConfig(workers=0, verify="off", class_limit=0,
                          store_path="/tmp/cfg.sqlite", store_backend="pickle",
-                         store_max_mb=1, lt_solver="constraint", synth_seed=3,
-                         full_scale=True)
+                         store_max_mb=1, synth_seed=3, full_scale=True)
     assert active_config() is None
     assert resolved_workers() == 4  # environment (no active config)
     with config.activate():
         assert active_config() is config
         assert resolved_workers() == 0
-        assert resolved_range_solver() == "sparse"
-        assert resolved_lt_solver() == "constraint"
+        assert resolved_verify() == "off"
         assert resolved_store_path() == "/tmp/cfg.sqlite"
         assert resolved_store_backend() == "pickle"
         assert resolved_store_max_bytes() == 1024 * 1024
@@ -182,26 +156,6 @@ def test_active_config_wins_over_environment(monkeypatch):
 
 def test_resolved_class_limit_default():
     assert resolved_class_limit() == 64
-
-
-def test_worklist_order_precedence(monkeypatch):
-    assert resolved_worklist_order() == "fifo"
-    monkeypatch.setenv("REPRO_WORKLIST_ORDER", "loopdepth")
-    assert resolved_worklist_order() == "loopdepth"
-    # An active config's field wins over the environment.
-    with ReproConfig(worklist_order="scc").activate():
-        assert resolved_worklist_order() == "scc"
-    assert resolved_worklist_order() == "loopdepth"
-
-
-def test_interval_kernel_precedence(monkeypatch):
-    assert resolved_interval_kernel() == "scalar"
-    monkeypatch.setenv("REPRO_INTERVAL_KERNEL", "numpy")
-    assert resolved_interval_kernel() == "numpy"
-    # An active config's field wins over the environment.
-    with ReproConfig(interval_kernel="batch").activate():
-        assert resolved_interval_kernel() == "batch"
-    assert resolved_interval_kernel() == "numpy"
 
 
 def test_install_config_is_idempotent():

@@ -2,8 +2,7 @@
 
 Covers the fluent pipeline, cache/store coherence across calls, the
 precedence of explicit arguments over config fields over the environment,
-and bit-identity between the facade and the legacy module-level entry
-points (which are now shims over it).
+and bit-identity between the facade's evaluation entry points.
 """
 
 import os
@@ -13,8 +12,6 @@ import pytest
 from repro.api import ReproConfig, Session
 from repro.api.session import DisambiguationReport
 from repro.core.disambiguation import DisambiguationReason
-from repro.engine import evaluate_module, run_workload
-from repro.frontend import compile_source
 
 INS_SORT = """
 void ins_sort(int* v, int N) {
@@ -28,23 +25,6 @@ void ins_sort(int* v, int N) {
       }
     }
   }
-}
-"""
-
-PARTITION = """
-int partition(int* v, int N) {
-  int i = 0;
-  int j = N - 1;
-  while (i < j) {
-    if (v[i] > v[j]) {
-      int tmp = v[i];
-      v[i] = v[j];
-      v[j] = tmp;
-    }
-    i = i + 1;
-    j = j - 1;
-  }
-  return i;
 }
 """
 
@@ -90,31 +70,7 @@ def test_print_ir_shows_current_form():
     assert "sigma" in post  # e-SSA conversion inserted sigma-copies
 
 
-# -- equivalence with the legacy entry points ----------------------------------
-
-def test_session_matches_run_workload_shim():
-    units = [("ins_sort", INS_SORT), ("partition", PARTITION)]
-    with Session() as session:
-        facade = session.run_workload(units, specs=SPECS, workers=0,
-                                      store=False)
-    legacy = run_workload(units, specs=SPECS, workers=0, store=False)
-    assert len(facade) == len(legacy) == 2
-    for left, right in zip(facade, legacy):
-        assert left.name == right.name
-        assert _verdict_map(left) == _verdict_map(right)
-        for label in left.labels:
-            assert (left.evaluation(label).as_dict()
-                    == right.evaluation(label).as_dict())
-
-
-def test_session_evaluate_matches_evaluate_module_shim():
-    module_a = compile_source(INS_SORT, module_name="m")
-    module_b = compile_source(INS_SORT, module_name="m")
-    with Session() as session:
-        facade = session.evaluate(module_a, specs=SPECS, store=False)
-    legacy = evaluate_module(module_b, specs=SPECS, store=False)
-    assert _verdict_map(facade) == _verdict_map(legacy)
-
+# -- equivalence between the evaluation entry points ------------------------
 
 def test_evaluate_source_matches_run_workload():
     with Session() as session:
@@ -179,21 +135,6 @@ def test_invalid_explicit_workers_argument_raises():
     with Session() as session:
         with pytest.raises(ConfigError, match="workers"):
             session.run_workload([("m", INS_SORT)], workers=-1)
-
-
-def test_session_config_reaches_solver_selection(monkeypatch):
-    monkeypatch.delenv("REPRO_RANGE_SOLVER", raising=False)
-    session = Session(ReproConfig(range_solver="dense", lt_solver="constraint"))
-    unit = session.compile(INS_SORT, name="m").analyze()
-    analysis = unit.lessthan()
-    assert all(ranges.solver == "dense" for ranges in analysis.ranges.values())
-    # Verdicts are bit-identical across solver configurations.
-    dense = session.evaluate(unit.module, specs=(("lt",),), store=False)
-    sparse_session = Session(ReproConfig(range_solver="sparse"))
-    sparse = sparse_session.evaluate(
-        sparse_session.compile(INS_SORT, name="m").module,
-        specs=(("lt",),), store=False)
-    assert _verdict_map(dense) == _verdict_map(sparse)
 
 
 def test_session_keyword_overrides():

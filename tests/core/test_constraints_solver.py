@@ -13,7 +13,7 @@ from repro.core.lessthan.constraints import (
     TOP,
     UnionConstraint,
 )
-from repro.core.lessthan.solver import ConstraintSolver, default_lt_solver
+from repro.core.lessthan.solver import ConstraintSolver
 from repro.ir import INT
 from repro.ir.values import Value
 
@@ -184,16 +184,10 @@ def test_sparse_never_evaluates_more_than_legacy():
 
 
 def test_strategy_selection_via_environment(monkeypatch):
-    from repro.api.config import ConfigError
-
+    # The strategy is a constructor argument only: a REPRO_LT_SOLVER left in
+    # the environment does not reroute the production solve.
     monkeypatch.setenv("REPRO_LT_SOLVER", "constraint")
-    assert default_lt_solver() == "constraint"
-    assert ConstraintSolver([]).strategy == "constraint"
-    # Invalid values fail loudly at the config boundary (no silent fallback).
-    monkeypatch.setenv("REPRO_LT_SOLVER", "bogus")
-    with pytest.raises(ConfigError, match="REPRO_LT_SOLVER"):
-        default_lt_solver()
-    monkeypatch.delenv("REPRO_LT_SOLVER")
     assert ConstraintSolver([]).strategy == "sparse"
-    with pytest.raises(ValueError):
+    assert ConstraintSolver([], strategy="constraint").strategy == "constraint"
+    with pytest.raises(ValueError, match="unknown"):
         ConstraintSolver([], strategy="unknown")

@@ -41,17 +41,17 @@ def test_disambiguation_statistics_dict_round_trip():
 def test_disambiguation_statistics_merge_sums_solver_counters():
     a = _statistics(1, 0, 1, 0,
                     solver=SolverInfo(evaluations=40, widenings=3, sccs=9,
-                                      cyclic_sccs=2, pops={"fifo": 30}))
+                                      cyclic_sccs=2, pops=30))
     b = _statistics(2, 0, 1, 0,
                     solver=SolverInfo(evaluations=15, narrowings=4, sccs=5,
-                                      pops={"fifo": 10, "scc": 6}))
+                                      pops=16))
     merged = a.merge(b)
     assert merged.solver.evaluations == 55
     assert merged.solver.widenings == 3
     assert merged.solver.narrowings == 4
     assert merged.solver.sccs == 14
     assert merged.solver.cyclic_sccs == 2
-    assert merged.solver.pops == {"fifo": 40, "scc": 6}
+    assert merged.solver.pops == 46
     # The originals are untouched (merge returns a fresh struct).
     assert a.solver.evaluations == 40
     assert b.solver.evaluations == 15
@@ -59,7 +59,7 @@ def test_disambiguation_statistics_merge_sums_solver_counters():
 
 def test_disambiguation_statistics_solver_survives_dict_round_trip():
     original = _statistics(3, 1, 2, 0,
-                           solver=SolverInfo(evaluations=7, pops={"scc": 7}))
+                           solver=SolverInfo(evaluations=7, pops=7))
     rebuilt = DisambiguationStatistics.from_dict(original.as_dict())
     assert rebuilt.solver == original.solver
     # Legacy payloads without the key deserialize to empty counters.

@@ -1,15 +1,13 @@
-"""Tests for the engine driver: serial fallback, sharding, store wiring."""
+"""Tests for the engine driver: serial fallback, sharding, store wiring.
+
+Everything runs through :class:`repro.api.Session`, the engine's only
+evaluation entry point.
+"""
 
 import pytest
 
-from repro.engine import (
-    AnalysisStore,
-    default_store_path,
-    default_workers,
-    evaluate_module,
-    evaluate_module_parallel,
-    run_workload,
-)
+from repro.api import Session
+from repro.engine import AnalysisStore, default_store_path, default_workers
 from repro.frontend import compile_source
 from repro.passes import FunctionAnalysisCache
 
@@ -38,8 +36,14 @@ def _labels(results):
     return [result.payload["labels"] for result in results]
 
 
-def test_serial_run_workload_shape():
-    results = run_workload(UNITS, specs=SPECS, workers=0)
+@pytest.fixture
+def session():
+    with Session() as session:
+        yield session
+
+
+def test_serial_run_workload_shape(session):
+    results = session.run_workload(UNITS, specs=SPECS, workers=0)
     assert [result.name for result in results] == ["prog_a", "prog_b"]
     for result in results:
         assert sorted(result.labels) == ["basicaa", "basicaa+lt", "lt"]
@@ -51,64 +55,66 @@ def test_serial_run_workload_shape():
         assert "fill" in result.verdicts("lt")
 
 
-def test_parallel_matches_serial():
-    serial = run_workload(UNITS, specs=SPECS, workers=0)
-    parallel = run_workload(UNITS, specs=SPECS, workers=2)
+def test_parallel_matches_serial(session):
+    serial = session.run_workload(UNITS, specs=SPECS, workers=0)
+    parallel = session.run_workload(UNITS, specs=SPECS, workers=2)
     assert _labels(serial) == _labels(parallel)
 
 
-def test_streaming_driver_preserves_input_order():
+def test_streaming_driver_preserves_input_order(session):
     # imap_unordered may deliver results in any order; the post-merge sort
     # must restore input order bit-identically to the serial path.
     units = [("unit_{:02d}".format(index), SOURCE) for index in range(6)]
-    serial = run_workload(units, specs=(("lt",),), workers=0)
-    streamed = run_workload(units, specs=(("lt",),), workers=3)
+    serial = session.run_workload(units, specs=(("lt",),), workers=0)
+    streamed = session.run_workload(units, specs=(("lt",),), workers=3)
     assert [result.name for result in streamed] == [unit[0] for unit in units]
     assert _labels(serial) == _labels(streamed)
     assert [r.verdicts("lt") for r in serial] == [r.verdicts("lt") for r in streamed]
 
 
-def test_on_result_streams_every_unit():
+def test_on_result_streams_every_unit(session):
     streamed_names = []
-    results = run_workload(UNITS, specs=(("lt",),), workers=0,
-                           on_result=lambda result: streamed_names.append(result.name))
+    results = session.run_workload(
+        UNITS, specs=(("lt",),), workers=0,
+        on_result=lambda result: streamed_names.append(result.name))
     assert sorted(streamed_names) == sorted(result.name for result in results)
 
 
-def test_on_result_streams_under_a_pool():
+def test_on_result_streams_under_a_pool(session):
     streamed_names = []
-    results = run_workload(UNITS, specs=(("lt",),), workers=2,
-                           on_result=lambda result: streamed_names.append(result.name))
+    results = session.run_workload(
+        UNITS, specs=(("lt",),), workers=2,
+        on_result=lambda result: streamed_names.append(result.name))
     # Arrival order is scheduler-dependent; coverage is not.
     assert sorted(streamed_names) == sorted(result.name for result in results)
     assert [result.name for result in results] == ["prog_a", "prog_b"]
 
 
-def test_evaluate_module_parallel_matches_serial():
-    serial = evaluate_module_parallel("prog", SOURCE, specs=SPECS, workers=0)
-    sharded = evaluate_module_parallel("prog", SOURCE, specs=SPECS, workers=2)
+def test_evaluate_module_parallel_matches_serial(session):
+    serial = session.evaluate_source("prog", SOURCE, specs=SPECS, workers=0)
+    sharded = session.evaluate_source("prog", SOURCE, specs=SPECS, workers=2)
     for label in ("basicaa", "lt", "basicaa+lt"):
         assert sharded.verdicts(label) == serial.verdicts(label)
         assert sharded.evaluation(label).as_dict() == serial.evaluation(label).as_dict()
     assert sorted(sharded.payload["functions"]) == sorted(serial.payload["functions"])
 
 
-def test_evaluate_module_in_process_shares_cache():
+def test_evaluate_module_in_process_shares_cache(session):
     module = compile_source(SOURCE, module_name="prog")
     cache = FunctionAnalysisCache()
-    first = evaluate_module(module, specs=(("lt",),), cache=cache)
+    first = session.evaluate(module, specs=(("lt",),), cache=cache)
     # Second evaluation over the same cache serves memoized payloads: no new
     # analyses are built, verdicts are unchanged.
     functions_before = cache.cached_functions()
-    second = evaluate_module(module, specs=(("lt",),), cache=cache)
+    second = session.evaluate(module, specs=(("lt",),), cache=cache)
     assert cache.cached_functions() == functions_before
     assert second.evaluation("lt").as_dict() == first.evaluation("lt").as_dict()
 
 
-def test_store_round_trip_serial(tmp_path):
+def test_store_round_trip_serial(session, tmp_path):
     store_path = str(tmp_path / "store.sqlite")
-    cold = run_workload(UNITS, specs=SPECS, workers=0, store=store_path)
-    warm = run_workload(UNITS, specs=SPECS, workers=0, store=store_path)
+    cold = session.run_workload(UNITS, specs=SPECS, workers=0, store=store_path)
+    warm = session.run_workload(UNITS, specs=SPECS, workers=0, store=store_path)
     assert _labels(cold) == _labels(warm)
     assert cold[0].store_misses > 0
     # Write-back streams per unit, so the second unit (same source text)
@@ -119,115 +125,122 @@ def test_store_round_trip_serial(tmp_path):
     assert all(result.store_misses == 0 for result in warm)
 
 
-def test_store_round_trip_parallel(tmp_path):
+def test_store_round_trip_parallel(session, tmp_path):
     store_path = str(tmp_path / "store.sqlite")
-    cold = run_workload(UNITS, specs=SPECS, workers=2, store=store_path)
-    warm = run_workload(UNITS, specs=SPECS, workers=2, store=store_path)
+    cold = session.run_workload(UNITS, specs=SPECS, workers=2, store=store_path)
+    warm = session.run_workload(UNITS, specs=SPECS, workers=2, store=store_path)
     assert _labels(cold) == _labels(warm)
     assert all(result.store_hits > 0 for result in warm)
 
 
-def test_partial_warmth_draws_function_entries(tmp_path):
+def test_partial_warmth_draws_function_entries(session, tmp_path):
     """A new module reusing known functions misses at the unit level but
     still draws the per-function entries it shares with an earlier run."""
     store_path = str(tmp_path / "store.sqlite")
-    run_workload([("prog_a", SOURCE)], specs=(("basicaa",),), workers=0,
-                 store=store_path)
+    session.run_workload([("prog_a", SOURCE)], specs=(("basicaa",),),
+                         workers=0, store=store_path)
     # Same source under a new unit name: unit-level memo misses (the name is
     # part of the key) but every function-level entry hits.
-    warm = run_workload([("prog_c", SOURCE)], specs=(("basicaa",),), workers=0,
-                        store=store_path)
+    warm = session.run_workload([("prog_c", SOURCE)], specs=(("basicaa",),),
+                                workers=0, store=store_path)
     assert warm[0].store_hits > 0
-    reference = run_workload([("prog_c", SOURCE)], specs=(("basicaa",),), workers=0)
+    reference = session.run_workload([("prog_c", SOURCE)],
+                                     specs=(("basicaa",),), workers=0,
+                                     store=False)
     assert warm[0].payload["labels"] == reference[0].payload["labels"]
 
 
-def test_sharded_run_does_not_poison_whole_unit_memo(tmp_path):
+def test_sharded_run_does_not_poison_whole_unit_memo(session, tmp_path):
     """Shard payloads must never be stored under the whole-unit key: a warm
     whole-module run after a sharded one has to see complete results."""
     store_path = str(tmp_path / "store.sqlite")
-    evaluate_module_parallel("prog", SOURCE, specs=SPECS, workers=2,
-                             store=store_path)
-    warm = run_workload([("prog", SOURCE)], specs=SPECS, workers=0,
-                        store=store_path)[0]
-    reference = run_workload([("prog", SOURCE)], specs=SPECS, workers=0,
-                             store=False)[0]
+    session.evaluate_source("prog", SOURCE, specs=SPECS, workers=2,
+                            store=store_path)
+    warm = session.run_workload([("prog", SOURCE)], specs=SPECS, workers=0,
+                                store=store_path)[0]
+    reference = session.run_workload([("prog", SOURCE)], specs=SPECS,
+                                     workers=0, store=False)[0]
     assert warm.payload["labels"] == reference.payload["labels"]
 
 
 def test_store_false_disables_env_store(tmp_path, monkeypatch):
     store_path = tmp_path / "env-store.sqlite"
     monkeypatch.setenv("REPRO_STORE", str(store_path))
-    results = run_workload([("prog_a", SOURCE)], specs=(("basicaa",),),
-                           store=False)
+    with Session() as session:
+        results = session.run_workload([("prog_a", SOURCE)],
+                                       specs=(("basicaa",),), store=False)
     assert results[0].store_hits == 0
     assert results[0].store_misses == 0
     assert not store_path.exists()
 
 
-def test_evaluate_module_skips_store_for_converted_modules(tmp_path):
+def test_evaluate_module_skips_store_for_converted_modules(session, tmp_path):
     # Store keys content-address pre-conversion IR; a module converted
     # outside the engine must not grow an incompatible key family.
     store_path = str(tmp_path / "store.sqlite")
     module = compile_source(SOURCE, module_name="prog")
-    first = evaluate_module(module, specs=(("lt",),), store=store_path)
+    first = session.evaluate(module, specs=(("lt",),), store=store_path)
     assert first.store_misses > 0  # pristine module: persisted normally
     converted = compile_source(SOURCE, module_name="prog")
-    evaluate_module(converted, specs=(("lt",),), store=False)  # converts it
+    session.evaluate(converted, specs=(("lt",),), store=False)  # converts it
     assert any(getattr(f, "essa_form", False) for f in converted.defined_functions())
     with AnalysisStore(store_path) as store:
         entries_before = len(store)
-        result = evaluate_module(converted, specs=(("lt",),), store=store)
+        result = session.evaluate(converted, specs=(("lt",),), store=store)
         assert result.store_hits == 0 and result.store_misses == 0
         assert len(store) == entries_before
         assert result.evaluation("lt").as_dict() == first.evaluation("lt").as_dict()
 
 
-def test_interprocedural_modes_do_not_share_entries(tmp_path):
+def test_interprocedural_modes_do_not_share_entries(session, tmp_path):
     """Intra- and interprocedural LT produce different facts for the same
     IR; neither the store nor the cache may serve one mode's payloads to
     the other."""
     store_path = str(tmp_path / "store.sqlite")
-    run_workload([("prog_a", SOURCE)], specs=(("lt",),), workers=0,
-                 store=store_path, interprocedural=False)
-    cross = run_workload([("prog_a", SOURCE)], specs=(("lt",),), workers=0,
-                         store=store_path, interprocedural=True)[0]
+    session.run_workload([("prog_a", SOURCE)], specs=(("lt",),), workers=0,
+                         store=store_path, interprocedural=False)
+    cross = session.run_workload([("prog_a", SOURCE)], specs=(("lt",),),
+                                 workers=0, store=store_path,
+                                 interprocedural=True)[0]
     assert cross.store_hits == 0  # every key family is mode-specific
-    reference = run_workload([("prog_a", SOURCE)], specs=(("lt",),), workers=0,
-                             store=False, interprocedural=True)[0]
+    reference = session.run_workload([("prog_a", SOURCE)], specs=(("lt",),),
+                                     workers=0, store=False,
+                                     interprocedural=True)[0]
     assert cross.payload["labels"] == reference.payload["labels"]
     # One in-process cache used under both modes keeps them apart too.
     module = compile_source(SOURCE, module_name="prog_a")
     cache = FunctionAnalysisCache()
-    intra = evaluate_module(module, specs=(("lt",),), cache=cache,
-                            store=False, interprocedural=False)
-    inter = evaluate_module(module, specs=(("lt",),), cache=cache,
-                            store=False, interprocedural=True)
-    fresh = evaluate_module(compile_source(SOURCE, module_name="prog_a"),
-                            specs=(("lt",),), store=False, interprocedural=True)
+    intra = session.evaluate(module, specs=(("lt",),), cache=cache,
+                             store=False, interprocedural=False)
+    inter = session.evaluate(module, specs=(("lt",),), cache=cache,
+                             store=False, interprocedural=True)
+    fresh = session.evaluate(compile_source(SOURCE, module_name="prog_a"),
+                             specs=(("lt",),), cache=FunctionAnalysisCache(),
+                             store=False, interprocedural=True)
     assert inter.evaluation("lt").as_dict() == fresh.evaluation("lt").as_dict()
     assert intra.verdicts("lt") is not None  # both modes evaluated
 
 
-def test_memoize_evaluations_off_reruns_queries():
+def test_memoize_evaluations_off_reruns_queries(session):
     module = compile_source(SOURCE, module_name="prog")
     cache = FunctionAnalysisCache()
-    first = evaluate_module(module, specs=(("lt",),), cache=cache,
-                            store=False, memoize_evaluations=False)
-    second = evaluate_module(module, specs=(("lt",),), cache=cache,
+    first = session.evaluate(module, specs=(("lt",),), cache=cache,
                              store=False, memoize_evaluations=False)
+    second = session.evaluate(module, specs=(("lt",),), cache=cache,
+                              store=False, memoize_evaluations=False)
     # No payloads were memoized — each call re-ran the query loop over the
     # shared (memoized) analyses — and the results agree.
     assert cache.evaluation_count() == 0
     assert second.evaluation("lt").as_dict() == first.evaluation("lt").as_dict()
 
 
-def test_store_version_mismatch_recomputes(tmp_path):
+def test_store_version_mismatch_recomputes(session, tmp_path):
     store_path = str(tmp_path / "store.sqlite")
     with AnalysisStore(store_path, version="old") as store:
-        run_workload(UNITS, specs=SPECS, workers=0, store=store)
+        session.run_workload(UNITS, specs=SPECS, workers=0, store=store)
     with AnalysisStore(store_path, version="new") as store:
-        results = run_workload(UNITS, specs=SPECS, workers=0, store=store)
+        results = session.run_workload(UNITS, specs=SPECS, workers=0,
+                                       store=store)
         # The mismatch cleared the store: nothing persisted under "old" may
         # be served.  The first unit recomputes everything; the second may
         # hit — but only entries the *new*-version run just streamed back.
@@ -235,8 +248,8 @@ def test_store_version_mismatch_recomputes(tmp_path):
         assert results[0].store_misses > 0
 
 
-def test_unit_result_statistics_exposed():
-    results = run_workload(UNITS, specs=SPECS, workers=0)
+def test_unit_result_statistics_exposed(session):
+    results = session.run_workload(UNITS, specs=SPECS, workers=0)
     statistics = results[0].statistics
     assert statistics.queries > 0
 
@@ -264,13 +277,17 @@ def test_store_budget_env_bounds_growth(tmp_path, monkeypatch):
     """REPRO_STORE_MAX_MB sweeps the store after every write batch."""
     store_path = str(tmp_path / "bounded.sqlite")
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "0.001")  # ~1 KiB
-    results = run_workload(UNITS, specs=SPECS, workers=0, store=store_path)
+    with Session() as session:
+        results = session.run_workload(UNITS, specs=SPECS, workers=0,
+                                       store=store_path)
     assert _labels(results)  # evaluation itself is unaffected
     with AnalysisStore(store_path, max_bytes=0) as store:
         assert store.size_bytes() <= 1024
     monkeypatch.delenv("REPRO_STORE_MAX_MB")
     unbounded_path = str(tmp_path / "unbounded.sqlite")
-    run_workload(UNITS, specs=SPECS, workers=0, store=unbounded_path)
+    with Session() as session:
+        session.run_workload(UNITS, specs=SPECS, workers=0,
+                             store=unbounded_path)
     with AnalysisStore(unbounded_path) as store:
         assert store.size_bytes() > 1024  # same workload, no sweep
 
@@ -278,26 +295,29 @@ def test_store_budget_env_bounds_growth(tmp_path, monkeypatch):
 def test_env_store_is_honoured(tmp_path, monkeypatch):
     store_path = str(tmp_path / "env-store.sqlite")
     monkeypatch.setenv("REPRO_STORE", store_path)
-    cold = run_workload([("prog_a", SOURCE)], specs=(("basicaa",),))
-    warm = run_workload([("prog_a", SOURCE)], specs=(("basicaa",),))
+    with Session() as session:
+        cold = session.run_workload([("prog_a", SOURCE)], specs=(("basicaa",),))
+        warm = session.run_workload([("prog_a", SOURCE)], specs=(("basicaa",),))
     assert cold[0].store_misses > 0
     assert warm[0].store_hits > 0
     assert _labels(cold) == _labels(warm)
 
 
-def test_lessthan_stats_job():
-    results = run_workload([("prog_a", SOURCE)], kind="lessthan-stats", workers=0)
+def test_lessthan_stats_job(session):
+    results = session.run_workload([("prog_a", SOURCE)],
+                                   kind="lessthan-stats", workers=0)
     payload = results[0].payload
     assert payload["constraints"] > 0
     assert payload["worklist_pops"] > 0
     assert payload["instructions"] > 0
 
 
-def test_unknown_kind_raises():
+def test_unknown_kind_raises(session):
     with pytest.raises(KeyError):
-        run_workload([("prog_a", SOURCE)], kind="no-such-job", workers=0)
+        session.run_workload([("prog_a", SOURCE)], kind="no-such-job",
+                             workers=0)
 
 
-def test_rejects_unbuildable_units():
+def test_rejects_unbuildable_units(session):
     with pytest.raises(TypeError):
-        run_workload([42], workers=0)
+        session.run_workload([42], workers=0)

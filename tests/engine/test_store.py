@@ -142,22 +142,20 @@ def test_unit_key_label_separator_unambiguous():
             != unit_key("aaeval", "p", "src", ["a|b", "c"], True))
 
 
-def test_store_version_aaeval4_to_aaeval5_migration(tmp_path, backend):
-    """The fingerprint-keying bump: stale ``aaeval-4`` entries never serve.
+def _assert_stale_version_never_serves(path, backend, old_version):
+    """Entries written under ``old_version`` never serve under the current one.
 
     A writable open under the current version clears them wholesale; a
     read-only open (shard workers) answers clean misses without crashing
     or clearing entries it does not own.
     """
-    assert STORE_VERSION == "aaeval-5"
-    path = str(tmp_path / "store.bin")
-    with AnalysisStore(path, version="aaeval-4", backend=backend) as old:
+    with AnalysisStore(path, version=old_version, backend=backend) as old:
         old.put("stale-module-hash-key", PAYLOAD)
     # Read-only first (the worker path): miss cleanly, leave the file alone.
     with AnalysisStore(path, backend=backend, readonly=True) as reader:
         assert reader.version == STORE_VERSION
         assert reader.get("stale-module-hash-key") is None
-    with AnalysisStore(path, version="aaeval-4", backend=backend,
+    with AnalysisStore(path, version=old_version, backend=backend,
                        readonly=True) as reader:
         assert reader.get("stale-module-hash-key") == PAYLOAD
     # Writable open (the coordinator path): drop and restamp.
@@ -167,6 +165,21 @@ def test_store_version_aaeval4_to_aaeval5_migration(tmp_path, backend):
         upgraded.put("fingerprint-key", PAYLOAD)
     with AnalysisStore(path, backend=backend) as reopened:
         assert reopened.get("fingerprint-key") == PAYLOAD
+
+
+def test_store_version_aaeval4_to_aaeval5_migration(tmp_path, backend):
+    """The fingerprint-keying bump: stale ``aaeval-4`` entries never serve,
+    also under the versions that came after ``aaeval-5``."""
+    assert STORE_VERSION not in ("aaeval-4", "aaeval-5")
+    _assert_stale_version_never_serves(str(tmp_path / "store.bin"), backend,
+                                       "aaeval-4")
+
+
+def test_store_version_aaeval5_to_aaeval6_migration(tmp_path, backend):
+    """The SolverInfo-shape bump: stale ``aaeval-5`` entries never serve."""
+    assert STORE_VERSION == "aaeval-6"
+    _assert_stale_version_never_serves(str(tmp_path / "store.bin"), backend,
+                                       "aaeval-5")
 
 
 def test_text_hash_is_stable():

@@ -1,16 +1,17 @@
 """End-to-end bit-identity of alias verdicts across solver implementations.
 
-The tentpole contract of the sparse solver layer: per-pair alias verdicts
-must be **bit-identical** between the dense (seed) and sparse solvers, for
-every analysis configuration, because the fixed points the solvers reach are
-the same.  The solver mode is selected through the environment, exactly the
-way a user would flip it, and the whole pipeline (frontend → e-SSA → ranges
-→ constraints → disambiguation → aa-eval) runs under each mode.
+The contract of the sparse solver layer: per-pair alias verdicts must be
+**bit-identical** between the production solvers (the sparse range solver
+and the variable-keyed less-than solver) and their reference oracles (the
+dense range solver and the constraint-keyed less-than strategy), because
+the fixed points the solvers reach are the same.  The reference solvers are
+constructor arguments only, so these tests route the pipeline's solves to
+them by pinning the argument at the two construction sites, and the whole
+pipeline (frontend → e-SSA → ranges → constraints → disambiguation →
+aa-eval) runs under each combination.
 """
 
-import pytest
-
-from repro.engine import run_workload
+from repro.api import Session
 from repro.synth import kernel_module, kernel_names
 
 SPECS = (("basicaa",), ("lt",), ("basicaa", "lt"))
@@ -30,14 +31,35 @@ def _verdict_streams(results):
             for result in results]
 
 
-def _run_with_solvers(monkeypatch, range_solver, lt_solver, order="fifo",
-                      workers=0, kernel="scalar"):
-    monkeypatch.setenv("REPRO_RANGE_SOLVER", range_solver)
-    monkeypatch.setenv("REPRO_LT_SOLVER", lt_solver)
-    monkeypatch.setenv("REPRO_WORKLIST_ORDER", order)
-    monkeypatch.setenv("REPRO_INTERVAL_KERNEL", kernel)
-    return run_workload(_kernel_units(), specs=SPECS, workers=workers,
-                        store=False)
+def _pin_solvers(monkeypatch, range_solver, lt_strategy):
+    """Make every range solve use ``range_solver`` and every less-than solve
+    ``lt_strategy`` for the rest of the test (in-process runs only)."""
+    import repro.core.lessthan.analysis as lessthan_module
+    import repro.rangeanalysis.analysis as range_module
+
+    range_class = range_module.RangeAnalysis
+    solver_class = lessthan_module.ConstraintSolver
+
+    class PinnedRangeAnalysis(range_class):
+        def __init__(self, function, argument_ranges=None, solver=None,
+                     previous=None):
+            super().__init__(function, argument_ranges, range_solver, previous)
+
+    class PinnedConstraintSolver(solver_class):
+        def __init__(self, constraints, strategy=None):
+            super().__init__(constraints, lt_strategy)
+
+    monkeypatch.setattr(range_module, "RangeAnalysis", PinnedRangeAnalysis)
+    monkeypatch.setattr(lessthan_module, "RangeAnalysis", PinnedRangeAnalysis)
+    monkeypatch.setattr(lessthan_module, "ConstraintSolver",
+                        PinnedConstraintSolver)
+
+
+def _run_with_solvers(monkeypatch, range_solver, lt_strategy):
+    with monkeypatch.context() as patch:
+        _pin_solvers(patch, range_solver, lt_strategy)
+        with Session(workers=0, store_path=None) as session:
+            return session.run_workload(_kernel_units(), specs=SPECS)
 
 
 def test_verdicts_bit_identical_across_solver_modes(monkeypatch):
@@ -48,84 +70,32 @@ def test_verdicts_bit_identical_across_solver_modes(monkeypatch):
         for label in sparse_result.labels:
             assert (sparse_result.evaluation(label).as_dict() ==
                     dense_result.evaluation(label).as_dict())
+    # The pin reached the solvers: the dense sweeps evaluate more.
+    assert (sum(result.statistics.solver.evaluations for result in dense)
+            > sum(result.statistics.solver.evaluations for result in sparse))
 
 
 def test_verdicts_bit_identical_with_mixed_modes(monkeypatch):
-    # One layer sparse, the other dense — the layers are independent.
+    # One layer sparse, the other the reference — the layers are independent.
     mixed_a = _run_with_solvers(monkeypatch, "sparse", "constraint")
     mixed_b = _run_with_solvers(monkeypatch, "dense", "sparse")
     assert _verdict_streams(mixed_a) == _verdict_streams(mixed_b)
 
 
-def test_verdicts_bit_identical_across_worklist_orders(monkeypatch):
-    """The policy matrix: every ``REPRO_WORKLIST_ORDER`` × solver-mode
-    combination reaches the same fixed points, so the whole pipeline's
-    verdict streams and evaluation counts are bit-identical."""
-    baseline = _run_with_solvers(monkeypatch, "sparse", "sparse")
-    reference_stream = _verdict_streams(baseline)
-    reference_counts = [
-        {label: result.evaluation(label).as_dict() for label in result.labels}
-        for result in baseline]
-    for order in ("scc", "loopdepth"):
-        for range_solver in ("dense", "sparse"):
-            for lt_solver in ("constraint", "sparse"):
-                results = _run_with_solvers(monkeypatch, range_solver,
-                                            lt_solver, order)
-                label = (order, range_solver, lt_solver)
-                assert _verdict_streams(results) == reference_stream, label
-                assert [{name: result.evaluation(name).as_dict()
-                         for name in result.labels}
-                        for result in results] == reference_counts, label
-
-
-def test_verdicts_bit_identical_across_interval_kernels(monkeypatch):
-    """The ``REPRO_INTERVAL_KERNEL`` matrix: the batched (and, when numpy is
-    installed, vectorized) sweep executors reach the same fixed points as the
-    scalar solver under every worklist order, so the pipeline's verdict
-    streams are bit-identical end to end."""
-    from repro.rangeanalysis.kernels import get_backend
-
-    baseline = _run_with_solvers(monkeypatch, "sparse", "sparse")
-    reference_stream = _verdict_streams(baseline)
-    kernels = ["batch"]
-    if get_backend("numpy").name == "numpy":
-        kernels.append("numpy")
-    for order in ("fifo", "scc", "loopdepth"):
-        for kernel in kernels:
-            results = _run_with_solvers(monkeypatch, "sparse", "sparse",
-                                        order, kernel=kernel)
-            assert _verdict_streams(results) == reference_stream, (order,
-                                                                   kernel)
-
-
-def test_batched_kernel_equivalence_survives_sharding(monkeypatch):
-    """Serial vs ``workers=2`` under the batch backend: identical verdicts
-    and identical merged solver totals, including the new batch counters."""
-    serial = _run_with_solvers(monkeypatch, "sparse", "sparse", "scc",
-                               kernel="batch")
-    sharded = _run_with_solvers(monkeypatch, "sparse", "sparse", "scc",
-                                workers=2, kernel="batch")
-    assert _verdict_streams(serial) == _verdict_streams(sharded)
-    for serial_result, sharded_result in zip(serial, sharded):
-        serial_solver = serial_result.statistics.solver
-        assert serial_solver == sharded_result.statistics.solver
-        assert serial_solver.batched_sweeps > 0
-        assert serial_solver.backends.get("batch", 0) > 0
-
-
-def test_worklist_order_equivalence_survives_sharding(monkeypatch):
-    """Serial vs ``workers=2``, under the scc policy: identical verdicts
-    and identical merged solver totals (the per-shard ``SolverInfo``
-    counters must survive the coordinator merge losslessly)."""
-    serial = _run_with_solvers(monkeypatch, "sparse", "sparse", "scc")
-    sharded = _run_with_solvers(monkeypatch, "sparse", "sparse", "scc",
-                                workers=2)
+def test_worklist_order_equivalence_survives_sharding():
+    """Serial vs ``workers=2`` under the solvers' FIFO order: identical
+    verdicts and identical merged solver totals (the per-shard
+    ``SolverInfo`` counters must survive the coordinator merge
+    losslessly)."""
+    with Session(store_path=None) as session:
+        serial = session.run_workload(_kernel_units(), specs=SPECS, workers=0)
+        sharded = session.run_workload(_kernel_units(), specs=SPECS, workers=2)
     assert _verdict_streams(serial) == _verdict_streams(sharded)
     for serial_result, sharded_result in zip(serial, sharded):
         serial_solver = serial_result.statistics.solver
         assert serial_solver == sharded_result.statistics.solver
         assert serial_solver.evaluations > 0
-        assert serial_solver.pops.get("scc", 0) > 0
+        assert serial_solver.pops > 0
 
 
 def test_lt_sets_identical_across_strategies():

@@ -220,15 +220,15 @@ def test_registry_absorbs_nested_statistics_dicts():
     registry = MetricsRegistry()
     registry.absorb("solver", {
         "evaluations": 10,
-        "pops": {"fifo": 3, "scc": 2},
+        "by_kind": {"ranges": 3, "essa": 2},
         "hit_ratio": 0.5,
-        "order": "fifo",  # non-numeric: skipped
+        "strategy": "sparse",  # non-numeric: skipped
     })
     assert registry.counters["solver.evaluations"] == 10
-    assert registry.counters["solver.pops.fifo"] == 3
-    assert registry.counters["solver.pops.scc"] == 2
+    assert registry.counters["solver.by_kind.ranges"] == 3
+    assert registry.counters["solver.by_kind.essa"] == 2
     assert registry.gauges["solver.hit_ratio"] == 0.5
-    assert "solver.order" not in registry.counters
+    assert "solver.strategy" not in registry.counters
 
 
 def test_registry_snapshot_is_sorted_and_detached():

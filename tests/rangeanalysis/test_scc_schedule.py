@@ -2,20 +2,17 @@
 
 Tarjan's algorithm on hand-built graphs (self-loops, nested cycles, DAGs),
 then the solver-ready :class:`SCCSchedule`: topological component order,
-cyclic flags, intra-component def-use slices and the per-policy rank
-orders the ranked worklists pop in.
+cyclic flags and intra-component def-use slices.
 """
 
 from repro.core import LessThanAnalysis
 from repro.frontend import compile_source
-from repro.ir.instructions import Phi
-from repro.rangeanalysis import RangeAnalysis
 from repro.rangeanalysis.graph import (
     DependencyGraph,
     SCCSchedule,
     strongly_connected_components,
 )
-from tests.helpers import build_counting_loop_module, build_two_index_loop_module
+from tests.helpers import build_counting_loop_module
 
 
 def _components(nodes, edges):
@@ -109,7 +106,6 @@ def test_singleton_slices_use_the_fast_path_shape():
     for component in schedule:
         if len(component) != 1:
             continue
-        assert component.topo_rank == [0]
         # An acyclic singleton has no intra-component users; a self-loop
         # would list itself.
         assert component.users in ([[]], [[0]])
@@ -123,42 +119,6 @@ def test_users_slices_are_sorted_member_indices():
         for users in component.users:
             assert users == sorted(users)
             assert all(0 <= index < count for index in users)
-
-
-def test_fifo_ranks_are_identity():
-    for component in _loop_schedule():
-        count = len(component)
-        assert component.ranks("fifo") == list(range(count))
-
-
-def test_scc_ranks_are_a_permutation_rooted_at_a_phi():
-    schedule = _loop_schedule()
-    big = max(schedule, key=len)
-    assert len(big) > 1 and big.cyclic
-    ranks = big.ranks("scc")
-    assert sorted(ranks) == list(range(len(big)))
-    # The reverse postorder prefers a loop-header φ as DFS root: some φ
-    # member carries rank 0 (the seed of the data-flow order).
-    roots = [value for index, value in enumerate(big.members)
-             if ranks[index] == 0]
-    assert any(isinstance(value, Phi) for value in roots)
-
-
-def test_loopdepth_ranks_sort_by_depth_then_topological_rank():
-    _module, function = build_two_index_loop_module()
-    schedule = SCCSchedule(DependencyGraph(function))
-    big = max(schedule, key=len)
-    depth = {value: index % 2 for index, value in enumerate(big.members)}
-    ranks = big.ranks("loopdepth", depth_of=lambda value: depth[value])
-    assert sorted(ranks) == list(range(len(big)))
-    keyed = sorted(range(len(big)),
-                   key=lambda i: (depth[big.members[i]], big.topo_rank[i]))
-    expected = [0] * len(big)
-    for rank, index in enumerate(keyed):
-        expected[index] = rank
-    assert ranks == expected
-    # Without a depth oracle the policy degrades to the scc ranks.
-    assert big.ranks("loopdepth") == big.ranks("scc")
 
 
 def test_schedule_matches_legacy_component_iteration():
@@ -177,11 +137,3 @@ def test_schedule_matches_legacy_component_iteration():
         assert [component.cyclic for component in schedule] == \
             [graph.component_is_cyclic(members) for members in legacy]
 
-
-def test_ranked_policies_reach_the_fifo_fixpoint():
-    # The schedule feeds three policies; all must solve to the same ranges.
-    _module, function = build_two_index_loop_module()
-    fifo = RangeAnalysis(function, order="fifo")
-    scc = RangeAnalysis(function, order="scc")
-    loopdepth = RangeAnalysis(function, order="loopdepth")
-    assert fifo.ranges == scc.ranges == loopdepth.ranges

@@ -12,7 +12,7 @@ import pytest
 from repro.core import LessThanAnalysis
 from repro.frontend import compile_source
 from repro.ir import IRBuilder
-from repro.rangeanalysis import Interval, RangeAnalysis, default_range_solver
+from repro.rangeanalysis import Interval, RangeAnalysis
 from repro.synth import kernel_module, kernel_names
 from tests.helpers import (
     build_counting_loop_module,
@@ -66,16 +66,13 @@ def test_sparse_matches_dense_on_every_kernel():
 
 
 def test_sparse_never_evaluates_more_than_dense():
-    # A *fifo*-ordered property: the replay policy only ever skips dense
-    # evaluations that are provably no-ops.  Ranked policies trade the
-    # guarantee per tiny component for fewer evaluations in aggregate
-    # (gated in benchmarks/bench_solver_hotpath.py), so the order is
-    # pinned rather than inherited from REPRO_WORKLIST_ORDER.
+    # The sparse solver replays the dense sweeps and only ever skips
+    # evaluations that are provably no-ops.
     for name in kernel_names():
         module = kernel_module(name)
         for function in module.defined_functions():
             dense = RangeAnalysis(function, solver="dense")
-            sparse = RangeAnalysis(function, solver="sparse", order="fifo")
+            sparse = RangeAnalysis(function, solver="sparse")
             assert dense.ranges == sparse.ranges
             assert sparse.statistics.evaluations <= dense.statistics.evaluations
 
@@ -109,19 +106,13 @@ def test_statistics_shape():
 
 
 def test_solver_selection_via_environment(monkeypatch):
-    from repro.api.config import ConfigError
-
+    # The solver is a constructor argument only: a REPRO_RANGE_SOLVER left in
+    # the environment does not reroute the production solve.
     monkeypatch.setenv("REPRO_RANGE_SOLVER", "dense")
-    assert default_range_solver() == "dense"
     _module, function = build_counting_loop_module()
-    assert RangeAnalysis(function).solver == "dense"
-    # Invalid values fail loudly at the config boundary (no silent fallback).
-    monkeypatch.setenv("REPRO_RANGE_SOLVER", "nonsense")
-    with pytest.raises(ConfigError, match="REPRO_RANGE_SOLVER"):
-        default_range_solver()
-    monkeypatch.delenv("REPRO_RANGE_SOLVER")
     assert RangeAnalysis(function).solver == "sparse"
-    with pytest.raises(ValueError):
+    assert RangeAnalysis(function, solver="dense").solver == "dense"
+    with pytest.raises(ValueError, match="unknown"):
         RangeAnalysis(function, solver="unknown")
 
 

@@ -1,21 +1,11 @@
 """Unit tests for the shared worklist machinery.
 
-The plain FIFO :class:`Worklist`, the policy-ranked
-:class:`PriorityWorklist`, the range solver's ``(sweep, rank)``
-:class:`SweepWorklist`, the :class:`SolverInfo` counter struct and the
-policy-name validation the config layer leans on.
+The FIFO :class:`Worklist`, the range solver's ``(sweep, index)``
+:class:`SweepWorklist` and the :class:`SolverInfo` counter struct.
 """
 
-import pytest
-
 from repro.util import Worklist
-from repro.util.worklist import (
-    WORKLIST_ORDERS,
-    PriorityWorklist,
-    SolverInfo,
-    SweepWorklist,
-    validate_order,
-)
+from repro.util.worklist import SolverInfo, SweepWorklist
 
 
 def test_fifo_order():
@@ -61,41 +51,10 @@ def test_pop_and_push_counters():
     assert wl.pops == 2
 
 
-# -- policy registry ----------------------------------------------------------------
-
-def test_validate_order_accepts_every_registered_policy():
-    for order in WORKLIST_ORDERS:
-        assert validate_order(order) == order
-
-
-def test_validate_order_rejects_unknown_policies():
-    with pytest.raises(ValueError, match="priority"):
-        validate_order("priority")
-
-
-# -- PriorityWorklist ---------------------------------------------------------------
-
-def test_priority_worklist_without_ranks_is_fifo():
-    wl = PriorityWorklist(items=["c", "a", "b"])
-    assert [wl.pop(), wl.pop(), wl.pop()] == ["c", "a", "b"]
-    assert not wl
-
-
-def test_priority_worklist_pops_in_rank_order():
-    wl = PriorityWorklist(ranks={"a": 2, "b": 0, "c": 1},
-                          items=["a", "b", "c"])
-    assert [wl.pop(), wl.pop(), wl.pop()] == ["b", "c", "a"]
-
-
-def test_priority_worklist_breaks_ties_by_insertion_order():
-    wl = PriorityWorklist(ranks={"x": 1, "y": 1, "z": 0})
-    for item in ("y", "x", "z"):
-        wl.push(item)
-    assert [wl.pop(), wl.pop(), wl.pop()] == ["z", "y", "x"]
-
-
 def test_priority_worklist_coalesces_duplicate_pushes():
-    wl = PriorityWorklist(ranks={"a": 0})
+    # The coalesced-push bookkeeping of the rank-free priority worklist is
+    # the FIFO Worklist's own.
+    wl = Worklist()
     assert wl.push("a") is True
     assert wl.push("a") is False
     assert wl.coalesced == 1
@@ -106,32 +65,34 @@ def test_priority_worklist_coalesces_duplicate_pushes():
     # After a pop the same item may be scheduled again.
     assert wl.push("a") is True
     assert wl.pushes == 2
+    assert wl.coalesced == 1
 
 
 # -- SweepWorklist ------------------------------------------------------------------
 
 def test_sweep_worklist_seeds_and_pops_in_rank_order():
-    wl = SweepWorklist([2, 0, 1])
+    # A member's rank within a sweep is its member index.
+    wl = SweepWorklist(3)
     assert len(wl) == 3
     assert wl.next_sweep() == 0
-    assert [wl.pop()[1] for _ in range(3)] == [1, 2, 0]
+    assert [wl.pop()[1] for _ in range(3)] == [0, 1, 2]
     assert wl.next_sweep() is None
     assert not wl
 
 
 def test_sweep_rule_same_sweep_forward_next_sweep_backward():
-    # A dependent ranked after the changed member is revisited in the same
-    # sweep (a dense pass would have seen the update too); one ranked before
-    # it waits for the next sweep.
-    wl = SweepWorklist([0, 1, 2], seed_sweep=None)
+    # A dependent after the changed member is revisited in the same sweep
+    # (a dense pass would have seen the update too); one before it waits
+    # for the next sweep.
+    wl = SweepWorklist(3, seed_sweep=None)
     wl.schedule(0, 1, [2, 0])
-    assert wl.pop() == (0, 2)   # rank 2 > rank 1: same sweep
-    assert wl.pop() == (1, 0)   # rank 0 < rank 1: next sweep
+    assert wl.pop() == (0, 2)   # index 2 > index 1: same sweep
+    assert wl.pop() == (1, 0)   # index 0 < index 1: next sweep
     assert not wl
 
 
 def test_sweep_worklist_dedups_per_sweep():
-    wl = SweepWorklist([0, 1], seed_sweep=None)
+    wl = SweepWorklist(2, seed_sweep=None)
     assert wl.push(0, 1) is True
     assert wl.push(0, 1) is False
     assert wl.coalesced == 1
@@ -144,35 +105,26 @@ def test_sweep_worklist_dedups_per_sweep():
 # -- SolverInfo ---------------------------------------------------------------------
 
 def _info():
-    info = SolverInfo(evaluations=10, widenings=2, narrowings=3,
-                      sccs=4, cyclic_sccs=1)
-    info.record_pops("fifo", 7)
-    info.record_pops("scc", 5)
-    return info
+    return SolverInfo(evaluations=10, widenings=2, narrowings=3,
+                      sccs=4, cyclic_sccs=1, pops=12)
 
 
 def test_solver_info_merge_sums_everything():
     other = SolverInfo(evaluations=1, widenings=1, narrowings=1,
-                       sccs=1, cyclic_sccs=1, pops={"scc": 2, "loopdepth": 4})
+                       sccs=1, cyclic_sccs=1, pops=6)
     merged = _info().merge(other)
     assert merged.evaluations == 11
     assert merged.widenings == 3
     assert merged.narrowings == 4
     assert merged.sccs == 5
     assert merged.cyclic_sccs == 2
-    assert merged.pops == {"fifo": 7, "scc": 7, "loopdepth": 4}
+    assert merged.pops == 18
 
 
 def test_solver_info_merge_is_commutative_and_lossless():
-    a, b = _info(), SolverInfo(evaluations=3, pops={"fifo": 1})
+    a, b = _info(), SolverInfo(evaluations=3, pops=1)
     assert a.merge(b) == b.merge(a)
     assert a.merge(SolverInfo()) == a
-
-
-def test_solver_info_record_pops_ignores_zero():
-    info = SolverInfo()
-    info.record_pops("fifo", 0)
-    assert info.pops == {}
 
 
 def test_solver_info_dict_round_trip():
