@@ -18,15 +18,14 @@ import time
 
 from harness import full_scale, print_table, write_results
 
-from repro.api import Session, env_float
-from repro.alias import AliasEvaluation, MemoryLocation
+from repro.api import env_float
+from repro.api.config import resolved_class_limit
+from repro.alias import AliasEvaluation, evaluate_module
 from repro.alias.aaeval import collect_pointer_values
-from repro.core import (
-    LessThanAnalysis,
-    PointerDisambiguator,
-)
+from repro.core import LessThanAnalysis, StrictInequalityAliasAnalysis
 from repro.passes import FunctionAnalysisCache
 from repro.synth import spec_benchmarks
+from repro.verify.certificate import reference_disambiguate
 
 PROGRAMS = (
     ("lbm", "milc", "bzip2", "gobmk", "mcf", "soplex") if not full_scale()
@@ -39,39 +38,32 @@ MIN_SPEEDUP = env_float("REPRO_MIN_SPEEDUP", 5.0)
 
 
 def _seed_evaluate_module(module):
-    """The seed path, reproduced exactly: a fresh analysis per evaluation,
-    per-query equivalence-class walks, one MemoryLocation per pair."""
+    """The seed path: a fresh analysis per evaluation and the
+    recompute-per-query reference (equivalence-class walks per pair)."""
     analysis = LessThanAnalysis(module, build_essa=True, interprocedural=True)
-    disambiguator = PointerDisambiguator(analysis, memoize=False)
+    limit = resolved_class_limit()
     evaluation = AliasEvaluation()
     for function in module.defined_functions():
         pointers = collect_pointer_values(function)
         for i in range(len(pointers)):
-            loc_i = MemoryLocation(pointers[i], 1)
             for j in range(i + 1, len(pointers)):
-                loc_j = MemoryLocation(pointers[j], 1)
-                if disambiguator.no_alias(loc_i.pointer, loc_j.pointer):
+                if reference_disambiguate(pointers[i], pointers[j],
+                                          analysis.lt_sets, limit):
                     evaluation.no_alias += 1
                 else:
                     evaluation.may_alias += 1
     return evaluation
 
 
-def _cached_evaluate_module(session, program, cache):
-    """The batched fast path, routed through the ``Session`` facade.
+def _cached_evaluate_module(program, cache):
+    """The batched fast path over the shared analysis cache.
 
-    Always in-process: this figure measures per-query cost of the cached
-    engine against the seed path, and spawning a process pool per repeat
-    would measure pool start-up instead (cross-process sharding and store
-    warm-up have their own figure, ``bench_parallel_scaling``).  The module
-    was already e-SSA-converted by the untimed warm-up, so the engine
-    correctly declines to persist it; verdict counts stay bit-identical,
-    which the harness asserts against the seed path.
+    Analyses are memoized on ``cache``; the query loop re-runs on every
+    call, so repeats measure the per-query cost of the cached engine.
     """
-    result = session.evaluate(program.module, specs=(("lt",),),
-                              cache=cache, record_verdicts=False,
-                              memoize_evaluations=False)
-    return result.evaluation("lt")
+    return evaluate_module(
+        program.module,
+        StrictInequalityAliasAnalysis(program.module, cache=cache))
 
 
 def _time_repeats(thunk, repeats):
@@ -85,7 +77,7 @@ def _time_repeats(thunk, repeats):
     return time.perf_counter() - start, first
 
 
-def _measure_program(session, program):
+def _measure_program(program):
     module = program.module
     # Convert to e-SSA once, untimed: the conversion mutates the IR and is
     # therefore paid once by whichever path runs first; keeping it out of the
@@ -97,7 +89,7 @@ def _measure_program(session, program):
 
     cache = FunctionAnalysisCache()
     cached_seconds, cached_eval = _time_repeats(
-        lambda: _cached_evaluate_module(session, program, cache), REPEATS)
+        lambda: _cached_evaluate_module(program, cache), REPEATS)
 
     queries = seed_eval.total_queries * REPEATS
     # Bit-identical verdicts are part of the contract of the fast path.
@@ -116,13 +108,10 @@ def _measure_program(session, program):
 
 def test_query_throughput_cached_vs_seed(benchmark):
     programs = spec_benchmarks(PROGRAMS)
-    with Session() as session:
-        rows = [_measure_program(session, program) for program in programs]
+    rows = [_measure_program(program) for program in programs]
 
-        # pytest-benchmark tracks the cached path on one representative program.
-        representative = programs[0]
-        cache = FunctionAnalysisCache()
-        benchmark(_cached_evaluate_module, session, representative, cache)
+    # pytest-benchmark tracks the cached path on one representative program.
+    benchmark(_cached_evaluate_module, programs[0], FunctionAnalysisCache())
 
     total_seed = sum(row.pop("_seed_seconds") for row in rows)
     total_cached = sum(row.pop("_cached_seconds") for row in rows)

@@ -28,7 +28,6 @@ from repro.alias.tbaa import TypeBasedAliasAnalysis
 from repro.alias.aaeval import (
     AliasEvaluation,
     AliasEvaluator,
-    alias_many,
     collect_memory_locations,
     evaluate_function,
     evaluate_module,
@@ -46,7 +45,6 @@ __all__ = [
     "TypeBasedAliasAnalysis",
     "AliasEvaluation",
     "AliasEvaluator",
-    "alias_many",
     "collect_memory_locations",
     "evaluate_function",
     "evaluate_module",

@@ -10,14 +10,13 @@ and per benchmark suite.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.alias.interface import AliasAnalysis
+from repro.alias.interface import AliasAnalysis, verdict_codes
 from repro.alias.results import AliasResult, MemoryLocation
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction
 from repro.ir.module import Module
-from repro.ir.values import Argument, Value
+from repro.ir.values import Value
 
 
 class AliasEvaluation:
@@ -55,6 +54,16 @@ class AliasEvaluation:
         merged.partial_alias = self.partial_alias + other.partial_alias
         merged.must_alias = self.must_alias + other.must_alias
         return merged
+
+    @classmethod
+    def from_codes(cls, codes: str) -> "AliasEvaluation":
+        """Tally a verdict code string (:attr:`AliasResult.code` per pair)."""
+        evaluation = cls()
+        evaluation.no_alias = codes.count(AliasResult.NO_ALIAS.code)
+        evaluation.may_alias = codes.count(AliasResult.MAY_ALIAS.code)
+        evaluation.partial_alias = codes.count(AliasResult.PARTIAL_ALIAS.code)
+        evaluation.must_alias = codes.count(AliasResult.MUST_ALIAS.code)
+        return evaluation
 
     @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "AliasEvaluation":
@@ -105,69 +114,32 @@ def collect_memory_locations(function: Function,
 
     The seed evaluator allocated a fresh location per *pair* (O(n²)
     allocations); building them once here and passing the list to
-    :func:`alias_many` / :meth:`AliasAnalysis.alias_many` is the batched fast
-    path.
+    :meth:`AliasAnalysis.alias_many` is the batched fast path.
     """
     return [MemoryLocation(pointer, size)
             for pointer in collect_pointer_values(function)]
 
 
-def alias_many(analysis: AliasAnalysis,
-               locations: Sequence[MemoryLocation]) -> AliasEvaluation:
-    """Aggregate the verdicts of every unordered pair of ``locations``."""
-    evaluation = AliasEvaluation()
-    # Tally with local counters: one attribute store per batch instead of a
-    # method call per pair (this loop runs O(n²) times per function).
-    no = may = partial = must = 0
-    no_verdict = AliasResult.NO_ALIAS
-    must_verdict = AliasResult.MUST_ALIAS
-    partial_verdict = AliasResult.PARTIAL_ALIAS
-    for _i, _j, verdict in analysis.alias_many(locations):
-        if verdict is no_verdict:
-            no += 1
-        elif verdict is must_verdict:
-            must += 1
-        elif verdict is partial_verdict:
-            partial += 1
-        else:
-            may += 1
-    evaluation.no_alias = no
-    evaluation.may_alias = may
-    evaluation.partial_alias = partial
-    evaluation.must_alias = must
-    return evaluation
-
-
 def evaluate_function_verdicts(function: Function, analysis: AliasAnalysis,
                                size: Optional[int] = 1) -> "Tuple[AliasEvaluation, str]":
-    """Like :func:`evaluate_function`, but also record the verdict stream.
+    """Query every unordered pair of pointer values of ``function``.
 
     Returns ``(evaluation, codes)`` where ``codes`` is one
     :attr:`AliasResult.code` character per unordered pair in ``(i, j)``
-    iteration order.  The code string is what the cross-process engine
-    persists and compares to certify that sharded and store-warmed runs are
+    iteration order, and ``evaluation`` is tallied from it.  The code string
+    is what the cross-process engine merges into chain verdicts, persists
+    and compares to certify that sharded and store-warmed runs are
     bit-identical to the serial path.
     """
     analysis.prepare_function(function)
-    locations = collect_memory_locations(function, size)
-    evaluation = AliasEvaluation()
-    codes: List[str] = []
-    for _i, _j, verdict in analysis.alias_many(locations):
-        evaluation.record(verdict)
-        codes.append(verdict.code)
-    return evaluation, "".join(codes)
+    codes = verdict_codes(analysis, collect_memory_locations(function, size))
+    return AliasEvaluation.from_codes(codes), codes
 
 
 def evaluate_function(function: Function, analysis: AliasAnalysis,
                       size: Optional[int] = 1) -> AliasEvaluation:
-    """Query every unordered pair of pointer values of ``function``.
-
-    Locations are constructed once and the batched
-    :meth:`AliasAnalysis.alias_many` entry point is used, which yields
-    verdicts identical to the pair-by-pair loop.
-    """
-    analysis.prepare_function(function)
-    return alias_many(analysis, collect_memory_locations(function, size))
+    """The verdict counts of :func:`evaluate_function_verdicts`."""
+    return evaluate_function_verdicts(function, analysis, size)[0]
 
 
 def evaluate_module(module: Module, analysis: AliasAnalysis,

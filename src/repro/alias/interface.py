@@ -2,10 +2,42 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.alias.results import AliasResult, MemoryLocation
 from repro.ir.function import Function
+
+#: The code of the one verdict a chain asks past (:attr:`AliasResult.code`).
+_MAY_CODE = AliasResult.MAY_ALIAS.code
+
+
+def verdict_codes(analysis: "AliasAnalysis",
+                  locations: Sequence[MemoryLocation]) -> str:
+    """``analysis``'s verdict stream over ``locations`` as a code string.
+
+    One :attr:`AliasResult.code` character per unordered pair, in the
+    ``(i, j)`` order of :meth:`AliasAnalysis.alias_many`.
+    """
+    return "".join([verdict.code
+                    for _i, _j, verdict in analysis.alias_many(locations)])
+
+
+def chain_codes(streams: Sequence[str]) -> str:
+    """The chain rule over member verdict streams: the first definitive
+    answer wins.
+
+    ``streams`` are code strings (:func:`verdict_codes`) over the same
+    pairs, in chain order.  At every position the first code other than
+    MayAlias wins, exactly like :meth:`AliasAnalysisChain.alias`.  The chain
+    combinator and the execution engine both merge through this function.
+    """
+    merged = streams[0]
+    for codes in streams[1:]:
+        if _MAY_CODE not in merged:
+            break
+        merged = "".join([first if first != _MAY_CODE else later
+                          for first, later in zip(merged, codes)])
+    return merged
 
 
 class AliasAnalysis:
@@ -25,8 +57,7 @@ class AliasAnalysis:
     def alias(self, loc_a: MemoryLocation, loc_b: MemoryLocation) -> AliasResult:
         raise NotImplementedError  # pragma: no cover - interface
 
-    def alias_many(self, locations: Sequence[MemoryLocation],
-                   mask: Optional[Sequence[Tuple[int, int]]] = None) \
+    def alias_many(self, locations: Sequence[MemoryLocation]) \
             -> Iterator[Tuple[int, int, AliasResult]]:
         """Bulk query: yield ``(i, j, verdict)`` for every unordered pair.
 
@@ -37,17 +68,7 @@ class AliasAnalysis:
         analysis with its per-value tables) amortize it across the batch.
         Verdicts are identical to issuing :meth:`alias` pair by pair, in the
         same ``(i, j)`` iteration order.
-
-        ``mask``, when given, restricts the batch to exactly those ``(i, j)``
-        index pairs, yielded in the given order.  The chain combinator uses it
-        to hand later members only the pairs earlier members left unresolved,
-        so an expensive analysis never re-answers a query basicaa already
-        settled.
         """
-        if mask is not None:
-            for i, j in mask:
-                yield i, j, self.alias(locations[i], locations[j])
-            return
         count = len(locations)
         for i in range(count):
             loc_i = locations[i]
@@ -88,36 +109,20 @@ class AliasAnalysisChain(AliasAnalysis):
                 return result
         return result
 
-    def alias_many(self, locations: Sequence[MemoryLocation],
-                   mask: Optional[Sequence[Tuple[int, int]]] = None) \
+    def alias_many(self, locations: Sequence[MemoryLocation]) \
             -> Iterator[Tuple[int, int, AliasResult]]:
-        """Mask-passing merge of the members' batched answers.
+        """Lockstep merge of the members' full batched streams.
 
-        The first member answers the whole batch; every later member is asked
-        only about the pairs all earlier members answered MayAlias (the
-        "unresolved" mask).  Merging follows :meth:`alias` exactly — the first
-        definitive verdict in member order wins, and a resolved pair is never
-        shown to later members — so verdicts and their ``(i, j)`` order are
-        identical to the lockstep consumption of full streams, while the
-        expensive members skip every pair basicaa already settled.
+        Every member answers the whole batch; :func:`chain_codes` merges the
+        streams position by position, so verdicts and their ``(i, j)`` order
+        are identical to :meth:`alias` pair by pair.
         """
-        if mask is None:
-            count = len(locations)
-            pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
-        else:
-            pairs = [(i, j) for i, j in mask]
-        may_alias = AliasResult.MAY_ALIAS
-        verdicts: Dict[Tuple[int, int], AliasResult] = dict.fromkeys(pairs, may_alias)
-        unresolved = pairs
-        for analysis in self.analyses:
-            if not unresolved:
-                break
-            remaining: List[Tuple[int, int]] = []
-            for i, j, verdict in analysis.alias_many(locations, mask=unresolved):
-                if verdict is may_alias:
-                    remaining.append((i, j))
-                else:
-                    verdicts[(i, j)] = verdict
-            unresolved = remaining
-        for pair in pairs:
-            yield pair[0], pair[1], verdicts[pair]
+        codes = chain_codes([verdict_codes(analysis, locations)
+                             for analysis in self.analyses])
+        from_code = AliasResult.from_code
+        count = len(locations)
+        position = 0
+        for i in range(count):
+            for j in range(i + 1, count):
+                yield i, j, from_code(codes[position])
+                position += 1

@@ -332,9 +332,7 @@ class Session:
                  specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
                  *, cache: Optional[FunctionAnalysisCache] = None,
                  store: object = None,
-                 interprocedural: bool = True,
-                 record_verdicts: bool = True,
-                 memoize_evaluations: bool = True) -> UnitResult:
+                 interprocedural: bool = True) -> UnitResult:
         """``aa-eval`` an already compiled module in-process.
 
         Shares the session cache (pass ``cache=`` to substitute one) and the
@@ -355,9 +353,7 @@ class Session:
                 payload = _driver.worker_module.evaluate_module_functions(
                     module, None, specs,
                     cache if cache is not None else self.cache, store_obj,
-                    interprocedural=interprocedural,
-                    record_verdicts=record_verdicts,
-                    memoize_evaluations=memoize_evaluations)
+                    interprocedural=interprocedural)
                 _driver._write_back(store_obj, payload)
             finally:
                 if owned and store_obj is not None:

@@ -28,11 +28,12 @@ the union of the LT sets of its members.  The memoized check
 
 ``ordered(a, b)  ⇔  names(b) ∩ LT∪(a) ≠ ∅  or  names(a) ∩ LT∪(b) ≠ ∅``
 
-is set-for-set identical to the seed's pairwise loop, so verdicts are
-bit-identical; only the cost per query changes.  Pass ``memoize=False`` to
-get the original recompute-per-query behaviour (the throughput benchmark
-uses it as the baseline), and call :meth:`PointerDisambiguator.invalidate`
-after mutating the IR.
+is set-for-set identical to walking every name pair, so verdicts are
+bit-identical to the recompute-per-query reference
+(:func:`repro.verify.certificate.reference_disambiguate`, which the tests
+and the throughput benchmark compare against); only the cost per query
+changes.  Call :meth:`PointerDisambiguator.invalidate` after mutating the
+IR.
 """
 
 from __future__ import annotations
@@ -220,16 +221,14 @@ def decompose_pointer(pointer: Value) -> Tuple[Value, Optional[Value]]:
 class PointerDisambiguator:
     """Answers "are these two pointers provably different?" questions.
 
-    With ``memoize=True`` (the default) per-value tables are filled on first
-    use and reused across the whole O(n²) pair loop;
-    :meth:`disambiguate_pairs` bulk-fills them for a batch up front.
-    ``memoize=False`` restores the seed's recompute-per-query behaviour.
+    Per-value tables are filled on first use and reused across the whole
+    O(n²) pair loop; :meth:`disambiguate_pairs` bulk-fills them for a batch
+    up front, and :meth:`disambiguate` is its one-pair case.
     """
 
-    def __init__(self, analysis: LessThanAnalysis, memoize: bool = True,
+    def __init__(self, analysis: LessThanAnalysis,
                  class_limit: Optional[int] = None) -> None:
         self.analysis = analysis
-        self.memoize = memoize
         # Precedence: explicit argument > active ReproConfig >
         # REPRO_CLASS_LIMIT > default (64).  Pass 0 for "no truncation".
         if class_limit is None:
@@ -261,8 +260,6 @@ class PointerDisambiguator:
 
     # -- memoized lookups ----------------------------------------------------------
     def _canonical_of(self, value: Value) -> Value:
-        if not self.memoize:
-            return canonical_value(value)
         cached = self._canonical.get(value)
         if cached is None:
             cached = canonical_value(value)
@@ -270,8 +267,6 @@ class PointerDisambiguator:
         return cached
 
     def _decompose(self, pointer: Value) -> Tuple[Value, Optional[Value]]:
-        if not self.memoize:
-            return decompose_pointer(pointer)
         cached = self._decomposition.get(pointer)
         if cached is None:
             cached = decompose_pointer(pointer)
@@ -291,89 +286,32 @@ class PointerDisambiguator:
         for name in names:
             lt_union.update(lt_sets.get(name, ()))
         info = (frozenset(names), frozenset(lt_union))
-        if self.memoize:
-            self._names[value] = info
-            self.statistics.memoized_values = len(self._names)
+        self._names[value] = info
+        self.statistics.memoized_values = len(self._names)
         return info
 
-    # -- helpers ------------------------------------------------------------------------
-    def _ordered_with_equivalents(self, a: Value, b: Value) -> bool:
-        if not self.memoize:
-            # Seed path: recompute the classes and walk every name pair.
-            names_a = equivalent_names(a, limit=self.class_limit,
-                                       statistics=self.statistics)
-            names_b = equivalent_names(b, limit=self.class_limit,
-                                       statistics=self.statistics)
-            for name_a in names_a:
-                for name_b in names_b:
-                    if self.analysis.ordered(name_a, name_b):
-                        return True
-            return False
-        names_a, lt_a = self._class_info(a)
-        names_b, lt_b = self._class_info(b)
-        # ∃ na, nb with na < nb or nb < na  ⇔  the class of one side meets
-        # the union of LT sets of the other.
-        return not names_b.isdisjoint(lt_a) or not names_a.isdisjoint(lt_b)
-
-    # -- criteria ---------------------------------------------------------------------
-    def pointers_ordered(self, p1: Value, p2: Value) -> bool:
-        """Criterion 1: ``p1 ∈ LT(p2)`` or ``p2 ∈ LT(p1)`` (modulo copies)."""
-        return self._ordered_with_equivalents(p1, p2)
-
-    def indices_ordered(self, p1: Value, p2: Value) -> bool:
-        """Criterion 2: same base, and the offsets are strictly ordered variables."""
-        base1, index1 = self._decompose(p1)
-        base2, index2 = self._decompose(p2)
-        if index1 is None or index2 is None:
-            return False
-        if self._canonical_of(base1) is not self._canonical_of(base2):
-            return False
-        if not (_is_variable(index1) and _is_variable(index2)):
-            # The criterion explicitly requires variables; constant offsets
-            # are the job of range-based analyses (and of basicaa).
-            return False
-        return self._ordered_with_equivalents(index1, index2)
-
     # -- batched entry point ---------------------------------------------------------------
-    def disambiguate_pairs(self, pointers: List[Value],
-                           pairs: Optional[List[Tuple[int, int]]] = None):
+    def disambiguate_pairs(self, pointers: List[Value]):
         """Yield ``(i, j, reason)`` for every unordered pair of ``pointers``.
 
-        Verdicts are identical to calling :meth:`disambiguate` pair by pair in
-        the same order; the batch path hoists every per-value table lookup out
-        of the O(n²) loop, leaving only identity checks and frozenset
-        operations per pair.
+        The batch hoists every per-value table lookup out of the O(n²) loop,
+        leaving only identity checks and frozenset operations per pair:
 
-        ``pairs``, when given, restricts the batch to those ``(i, j)`` index
-        pairs (in the given order) and only builds tables for the pointers
-        they involve — the mask-passing entry point of the chain combinator,
-        which skips pairs an earlier analysis already resolved.
+        * criterion 1 — the class of one pointer meets the LT∪ of the other;
+        * criterion 2 — same canonical base, variable indices, and the class
+          of one index meets the LT∪ of the other.
         """
         if not TRACER.enabled:
-            return self._disambiguate_pairs(pointers, pairs)
+            return self._disambiguate_pairs(pointers)
         # The result is a lazily consumed generator, so a plain ``with``
         # around it would close the span before any pair is evaluated —
         # materialize inside the span instead (tracing runs only).
-        with TRACER.span("disambiguate.pairs", pointers=len(pointers),
-                         restricted=pairs is not None) as span:
-            results = list(self._disambiguate_pairs(pointers, pairs))
+        with TRACER.span("disambiguate.pairs", pointers=len(pointers)) as span:
+            results = list(self._disambiguate_pairs(pointers))
             span.annotate(pairs=len(results))
         return iter(results)
 
-    def _disambiguate_pairs(self, pointers: List[Value],
-                            pairs: Optional[List[Tuple[int, int]]] = None):
-        if not self.memoize:
-            if pairs is not None:
-                for i, j in pairs:
-                    yield i, j, self.disambiguate(pointers[i], pointers[j])
-                return
-            for i in range(len(pointers)):
-                for j in range(i + 1, len(pointers)):
-                    yield i, j, self.disambiguate(pointers[i], pointers[j])
-            return
-        if pairs is not None:
-            yield from self._disambiguate_pair_subset(pointers, pairs)
-            return
+    def _disambiguate_pairs(self, pointers: List[Value]):
         count = len(pointers)
         canon = [self._canonical_of(p) for p in pointers]
         classes = [self._class_info(p) for p in pointers]
@@ -416,61 +354,11 @@ class PointerDisambiguator:
                         continue
                 yield i, j, none
 
-    def _disambiguate_pair_subset(self, pointers: List[Value],
-                                  pairs: List[Tuple[int, int]]):
-        """The masked batch: tables only for the indices ``pairs`` mention."""
-        involved = sorted({index for pair in pairs for index in pair})
-        canon: Dict[int, Value] = {}
-        classes: Dict[int, Tuple[FrozenSet[Value], FrozenSet[Value]]] = {}
-        base_canon: Dict[int, Optional[Value]] = {}
-        index_class: Dict[int, Optional[Tuple[FrozenSet[Value], FrozenSet[Value]]]] = {}
-        for k in involved:
-            pointer = pointers[k]
-            canon[k] = self._canonical_of(pointer)
-            classes[k] = self._class_info(pointer)
-            base, index = self._decompose(pointer)
-            if index is not None and _is_variable(index):
-                base_canon[k] = self._canonical_of(base)
-                index_class[k] = self._class_info(index)
-            else:
-                base_canon[k] = None
-                index_class[k] = None
-        none = DisambiguationReason.NONE
-        ordered = DisambiguationReason.POINTERS_ORDERED
-        indexed = DisambiguationReason.INDICES_ORDERED
-        for i, j in pairs:
-            self.statistics.queries += 1
-            if canon[i] is canon[j]:
-                yield i, j, none
-                continue
-            names_i, lt_i = classes[i]
-            names_j, lt_j = classes[j]
-            if not names_j.isdisjoint(lt_i) or not names_i.isdisjoint(lt_j):
-                yield i, j, ordered
-                continue
-            index_i = index_class[i]
-            index_j = index_class[j]
-            if (index_i is not None and index_j is not None
-                    and base_canon[i] is base_canon[j]):
-                idx_names_i, idx_lt_i = index_i
-                idx_names_j, idx_lt_j = index_j
-                if (not idx_names_j.isdisjoint(idx_lt_i)
-                        or not idx_names_i.isdisjoint(idx_lt_j)):
-                    yield i, j, indexed
-                    continue
-            yield i, j, none
-
     # -- main entry point -----------------------------------------------------------------
     def disambiguate(self, p1: Value, p2: Value) -> DisambiguationReason:
         """Return the criterion proving ``p1`` and ``p2`` disjoint, if any."""
-        self.statistics.queries += 1
-        if self._canonical_of(p1) is self._canonical_of(p2):
-            return DisambiguationReason.NONE
-        if self.pointers_ordered(p1, p2):
-            return DisambiguationReason.POINTERS_ORDERED
-        if self.indices_ordered(p1, p2):
-            return DisambiguationReason.INDICES_ORDERED
-        return DisambiguationReason.NONE
+        _i, _j, reason = next(self._disambiguate_pairs([p1, p2]))
+        return reason
 
     def no_alias(self, p1: Value, p2: Value) -> bool:
         return bool(self.disambiguate(p1, p2))

@@ -95,38 +95,25 @@ class StrictInequalityAliasAnalysis(AliasAnalysis):
             return AliasResult.NO_ALIAS
         return AliasResult.MAY_ALIAS
 
-    def alias_many(self, locations, mask=None):
+    def alias_many(self, locations):
         """Batched queries through :meth:`PointerDisambiguator.disambiguate_pairs`.
 
         One table lookup per location instead of per pair; verdicts are
-        identical to issuing :meth:`alias` pair by pair.  ``mask`` restricts
-        the batch to the given ``(i, j)`` pairs (see
-        :meth:`AliasAnalysis.alias_many`); the chain combinator uses it so the
-        LT set operations are skipped for pairs basicaa already resolved.
+        identical to issuing :meth:`alias` pair by pair.
         """
         if not locations:
             return
         disambiguators = [self._disambiguator_for(location) for location in locations]
         disambiguator = disambiguators[0]
-        if any(d is not disambiguator for d in disambiguators):
-            # Mixed-function batches fall back to the generic pairwise path.
-            yield from super().alias_many(locations, mask)
-            return
-        if disambiguator is None:
-            if mask is not None:
-                for i, j in mask:
-                    yield i, j, AliasResult.MAY_ALIAS
-                return
-            for i in range(len(locations)):
-                for j in range(i + 1, len(locations)):
-                    yield i, j, AliasResult.MAY_ALIAS
+        if disambiguator is None or any(d is not disambiguator for d in disambiguators):
+            # Mixed-function or unanalysable batches take the pairwise path.
+            yield from super().alias_many(locations)
             return
         pointers = [location.pointer for location in locations]
-        pairs = list(mask) if mask is not None else None
         no_alias = AliasResult.NO_ALIAS
         may_alias = AliasResult.MAY_ALIAS
         none = DisambiguationReason.NONE
-        for i, j, reason in disambiguator.disambiguate_pairs(pointers, pairs):
+        for i, j, reason in disambiguator.disambiguate_pairs(pointers):
             yield i, j, (may_alias if reason is none else no_alias)
 
     # -- introspection ---------------------------------------------------------------------

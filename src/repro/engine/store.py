@@ -75,7 +75,10 @@ except ImportError:  # pragma: no cover
 #: v6: persisted SolverInfo counters drop the per-order pop tallies and the
 #:     interval-kernel fields (``pops`` is a plain count).  ``aaeval-5``
 #:     stores are cleared on the first writable open, as above.
-STORE_VERSION = "aaeval-6"
+#: v7: the lt disambiguator's persisted ``statistics.queries`` counts each
+#:     pair once (every analysis answers a pair once per function, chains
+#:     merge the member streams).  ``aaeval-6`` stores are cleared as above.
+STORE_VERSION = "aaeval-7"
 
 
 def default_store_max_bytes() -> Optional[int]:

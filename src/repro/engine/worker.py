@@ -34,14 +34,10 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.config import ReproConfig, install_config, resolved_verify
-from repro.alias.aaeval import (
-    AliasEvaluation,
-    evaluate_function,
-    evaluate_function_verdicts,
-)
+from repro.alias.aaeval import AliasEvaluation, evaluate_function_verdicts
 from repro.alias.basicaa import BasicAliasAnalysis
 from repro.alias.andersen import AndersenAliasAnalysis
-from repro.alias.interface import AliasAnalysis, AliasAnalysisChain
+from repro.alias.interface import AliasAnalysis, chain_codes
 from repro.alias.steensgaard import SteensgaardAliasAnalysis
 from repro.alias.tbaa import TypeBasedAliasAnalysis
 from repro.core.disambiguation import DisambiguationStatistics
@@ -90,8 +86,9 @@ def initialize_worker(src_path: Optional[str],
             TRACER.enable()
 
 
-def _member_analysis(member: str, module: Module, cache: FunctionAnalysisCache,
-                     interprocedural: bool) -> AliasAnalysis:
+def build_analysis(member: str, module: Module, cache: FunctionAnalysisCache,
+                   interprocedural: bool = True) -> AliasAnalysis:
+    """Instantiate one analysis spec member (``basicaa``, ``lt``, ...)."""
     if member == "basicaa":
         return BasicAliasAnalysis()
     if member == "lt":
@@ -104,17 +101,6 @@ def _member_analysis(member: str, module: Module, cache: FunctionAnalysisCache,
     if member == "tbaa":
         return TypeBasedAliasAnalysis()
     raise KeyError("unknown analysis spec member {!r}".format(member))
-
-
-def build_analysis(spec: Sequence[str], module: Module,
-                   cache: FunctionAnalysisCache,
-                   interprocedural: bool = True) -> AliasAnalysis:
-    """Instantiate one analysis configuration (a member or a chain)."""
-    members = [_member_analysis(member, module, cache, interprocedural)
-               for member in spec]
-    if len(members) == 1:
-        return members[0]
-    return AliasAnalysisChain(members, name=spec_label(spec))
 
 
 def module_content_text(module: Module) -> str:
@@ -155,8 +141,6 @@ def evaluate_module_functions(module: Module,
                               cache: Optional[FunctionAnalysisCache] = None,
                               store: Optional[AnalysisStore] = None,
                               interprocedural: bool = True,
-                              record_verdicts: bool = True,
-                              memoize_evaluations: bool = True,
                               name: Optional[str] = None) -> Dict[str, object]:
     """Evaluate ``specs`` over (a shard of) ``module``'s functions.
 
@@ -164,18 +148,14 @@ def evaluate_module_functions(module: Module,
     already compiled module (the serial fallback needs no pickling and no
     subprocesses).  Returns the payload described in the module docstring.
 
-    ``memoize_evaluations=False`` disables the per-(function, label) payload
-    memo on the cache, so repeated calls re-run the query loop over the
-    (still memoized) analyses — what a throughput measurement of the query
-    engine itself wants.  With a store the memo is always on: warm-loading
-    is what the store is for.
+    Each analysis is evaluated once per function: every distinct spec member
+    answers all pairs once (:func:`evaluate_function_verdicts`), a spec's
+    codes are the :func:`chain_codes` merge of its members' streams, and its
+    counts are tallied from those codes.  A single-member spec whose record
+    hit the cache or the store lends its codes to the chains containing it.
     """
-    if store is not None:
-        memoize_evaluations = True
     cache = cache if cache is not None else FunctionAnalysisCache()
     functions = _shard_functions(module, function_names)
-    if store is not None:
-        record_verdicts = True  # store entries must carry the verdict stream
     labels = [spec_label(spec) for spec in specs]
     # Interprocedural and intraprocedural LT runs produce different facts for
     # the same IR, so the mode must be part of every memoization key — both
@@ -218,58 +198,60 @@ def evaluate_module_functions(module: Module,
         module_hash = ""
         store_hits = store_misses = 0
 
-    analyses: Dict[str, AliasAnalysis] = {}
-    prepared = False
+    records = {(function.name, label): cache.get_evaluation(
+                   function, label + mode_suffix)
+               for function in functions for label in labels}
+    # Member verdict streams per (function name, member).  A single-member
+    # spec whose record hit the cache or the store lends its codes.
+    streams: Dict[Tuple[str, str], str] = {}
+    for spec, label in zip(specs, labels):
+        for function in functions:
+            record = records[(function.name, label)]
+            if record is not None and len(spec) == 1:
+                streams[(function.name, label)] = record["codes"]
+    members: Dict[str, AliasAnalysis] = {}
+
+    def member_codes(function, member: str) -> str:
+        codes = streams.get((function.name, member))
+        if codes is None:
+            if not members:
+                # Pipeline convention: every path evaluates the
+                # e-SSA-converted module (RangeAnalysis -> vSSA -> queries,
+                # like the original artifact), so verdicts do not depend on
+                # which specs run or hit.
+                for defined in module.defined_functions():
+                    cache.ensure_essa(defined)
+            if member not in members:
+                members[member] = build_analysis(member, module, cache,
+                                                 interprocedural)
+            _evaluation, codes = evaluate_function_verdicts(
+                function, members[member])
+            streams[(function.name, member)] = codes
+        return codes
+
     new_entries: List[Tuple[str, object]] = []
     label_payloads: Dict[str, Dict[str, object]] = {}
-    for spec in specs:
-        label = spec_label(spec)
-        cache_label = label + mode_suffix
+    for spec, label in zip(specs, labels):
         merged = AliasEvaluation()
         verdicts: Dict[str, str] = {}
         for function in functions:
-            record = (cache.get_evaluation(function, cache_label)
-                      if memoize_evaluations else None)
+            record = records[(function.name, label)]
             if record is None:
-                if not prepared:
-                    # Pipeline convention: every path evaluates the
-                    # e-SSA-converted module (RangeAnalysis -> vSSA -> queries,
-                    # like the original artifact), so verdicts do not depend
-                    # on which specs run or hit.
-                    for defined in module.defined_functions():
-                        cache.ensure_essa(defined)
-                    prepared = True
-                if label not in analyses:
-                    analyses[label] = build_analysis(spec, module, cache,
-                                                     interprocedural)
-                analysis = analyses[label]
-                if record_verdicts:
-                    evaluation, codes = evaluate_function_verdicts(function, analysis)
-                    record = {"counts": evaluation.as_dict(), "codes": codes}
-                else:
-                    evaluation = evaluate_function(function, analysis)
-                    record = {"counts": evaluation.as_dict()}
-                if memoize_evaluations:
-                    cache.put_evaluation(function, cache_label, record)
+                codes = chain_codes([member_codes(function, member)
+                                     for member in spec])
+                record = {"counts": AliasEvaluation.from_codes(codes).as_dict(),
+                          "codes": codes}
+                cache.put_evaluation(function, label + mode_suffix, record)
                 if store is not None:
                     new_entries.append((keys[(function.name, label)], record))
             merged = merged.merge(AliasEvaluation.from_dict(record["counts"]))
-            if "codes" in record:
-                verdicts[function.name] = record["codes"]
+            verdicts[function.name] = record["codes"]
         label_payloads[label] = {"counts": merged.as_dict(), "verdicts": verdicts}
 
     statistics = DisambiguationStatistics()
-    seen_disambiguators = set()
-    for analysis in analyses.values():
-        members = (analysis.analyses if isinstance(analysis, AliasAnalysisChain)
-                   else [analysis])
-        for member in members:
-            if not isinstance(member, StrictInequalityAliasAnalysis):
-                continue
+    for member in members.values():
+        if isinstance(member, StrictInequalityAliasAnalysis):
             for disambiguator in member.disambiguators():
-                if id(disambiguator) in seen_disambiguators:
-                    continue
-                seen_disambiguators.add(id(disambiguator))
                 statistics = statistics.merge(disambiguator.statistics)
 
     touched_keys: List[str] = []
@@ -282,9 +264,9 @@ def evaluate_module_functions(module: Module,
     # call actually solved something (warm runs re-check nothing).
     verify_report = None
     verify_mode = resolved_verify()
-    if (verify_mode != "off" and prepared
+    if (verify_mode != "off" and members
             and (verify_mode == "paranoid" or not _IN_POOL_WORKER)):
-        verify_report = _verify_prepared_analyses(analyses)
+        verify_report = _verify_prepared_analyses(members)
         if verify_report is not None and not _IN_POOL_WORKER:
             verify_report.raise_if_failed(
                 "REPRO_VERIFY={}".format(verify_mode))
@@ -312,26 +294,11 @@ def evaluate_module_functions(module: Module,
 
 
 def _verify_prepared_analyses(
-        analyses: Dict[str, AliasAnalysis]) -> Optional[VerificationReport]:
-    """Run the self-check suite over every freshly solved LT analysis.
-
-    Chained specs share cached underlying analyses, so runs are deduplicated
-    by the identity of the prepared analysis object, mirroring the
-    disambiguator-statistics loop above.
-    """
+        members: Dict[str, AliasAnalysis]) -> Optional[VerificationReport]:
+    """Run the self-check suite over the freshly solved LT analysis."""
     report: Optional[VerificationReport] = None
-    seen = set()
-    for analysis in analyses.values():
-        members = (analysis.analyses if isinstance(analysis, AliasAnalysisChain)
-                   else [analysis])
-        for member in members:
-            if not isinstance(member, StrictInequalityAliasAnalysis):
-                continue
-            underlying = member.analysis
-            marker = id(underlying) if underlying is not None else id(member)
-            if marker in seen:
-                continue
-            seen.add(marker)
+    for member in members.values():
+        if isinstance(member, StrictInequalityAliasAnalysis):
             sub = verify_alias_analysis(member)
             report = sub if report is None else report.merge(sub)
     return report

@@ -22,8 +22,13 @@ class LexerError(Exception):
 
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__("{} (line {}, column {})".format(message, line, column))
+        self.message = message
         self.line = line
         self.column = column
+
+    def __reduce__(self):
+        # Round-trips through pickle (pool workers ship exceptions).
+        return (type(self), (self.message, self.line, self.column))
 
 
 class Token(NamedTuple):

@@ -14,7 +14,13 @@ class ParseError(Exception):
     def __init__(self, message: str, token: Token) -> None:
         super().__init__("{} at line {}, column {} (near {!r})".format(
             message, token.line, token.column, token.text or "<eof>"))
+        self.message = message
         self.token = token
+
+    def __reduce__(self):
+        # Pool workers ship exceptions by pickle; the default reduction
+        # replays ``args`` (the formatted text) and misses ``token``.
+        return (type(self), (self.message, self.token))
 
 
 #: binary operator precedence (larger binds tighter); assignment is handled

@@ -216,15 +216,18 @@ def check_lt_certificate(constraints: Sequence[Constraint],
 # ---------------------------------------------------------------------------
 
 def _ordered_witness(a: Value, b: Value,
-                     lt_sets: Dict[Value, FrozenSet[Value]]) -> bool:
+                     lt_sets: Dict[Value, FrozenSet[Value]],
+                     limit: Optional[int] = None) -> bool:
     """``∃ na ∈ names(a), nb ∈ names(b): na < nb or nb < na`` — from scratch.
 
-    Classes are re-walked with no memoization and no truncation limit:
-    truncation can only lose legitimate witnesses, never invent one, so the
-    unlimited walk accepts everything the production tables could justify.
+    Classes are re-walked with no memoization.  The audit passes no
+    ``limit``: truncation can only lose legitimate witnesses, never invent
+    one, so the unlimited walk accepts everything the production tables
+    could justify.  :func:`reference_disambiguate` passes the production
+    limit to reproduce its verdicts exactly.
     """
-    names_a = set(equivalent_names(a, limit=None))
-    names_b = set(equivalent_names(b, limit=None))
+    names_a = set(equivalent_names(a, limit=limit))
+    names_b = set(equivalent_names(b, limit=limit))
     lt_a: Set[Value] = set()
     for name in names_a:
         lt_a.update(lt_sets.get(name, ()))
@@ -234,6 +237,31 @@ def _ordered_witness(a: Value, b: Value,
     for name in names_b:
         lt_b.update(lt_sets.get(name, ()))
     return not names_a.isdisjoint(lt_b)
+
+
+def reference_disambiguate(p1: Value, p2: Value,
+                           lt_sets: Dict[Value, FrozenSet[Value]],
+                           limit: Optional[int] = None) -> DisambiguationReason:
+    """Definition 3.11 recomputed per query, with no tables.
+
+    The reference the memoized :class:`PointerDisambiguator` is compared
+    against: with ``limit`` set to its ``class_limit``, the reasons are
+    identical pair for pair.
+    """
+    if canonical_value(p1) is canonical_value(p2):
+        return DisambiguationReason.NONE
+    if _ordered_witness(p1, p2, lt_sets, limit):
+        return DisambiguationReason.POINTERS_ORDERED
+    base1, index1 = decompose_pointer(p1)
+    base2, index2 = decompose_pointer(p2)
+    # Criterion 2 requires variable indices; constant offsets are the job
+    # of range-based analyses (and of basicaa).
+    if (index1 is not None and index2 is not None
+            and canonical_value(base1) is canonical_value(base2)
+            and _is_variable(index1) and _is_variable(index2)
+            and _ordered_witness(index1, index2, lt_sets, limit)):
+        return DisambiguationReason.INDICES_ORDERED
+    return DisambiguationReason.NONE
 
 
 def audit_verdicts(function: Function, disambiguator: PointerDisambiguator,

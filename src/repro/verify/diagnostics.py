@@ -145,6 +145,7 @@ class VerifyError(Exception):
 
     def __init__(self, report: VerificationReport, context: str = "") -> None:
         self.report = report
+        self.context = context
         head = [d.format() for d in report.errors[:5]]
         more = len(report.errors) - len(head)
         if more > 0:
@@ -152,3 +153,7 @@ class VerifyError(Exception):
         prefix = "{}: ".format(context) if context else ""
         super().__init__("{}verification failed ({}):\n  {}".format(
             prefix, report.summary(), "\n  ".join(head)))
+
+    def __reduce__(self):
+        # Round-trips through pickle (pool workers ship exceptions).
+        return (type(self), (self.report, self.context))

@@ -77,15 +77,14 @@ def test_alias_evaluator_collects_rows():
 
 
 def test_alias_many_matches_pairwise_queries():
-    from repro.alias import alias_many, collect_memory_locations
+    from repro.alias import collect_memory_locations
 
     module, function = build_two_index_loop_module()
     sraa = StrictInequalityAliasAnalysis(module)
     chain = AliasAnalysisChain([BasicAliasAnalysis(), sraa], name="ba+lt")
     for analysis in (BasicAliasAnalysis(), sraa, chain):
-        analysis.prepare_function(function)
+        batched = evaluate_function(function, analysis)
         locations = collect_memory_locations(function)
-        batched = alias_many(analysis, locations)
         expected = AliasEvaluation()
         for i in range(len(locations)):
             for j in range(i + 1, len(locations)):

@@ -1,4 +1,8 @@
-"""Mask-passing batched queries: the chain skips already-resolved pairs."""
+"""Batched chain queries: a lockstep merge of the members' full streams.
+
+Every member answers the whole batch once and :func:`chain_codes` merges
+the streams position by position; these tests pin that contract.
+"""
 
 from repro.alias import (
     AliasAnalysis,
@@ -9,6 +13,7 @@ from repro.alias import (
     evaluate_module,
 )
 from repro.alias.aaeval import collect_memory_locations
+from repro.alias.interface import chain_codes, verdict_codes
 from repro.core import StrictInequalityAliasAnalysis
 from repro.frontend import compile_source
 from repro.passes import FunctionAnalysisCache
@@ -48,31 +53,41 @@ def _work_locations():
 
 
 def test_base_alias_many_honours_mask():
+    """The base batch covers every unordered pair, each verdict as alias()."""
     _module, _function, locations = _work_locations()
     analysis = BasicAliasAnalysis()
-    mask = [(0, 1), (0, 3), (2, 3)]
-    results = list(analysis.alias_many(locations, mask=mask))
-    assert [(i, j) for i, j, _verdict in results] == mask
+    count = len(locations)
+    results = list(analysis.alias_many(locations))
+    assert [(i, j) for i, j, _verdict in results] == [
+        (i, j) for i in range(count) for j in range(i + 1, count)]
     for i, j, verdict in results:
         assert verdict is analysis.alias(locations[i], locations[j])
 
 
 def test_chain_skips_pairs_resolved_by_earlier_members():
+    """Every member answers each pair once; an earlier definitive answer
+    wins the merge, so later members' answers on those pairs are dropped."""
     _module, _function, locations = _work_locations()
     count = len(locations)
     all_pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
-    # The first member resolves every pair involving location 0.
+    # The first member resolves every pair involving location 0; the second
+    # would call every pair MustAlias.
     resolved = {(locations[0].pointer.name, locations[j].pointer.name)
                 for j in range(1, count)}
+    everything = {(a.pointer.name, b.pointer.name)
+                  for a in locations for b in locations}
     first = CountingAnalysis("first", resolved)
-    second = CountingAnalysis("second", set())
+    second = CountingAnalysis("second", everything, AliasResult.MUST_ALIAS)
     chain = AliasAnalysisChain([first, second], name="chain")
 
     verdicts = list(chain.alias_many(locations))
     assert [(i, j) for i, j, _verdict in verdicts] == all_pairs
     assert len(first.queried) == len(all_pairs)
-    # The second member was only asked about pairs the first left unresolved.
-    assert len(second.queried) == len(all_pairs) - (count - 1)
+    assert len(second.queried) == len(all_pairs)
+    for i, j, verdict in verdicts:
+        expected = (AliasResult.NO_ALIAS if i == 0
+                    else AliasResult.MUST_ALIAS)
+        assert verdict is expected, (i, j)
 
 
 def test_chain_mask_verdicts_match_pairwise_alias():
@@ -88,31 +103,32 @@ def test_chain_mask_verdicts_match_pairwise_alias():
 
 
 def test_chain_accepts_caller_mask():
+    """The chain's stream is the shared :func:`chain_codes` merge of its
+    members' code streams — the rule the execution engine applies too."""
     module, function, locations = _work_locations()
     cache = FunctionAnalysisCache()
-    chain = AliasAnalysisChain(
-        [BasicAliasAnalysis(),
-         StrictInequalityAliasAnalysis(module, cache=cache)],
-        name="ba+lt")
+    ba = BasicAliasAnalysis()
+    lt = StrictInequalityAliasAnalysis(module, cache=cache)
+    chain = AliasAnalysisChain([ba, lt], name="ba+lt")
     chain.prepare_function(function)
-    mask = [(0, 2), (1, 4), (3, 5)]
-    results = list(chain.alias_many(locations, mask=mask))
-    assert [(i, j) for i, j, _verdict in results] == mask
-    for i, j, verdict in results:
-        assert verdict is chain.alias(locations[i], locations[j])
+    merged = chain_codes([verdict_codes(ba, locations),
+                          verdict_codes(lt, locations)])
+    assert verdict_codes(chain, locations) == merged
+    assert "N" in merged and "M" in merged
 
 
 def test_sraa_disambiguate_pairs_subset_matches_full():
+    """A batch over a subset of the locations answers its pairs exactly
+    like the full batch does."""
     module, function, locations = _work_locations()
     cache = FunctionAnalysisCache()
     lt = StrictInequalityAliasAnalysis(module, cache=cache)
     lt.prepare_function(function)
     full = {(i, j): verdict for i, j, verdict in lt.alias_many(locations)}
-    subset = [(i, j) for (i, j) in full if (i + j) % 2 == 0]
-    masked = list(lt.alias_many(locations, mask=subset))
-    assert [(i, j) for i, j, _verdict in masked] == subset
-    for i, j, verdict in masked:
-        assert verdict is full[(i, j)]
+    kept = [k for k in range(len(locations)) if k % 2 == 0]
+    subset = [locations[k] for k in kept]
+    for i, j, verdict in lt.alias_many(subset):
+        assert verdict is full[(kept[i], kept[j])]
 
 
 def test_chain_evaluation_counts_unchanged_by_mask_passing():

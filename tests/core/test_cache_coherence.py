@@ -14,18 +14,18 @@ from repro.alias import (
     AliasAnalysisChain,
     BasicAliasAnalysis,
     MemoryLocation,
-    alias_many,
     collect_memory_locations,
+    evaluate_function,
     evaluate_module,
 )
 from repro.alias.aaeval import AliasEvaluation, collect_pointer_values
 from repro.core import (
     LessThanAnalysis,
-    PointerDisambiguator,
     StrictInequalityAliasAnalysis,
 )
 from repro.passes import FunctionAnalysisCache
 from repro.synth import build_testsuite_programs, spec_benchmarks
+from repro.verify.certificate import reference_disambiguate
 
 
 def _workload_pair():
@@ -50,13 +50,13 @@ def _lt_sets_by_name(analysis):
     return by_name
 
 
-def _reasons_by_name(module, disambiguator):
+def _reasons_by_name(module, disambiguate):
     reasons = {}
     for function in module.defined_functions():
         pointers = collect_pointer_values(function)
         for i in range(len(pointers)):
             for j in range(i + 1, len(pointers)):
-                reason = disambiguator.disambiguate(pointers[i], pointers[j])
+                reason = disambiguate(pointers[i], pointers[j])
                 reasons[(function.name, pointers[i].name, pointers[j].name)] = reason
     return reasons
 
@@ -77,9 +77,13 @@ def test_cached_and_uncached_disambiguation_reasons_are_identical():
         cached_disambiguator = cache.module_disambiguator(cached_program.module)
         seed_analysis = LessThanAnalysis(seed_program.module, build_essa=True,
                                          interprocedural=True)
-        seed_disambiguator = PointerDisambiguator(seed_analysis, memoize=False)
-        cached_reasons = _reasons_by_name(cached_program.module, cached_disambiguator)
-        seed_reasons = _reasons_by_name(seed_program.module, seed_disambiguator)
+        limit = cached_disambiguator.class_limit
+        cached_reasons = _reasons_by_name(cached_program.module,
+                                          cached_disambiguator.disambiguate)
+        seed_reasons = _reasons_by_name(
+            seed_program.module,
+            lambda a, b: reference_disambiguate(a, b, seed_analysis.lt_sets,
+                                                limit))
         assert cached_reasons == seed_reasons, cached_program.name
 
 
@@ -99,13 +103,13 @@ def test_cached_and_uncached_aaeval_counts_are_identical():
 
 
 def test_batched_engine_matches_pairwise_queries():
-    """alias_many must agree with pair-by-pair alias() on the same module."""
+    """The batched evaluation must agree with pair-by-pair alias()."""
     program = spec_benchmarks(["lbm"])[0]
     cache = FunctionAnalysisCache()
     lt = StrictInequalityAliasAnalysis(program.module, cache=cache)
     for function in program.module.defined_functions():
         locations = collect_memory_locations(function)
-        batched = alias_many(lt, locations)
+        batched = evaluate_function(function, lt)
         pairwise = AliasEvaluation()
         for i in range(len(locations)):
             for j in range(i + 1, len(locations)):

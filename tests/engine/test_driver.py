@@ -222,16 +222,55 @@ def test_interprocedural_modes_do_not_share_entries(session, tmp_path):
 
 
 def test_memoize_evaluations_off_reruns_queries(session):
+    """Evaluation payloads are always memoized on the cache: a repeat call
+    over the same cache re-runs no query and agrees with the first."""
     module = compile_source(SOURCE, module_name="prog")
     cache = FunctionAnalysisCache()
     first = session.evaluate(module, specs=(("lt",),), cache=cache,
-                             store=False, memoize_evaluations=False)
+                             store=False)
+    functions = len(list(module.defined_functions()))
+    assert cache.evaluation_count() == functions
+    assert first.statistics.queries > 0
     second = session.evaluate(module, specs=(("lt",),), cache=cache,
-                              store=False, memoize_evaluations=False)
-    # No payloads were memoized — each call re-ran the query loop over the
-    # shared (memoized) analyses — and the results agree.
-    assert cache.evaluation_count() == 0
+                              store=False)
+    assert cache.evaluation_count() == functions
+    assert second.statistics.queries == 0
     assert second.evaluation("lt").as_dict() == first.evaluation("lt").as_dict()
+
+
+def test_each_analysis_answers_each_pair_once(session, monkeypatch):
+    """Over DEFAULT_SPECS, basicaa answers every pair once (its own spec and
+    the basicaa+lt chain share one stream) and lt is asked once per pair."""
+    from repro.alias import BasicAliasAnalysis
+    from repro.alias.aaeval import collect_pointer_values
+    from repro.engine import DEFAULT_SPECS
+
+    calls = []
+    original = BasicAliasAnalysis.alias
+
+    def counting_alias(self, loc_a, loc_b):
+        calls.append((loc_a.pointer, loc_b.pointer))
+        return original(self, loc_a, loc_b)
+
+    monkeypatch.setattr(BasicAliasAnalysis, "alias", counting_alias)
+    module = compile_source(SOURCE, module_name="prog")
+    pairs = 0
+    expected_calls = []
+    for function in module.defined_functions():
+        pointers = collect_pointer_values(function)
+        pairs += len(pointers) * (len(pointers) - 1) // 2
+        expected_calls.extend((pointers[i], pointers[j])
+                              for i in range(len(pointers))
+                              for j in range(i + 1, len(pointers)))
+    assert pairs > 0
+    result = session.evaluate(module, specs=DEFAULT_SPECS,
+                              cache=FunctionAnalysisCache(), store=False)
+    assert len(calls) == pairs
+    assert ({(id(a), id(b)) for a, b in calls}
+            == {(id(a), id(b)) for a, b in expected_calls})
+    assert result.statistics.queries == pairs
+    for label in ("basicaa", "lt", "basicaa+lt"):
+        assert result.evaluation(label).total_queries == pairs
 
 
 def test_store_version_mismatch_recomputes(session, tmp_path):

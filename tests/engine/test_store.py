@@ -176,10 +176,20 @@ def test_store_version_aaeval4_to_aaeval5_migration(tmp_path, backend):
 
 
 def test_store_version_aaeval5_to_aaeval6_migration(tmp_path, backend):
-    """The SolverInfo-shape bump: stale ``aaeval-5`` entries never serve."""
-    assert STORE_VERSION == "aaeval-6"
+    """The SolverInfo-shape bump: stale ``aaeval-5`` entries never serve,
+    also under the versions that came after ``aaeval-6``."""
+    assert STORE_VERSION not in ("aaeval-5", "aaeval-6")
     _assert_stale_version_never_serves(str(tmp_path / "store.bin"), backend,
                                        "aaeval-5")
+
+
+def test_store_version_aaeval6_to_aaeval7_migration(tmp_path, backend):
+    """The once-per-pair bump: the lt disambiguator's persisted
+    ``statistics.queries`` now counts each pair once, so stale ``aaeval-6``
+    entries never serve."""
+    assert STORE_VERSION == "aaeval-7"
+    _assert_stale_version_never_serves(str(tmp_path / "store.bin"), backend,
+                                       "aaeval-6")
 
 
 def test_text_hash_is_stable():
