@@ -31,14 +31,11 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
 def full_scale() -> bool:
-    """True when the full-scale (paper-sized) configuration is requested.
+    """True when ``REPRO_FULL`` requests the full-scale (paper-sized)
+    configuration; an invalid value raises ``ConfigError``."""
+    from repro.api.config import env_flag
 
-    Reads the active :class:`repro.api.ReproConfig` / ``REPRO_FULL``
-    through the validated config boundary.
-    """
-    from repro.api.config import resolved_full_scale
-
-    return resolved_full_scale()
+    return env_flag("REPRO_FULL")
 
 
 def union_fieldnames(rows: Sequence[Dict[str, object]]) -> List[str]:

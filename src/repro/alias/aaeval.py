@@ -128,7 +128,7 @@ def evaluate_function_verdicts(function: Function, analysis: AliasAnalysis,
     :attr:`AliasResult.code` character per unordered pair in ``(i, j)``
     iteration order, and ``evaluation`` is tallied from it.  The code string
     is what the cross-process engine merges into chain verdicts, persists
-    and compares to certify that sharded and store-warmed runs are
+    and compares to certify that pooled and store-warmed runs are
     bit-identical to the serial path.
     """
     analysis.prepare_function(function)

@@ -39,7 +39,7 @@ class AliasResult(enum.Enum):
         """One-character encoding used by the cross-process engine.
 
         Verdict streams are serialized as compact strings so that per-pair
-        results can be compared bit-for-bit between serial, sharded and
+        results can be compared bit-for-bit between serial, pooled and
         store-warmed evaluation runs (and persisted cheaply).
         """
         return _RESULT_CODES[self]

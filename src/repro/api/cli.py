@@ -33,12 +33,7 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api.config import (
-    ConfigError,
-    ReproConfig,
-    STORE_BACKENDS,
-    VERIFY_MODES,
-)
+from repro.api.config import ConfigError, ReproConfig, VERIFY_MODES
 from repro.obs import TRACER
 
 #: analysis members accepted inside an ``--specs`` item.
@@ -55,8 +50,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                        help="worker-process count (0 = serial)")
     group.add_argument("--store", default=None, metavar="PATH",
                        help="persistent analysis-store path")
-    group.add_argument("--store-backend", default=None,
-                       choices=STORE_BACKENDS, help="force a store backend")
     group.add_argument("--store-max-mb", type=float, default=None, metavar="MB",
                        help="store byte budget (0 = unbounded)")
     group.add_argument("--class-limit", type=int, default=None, metavar="N",
@@ -78,7 +71,6 @@ def _config_from_arguments(args: argparse.Namespace) -> ReproConfig:
     for field, attribute in (
             ("workers", "workers"),
             ("store_path", "store"),
-            ("store_backend", "store_backend"),
             ("store_max_mb", "store_max_mb"),
             ("class_limit", "class_limit"),
             ("verify", "verify"),
@@ -458,9 +450,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             else:
                 from repro.engine.store import AnalysisStore
 
-                with AnalysisStore(path,
-                                   backend=session.config.store_backend,
-                                   readonly=True, max_bytes=0) as store_handle:
+                with AnalysisStore(path, readonly=True,
+                                   max_bytes=0) as store_handle:
                     for key, value in store_handle.info().items():
                         print("  {:24s} {}".format(key, value))
         if args.timings:
@@ -473,14 +464,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     from repro.engine.store import AnalysisStore
 
-    backend = args.store_backend
     if not os.path.exists(args.path):
         # Opening a writable store would silently create a fresh file at a
         # mistyped path; fail loudly instead.
         raise ConfigError("no analysis store at {!r}".format(args.path))
     if args.action == "info":
-        store = AnalysisStore(args.path, backend=backend, readonly=True,
-                              max_bytes=0)
+        store = AnalysisStore(args.path, readonly=True, max_bytes=0)
         try:
             info = store.info()
         finally:
@@ -492,13 +481,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
         if args.max_mb is None:
             raise ConfigError("store evict needs --max-mb")
         budget = int(args.max_mb * 1024 * 1024)
-        with AnalysisStore(args.path, backend=backend, max_bytes=0) as store:
+        with AnalysisStore(args.path, max_bytes=0) as store:
             evicted = store.evict(budget)
             remaining = store.size_bytes()
         print("evicted {} entries; {} bytes remain".format(evicted, remaining))
         return 0
     # clear
-    with AnalysisStore(args.path, backend=backend, max_bytes=0) as store:
+    with AnalysisStore(args.path, max_bytes=0) as store:
         entries = len(store)
         store.clear()
     print("cleared {} entries".format(entries))
@@ -581,9 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_parser.add_argument("path", help="store path")
     store_parser.add_argument("--max-mb", type=float, default=None,
                               metavar="MB", help="evict down to this budget")
-    store_parser.add_argument("--store-backend", default=None,
-                              choices=("sqlite", "pickle"),
-                              help="force a store backend")
     store_parser.set_defaults(handler=_cmd_store)
 
     return parser

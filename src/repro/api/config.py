@@ -37,12 +37,10 @@ field                environment variable     default
 ===================  =======================  ==========================
 ``workers``          ``REPRO_WORKERS``        ``0`` (serial)
 ``store_path``       ``REPRO_STORE``          ``None`` (no persistence)
-``store_backend``    ``REPRO_STORE_BACKEND``  ``None`` (auto-detect)
 ``store_max_mb``     ``REPRO_STORE_MAX_MB``   ``None`` (unbounded)
 ``class_limit``      ``REPRO_CLASS_LIMIT``    ``64`` (``0`` = unlimited)
 ``verify``           ``REPRO_VERIFY``         ``"off"``
 ``synth_seed``       ``REPRO_SYNTH_SEED``     ``7``
-``full_scale``       ``REPRO_FULL``           ``False``
 ``trace``            ``REPRO_TRACE``          ``None`` (tracing disabled)
 ===================  =======================  ==========================
 """
@@ -80,11 +78,10 @@ class _Unset:
 
 UNSET = _Unset()
 
-STORE_BACKENDS = ("sqlite", "pickle")
 #: self-check modes of the verification pass suite (``repro.verify``):
 #: ``off`` skips it, ``post`` re-checks every in-process solve, and
 #: ``paranoid`` additionally runs inside pool workers, shipping reports
-#: back through the shard payload.
+#: back through the unit payload.
 VERIFY_MODES = ("off", "post", "paranoid")
 
 _FALSEY = ("", "0", "false", "no", "off")
@@ -178,19 +175,6 @@ def _resolve_store_path(value: object) -> Optional[str]:
     return path or None
 
 
-def _resolve_store_backend(value: object) -> Optional[str]:
-    if isinstance(value, _Unset):
-        raw = _env("REPRO_STORE_BACKEND")
-        if raw is None:
-            return None
-        return _parse_choice("store_backend", "REPRO_STORE_BACKEND", raw, True,
-                             STORE_BACKENDS)
-    if value is None:
-        return None
-    return _parse_choice("store_backend", "REPRO_STORE_BACKEND", value, False,
-                         STORE_BACKENDS)
-
-
 def _resolve_store_max_mb(value: object) -> Optional[float]:
     """``None`` = unbounded; ``0`` also means unbounded (budget disabled)."""
     if isinstance(value, _Unset):
@@ -246,15 +230,6 @@ def _resolve_trace(value: object) -> Optional[str]:
     return path or None
 
 
-def _resolve_full_scale(value: object) -> bool:
-    if isinstance(value, _Unset):
-        raw = os.environ.get("REPRO_FULL")
-        if raw is None:
-            return False
-        return _parse_flag("full_scale", "REPRO_FULL", raw, True)
-    return _parse_flag("full_scale", "REPRO_FULL", value, False)
-
-
 @dataclass(frozen=True)
 class ReproConfig:
     """Every knob of the system, resolved and validated at construction.
@@ -269,24 +244,20 @@ class ReproConfig:
 
     workers: int = UNSET                     # type: ignore[assignment]
     store_path: Optional[str] = UNSET        # type: ignore[assignment]
-    store_backend: Optional[str] = UNSET     # type: ignore[assignment]
     store_max_mb: Optional[float] = UNSET    # type: ignore[assignment]
     verify: str = UNSET                      # type: ignore[assignment]
     class_limit: int = UNSET                 # type: ignore[assignment]
     synth_seed: int = UNSET                  # type: ignore[assignment]
-    full_scale: bool = UNSET                 # type: ignore[assignment]
     trace: Optional[str] = UNSET             # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         resolve = object.__setattr__
         resolve(self, "workers", _resolve_workers(self.workers))
         resolve(self, "store_path", _resolve_store_path(self.store_path))
-        resolve(self, "store_backend", _resolve_store_backend(self.store_backend))
         resolve(self, "store_max_mb", _resolve_store_max_mb(self.store_max_mb))
         resolve(self, "verify", _resolve_verify(self.verify))
         resolve(self, "class_limit", _resolve_class_limit(self.class_limit))
         resolve(self, "synth_seed", _resolve_synth_seed(self.synth_seed))
-        resolve(self, "full_scale", _resolve_full_scale(self.full_scale))
         resolve(self, "trace", _resolve_trace(self.trace))
 
     # -- derived views -----------------------------------------------------------
@@ -373,12 +344,6 @@ def resolved_store_path() -> Optional[str]:
             else _resolve_store_path(UNSET))
 
 
-def resolved_store_backend() -> Optional[str]:
-    config = active_config()
-    return (config.store_backend if config is not None
-            else _resolve_store_backend(UNSET))
-
-
 def resolved_store_max_bytes() -> Optional[int]:
     config = active_config()
     if config is not None:
@@ -405,12 +370,6 @@ def resolved_synth_seed() -> int:
     config = active_config()
     return (config.synth_seed if config is not None
             else _resolve_synth_seed(UNSET))
-
-
-def resolved_full_scale() -> bool:
-    config = active_config()
-    return (config.full_scale if config is not None
-            else _resolve_full_scale(UNSET))
 
 
 def resolved_trace() -> Optional[str]:

@@ -47,7 +47,7 @@ from repro.core.lessthan.analysis import LessThanAnalysis
 from repro.engine import driver as _driver
 from repro.engine.driver import UnitLike, UnitResult
 from repro.engine.store import AnalysisStore
-from repro.engine.workunit import DEFAULT_SPECS, Scheduler, WorkUnit
+from repro.engine.workunit import DEFAULT_SPECS
 from repro.frontend import compile_source
 from repro.ir.module import Module
 from repro.ir.printer import print_module
@@ -263,7 +263,6 @@ class Session:
     def _open_store(self, path: str) -> AnalysisStore:
         return AnalysisStore(
             path,
-            backend=self.config.store_backend,
             max_bytes=(self.config.store_max_bytes
                        if self.config.store_max_bytes is not None else 0))
 
@@ -351,7 +350,7 @@ class Session:
                 store_obj, owned = None, False
             try:
                 payload = _driver.worker_module.evaluate_module_functions(
-                    module, None, specs,
+                    module, specs,
                     cache if cache is not None else self.cache, store_obj,
                     interprocedural=interprocedural)
                 _driver._write_back(store_obj, payload)
@@ -386,33 +385,12 @@ class Session:
 
     def evaluate_source(self, name: str, source: str,
                         specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
-                        *, workers: Optional[int] = None,
-                        store: object = None,
+                        *, store: object = None,
                         interprocedural: bool = True) -> UnitResult:
-        """``aa-eval`` one module from source, sharding its functions across
-        worker processes when the (explicit or configured) worker count
-        asks for them."""
-        with self.config.activate():
-            worker_count = self._worker_count(workers)
-            spec_tuple = tuple(tuple(spec) for spec in specs)
-            unit = WorkUnit("aaeval", name, source, None, spec_tuple,
-                            interprocedural)
-            if worker_count > 1:
-                module = compile_source(source, module_name=name)
-                names = [function.name
-                         for function in module.defined_functions()]
-                weights = [float(len(collect_pointer_values(function)) ** 2 + 1)
-                           for function in module.defined_functions()]
-                shards = Scheduler(worker_count).shard_unit(unit, names, weights)
-            else:
-                shards = [unit]
-            store_obj, owned = self._resolve_store_arg(store)
-            try:
-                payloads = _driver._run_units(shards, worker_count, store_obj)
-            finally:
-                if owned and store_obj is not None:
-                    store_obj.close()
-            return UnitResult(_driver._merge_aaeval_payloads(name, payloads))
+        """``aa-eval`` one module from source: :meth:`run_workload` over the
+        single unit ``(name, source)``."""
+        return self.run_workload([(name, source)], specs=specs, store=store,
+                                 interprocedural=interprocedural)[0]
 
     def run_workload(self, units: Sequence[UnitLike], kind: str = "aaeval",
                      specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
@@ -473,7 +451,7 @@ class Session:
 
         ``phases`` maps span names to ``count``/``total``/``self``/``min``/
         ``max``/``p50``/``p99`` (seconds); ``lanes`` carries per-worker busy
-        time and skew when shards ran in a pool.  Empty when the session is
+        time and skew when units ran in a pool.  Empty when the session is
         not tracing (construct it with ``ReproConfig(trace=...)`` or set
         ``REPRO_TRACE``).  ``cache``/``store`` counters are always present —
         the shape benchmarks and the future ``serve`` daemon read p50/p99

@@ -68,7 +68,7 @@ class DisambiguationStatistics:
     precision may be lost); ``largest_class`` records the biggest class seen
     before truncation.  ``solver`` carries the fixed-point solver counters
     (:class:`~repro.util.worklist.SolverInfo`) of the analyses behind the
-    verdicts, so they survive the engine's shard/merge path.
+    verdicts, so they travel with the engine's unit payloads.
     """
 
     def __init__(self) -> None:
@@ -84,11 +84,9 @@ class DisambiguationStatistics:
             self.truncated_classes += 1
 
     def merge(self, other: "DisambiguationStatistics") -> "DisambiguationStatistics":
-        """Lossless aggregation of per-shard statistics on the coordinator.
+        """Lossless aggregation of two disambiguators' statistics.
 
-        Counters sum; ``largest_class`` is a maximum, so the merged value is
-        the maximum over shards — exactly what a single-process run over the
-        union of the shards would have recorded.  Solver counters merge
+        Counters sum; ``largest_class`` is a maximum.  Solver counters merge
         losslessly too, which is what keeps ``repro stats`` totals identical
         between serial and multi-worker runs.
         """

@@ -125,7 +125,7 @@ class StrictInequalityAliasAnalysis(AliasAnalysis):
     def disambiguators(self):
         """Every :class:`PointerDisambiguator` this analysis has built.
 
-        The execution engine reads their statistics to report per-shard
+        The execution engine reads their statistics to report per-unit
         disambiguation work (queries, class truncation) on the coordinator.
         """
         if self._module_disambiguator is not None:

@@ -1,19 +1,18 @@
-"""The sharded cross-process evaluation engine.
+"""The cross-process evaluation engine.
 
 The paper's evaluation methodology issues O(n²) alias queries over every
-function of every benchmark program; PR 1 made per-function work cheap and
+function of every benchmark program; per-function work is cheap and
 self-contained (:class:`~repro.passes.FunctionAnalysisCache`), and this
-package scales it out:
+package runs one work unit per program, serially or over a worker pool:
 
-* :mod:`repro.engine.workunit` — picklable :class:`WorkUnit` descriptions
-  plus a deterministic LPT :class:`Scheduler` that shards a module's
-  functions or whole workload program lists;
+* :mod:`repro.engine.workunit` — picklable :class:`WorkUnit` descriptions,
+  one per program;
 * :mod:`repro.engine.worker` — the per-process job runner (compile the
-  unit's source deterministically, evaluate its shard, return picklable
-  verdict/statistics payloads);
-* :mod:`repro.engine.store` — the persistent :class:`AnalysisStore`
-  (sqlite, pickle fallback) content-addressed by IR text hashes with
-  versioned invalidation, so repeated runs skip analysis entirely;
+  unit's source deterministically, evaluate every function, return
+  picklable verdict/statistics payloads);
+* :mod:`repro.engine.store` — the persistent sqlite :class:`AnalysisStore`
+  content-addressed by IR text hashes with versioned invalidation, so
+  repeated runs skip analysis entirely;
 * :mod:`repro.engine.driver` — the coordinator internals behind
   :class:`repro.api.session.Session`, the package's only evaluation entry
   point; configuration resolves through
@@ -21,7 +20,7 @@ package scales it out:
   ``REPRO_*`` environment variable > default), with a serial in-process
   fallback.
 
-Every path — serial, sharded, store-warmed — produces bit-identical
+Every path — serial, pooled, store-warmed — produces bit-identical
 per-pair verdicts; the engine records the verdict streams precisely so that
 this can be asserted, not assumed.
 """
@@ -29,36 +28,27 @@ this can be asserted, not assumed.
 from repro.engine.store import (
     AnalysisStore,
     STORE_VERSION,
-    default_store_max_bytes,
     function_key,
     text_hash,
 )
-from repro.engine.workunit import DEFAULT_SPECS, Scheduler, WorkUnit, spec_label
+from repro.engine.workunit import DEFAULT_SPECS, WorkUnit, spec_label
 from repro.engine.worker import (
     build_analysis,
     evaluate_module_functions,
     run_work_unit,
 )
-from repro.engine.driver import (
-    UnitResult,
-    default_store_path,
-    default_workers,
-)
+from repro.engine.driver import UnitResult
 
 __all__ = [
     "AnalysisStore",
     "STORE_VERSION",
-    "default_store_max_bytes",
     "function_key",
     "text_hash",
     "DEFAULT_SPECS",
-    "Scheduler",
     "WorkUnit",
     "spec_label",
     "build_analysis",
     "evaluate_module_functions",
     "run_work_unit",
     "UnitResult",
-    "default_store_path",
-    "default_workers",
 ]

@@ -1,26 +1,21 @@
-"""The coordinator: sharding, worker pools, merging and the store life cycle.
+"""The coordinator: worker pools and the store life cycle.
 
 :class:`repro.api.session.Session` drives everything here:
-
-* :func:`_run_units` evaluates work units — one per program, or one per
-  shard of a module's functions — fanned out over ``multiprocessing``
-  workers (or run in-process when ``workers <= 1`` — the serial fallback
-  needs no subprocesses, which keeps the tier-1 test suite
-  self-contained).  The pooled path is a *streaming* driver: shard
-  payloads are consumed with ``imap_unordered`` as they land, store
-  write-back overlaps with still-running shards, an optional observer sees
-  every payload immediately, and a post-merge sort on the input index
-  restores deterministic output order.
-* :func:`_merge_aaeval_payloads` merges the shards of one module
-  losslessly.
+:func:`_run_units` evaluates work units — one per program — fanned out
+over ``multiprocessing`` workers (or run in-process when ``workers <= 1`` —
+the serial fallback needs no subprocesses, which keeps the tier-1 test
+suite self-contained).  The pooled path is a *streaming* driver: unit
+payloads are consumed with ``imap_unordered`` as they land, store
+write-back overlaps with still-running units, an optional observer sees
+every payload immediately, and a sort on the input index restores
+deterministic output order.
 
 Defaults resolve through :class:`repro.api.config.ReproConfig` (explicit
 argument > config field > ``REPRO_*`` environment variable > default):
 
 * ``workers`` / ``REPRO_WORKERS`` — worker-process count (``0`` = serial).
-* ``store_path`` / ``REPRO_STORE`` — path of the persistent analysis store
-  (unset = no persistence); ``store_backend`` / ``REPRO_STORE_BACKEND`` may
-  force ``sqlite`` or ``pickle``; ``store_max_mb`` / ``REPRO_STORE_MAX_MB``
+* ``store_path`` / ``REPRO_STORE`` — path of the sqlite analysis store
+  (unset = no persistence); ``store_max_mb`` / ``REPRO_STORE_MAX_MB``
   bounds the store's payload footprint (least-recently-used entries are
   swept after each write batch).
 
@@ -45,24 +40,6 @@ from repro.engine.workunit import WorkUnit
 from repro.obs import TRACER
 
 
-def default_workers() -> int:
-    """The configured worker count (0 = serial).
-
-    Resolution — active :class:`~repro.api.config.ReproConfig` first, the
-    ``REPRO_WORKERS`` environment variable second — lives in
-    :mod:`repro.api.config`; invalid values raise
-    :class:`~repro.api.config.ConfigError` there instead of silently
-    falling back to serial.
-    """
-    return api_config.resolved_workers()
-
-
-def default_store_path() -> Optional[str]:
-    """The configured persistent-store path (active config, then
-    ``REPRO_STORE``)."""
-    return api_config.resolved_store_path()
-
-
 def _start_method() -> str:
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else methods[0]
@@ -75,7 +52,7 @@ def _source_root() -> str:
 
 
 class UnitResult:
-    """A merged, coordinator-side view of one work unit's payload."""
+    """A coordinator-side view of one work unit's payload."""
 
     def __init__(self, payload: Dict[str, object]) -> None:
         self.payload = payload
@@ -138,11 +115,11 @@ def _normalize_units(units: Sequence[UnitLike], kind: str,
             normalized.append(unit)
         elif isinstance(unit, tuple) and len(unit) == 2:
             name, source = unit
-            normalized.append(WorkUnit(kind, name, source, None, spec_tuple,
+            normalized.append(WorkUnit(kind, name, source, spec_tuple,
                                        interprocedural))
         elif hasattr(unit, "name") and hasattr(unit, "source"):
             # WorkloadProgram and friends.
-            normalized.append(WorkUnit(kind, unit.name, unit.source, None,
+            normalized.append(WorkUnit(kind, unit.name, unit.source,
                                        spec_tuple, interprocedural))
         else:
             raise TypeError("cannot build a WorkUnit from {!r}".format(unit))
@@ -155,8 +132,7 @@ def _absorb_telemetry(payload: Dict[str, object]) -> None:
     Workers attach ``spans`` (their drained buffer) and ``span_epoch``
     (their wall-clock anchor) to every payload when tracing is on; the
     coordinator rebases the timestamps and files the spans under a
-    ``worker-<pid>`` lane — the per-shard merge mirroring
-    ``DisambiguationStatistics.merge``.  The fields are popped
+    ``worker-<pid>`` lane.  The fields are popped
     unconditionally so verdict output never carries timing data.
     """
     spans = payload.pop("spans", None)
@@ -169,11 +145,11 @@ def _absorb_telemetry(payload: Dict[str, object]) -> None:
 def _absorb_verify(payload: Dict[str, object]) -> None:
     """Fold a pool payload's shipped verification report into the process.
 
-    Under ``REPRO_VERIFY=paranoid`` every worker verifies its own shard and
+    Under ``REPRO_VERIFY=paranoid`` every worker verifies its own unit and
     attaches the report to the payload (in-process runs raise right in the
     worker module instead).  The coordinator counts the shipped report into
     :data:`repro.verify.COUNTERS` and re-raises its error findings here, so
-    paranoid failures surface identically whether the shard ran pooled or
+    paranoid failures surface identically whether the unit ran pooled or
     not.  The field is popped unconditionally so verdict output never
     carries verification data.
     """
@@ -215,7 +191,7 @@ def _run_units(units: List[WorkUnit], workers: int,
 
     The pooled path streams: results are consumed with ``imap_unordered``
     as workers finish, so store write-back (and the caller's ``on_payload``
-    observer) overlaps with still-in-flight shards instead of waiting for
+    observer) overlaps with still-in-flight units instead of waiting for
     the slowest one.  Each task carries its input index and the collected
     results are sorted by it afterwards, so the returned payload order is
     deterministic — identical to the serial path — regardless of worker
@@ -232,7 +208,7 @@ def _run_units(units: List[WorkUnit], workers: int,
         return payloads
     store_spec = None
     if store is not None:
-        store_spec = (store.path, store.version, store.backend_name)
+        store_spec = (store.path, store.version)
     context = multiprocessing.get_context(_start_method())
     # Ship the active config (if any) into every worker so that self-checks
     # and class truncation resolve exactly as on the coordinator.
@@ -245,7 +221,7 @@ def _run_units(units: List[WorkUnit], workers: int,
         tasks = [(index, unit, store_spec)
                  for index, unit in enumerate(units)]
         for index, payload in pool.imap_unordered(
-                worker_module.execute_indexed, tasks, chunksize=1):
+                worker_module.execute, tasks, chunksize=1):
             _absorb_telemetry(payload)
             _absorb_verify(payload)
             _write_back(store, payload)
@@ -257,36 +233,3 @@ def _run_units(units: List[WorkUnit], workers: int,
         pool.join()
     arrived.sort(key=lambda item: item[0])
     return [payload for _index, payload in arrived]
-
-
-def _merge_aaeval_payloads(name: str,
-                           payloads: List[Dict[str, object]]) -> Dict[str, object]:
-    """Merge per-shard ``aaeval`` payloads losslessly on the coordinator."""
-    merged_labels: Dict[str, Dict[str, object]] = {}
-    statistics = DisambiguationStatistics()
-    functions: List[str] = []
-    store_hits = store_misses = 0
-    for payload in payloads:
-        functions.extend(payload["functions"])
-        statistics = statistics.merge(
-            DisambiguationStatistics.from_dict(payload.get("statistics", {})))
-        store_hits += payload.get("store_hits", 0)
-        store_misses += payload.get("store_misses", 0)
-        for label, data in payload["labels"].items():
-            slot = merged_labels.setdefault(
-                label, {"counts": AliasEvaluation().as_dict(), "verdicts": {}})
-            merged = AliasEvaluation.from_dict(slot["counts"]).merge(
-                AliasEvaluation.from_dict(data["counts"]))
-            slot["counts"] = merged.as_dict()
-            slot["verdicts"].update(data.get("verdicts", {}))
-    return {
-        "kind": "aaeval",
-        "name": name,
-        "functions": functions,
-        "instructions": payloads[0]["instructions"] if payloads else 0,
-        "module_hash": payloads[0].get("module_hash", "") if payloads else "",
-        "labels": merged_labels,
-        "statistics": statistics.as_dict(),
-        "store_hits": store_hits,
-        "store_misses": store_misses,
-    }

@@ -11,23 +11,21 @@ fingerprint of exactly the module slice the analysis can observe (see
 function's entries warm — and a warm store lets repeated benchmark runs
 skip the analysis pipeline entirely.
 
-Two backends provide the same mapping interface:
+The store is one sqlite file — safe concurrent readers, a single writer
+(the coordinator); schema::
 
-* **sqlite** (the default) — one file, safe concurrent readers, single
-  writer (the coordinator); schema::
+    meta(key TEXT PRIMARY KEY, value TEXT)        -- 'version' row
+    entries(key TEXT PRIMARY KEY, payload BLOB,   -- pickled payload
+            generation INTEGER, size INTEGER)
 
-      meta(key TEXT PRIMARY KEY, value TEXT)        -- 'version' row
-      entries(key TEXT PRIMARY KEY, payload BLOB)   -- pickled payload
-
-* **pickle** — a plain pickled dict, for environments without ``sqlite3``
-  (or when the store path ends in ``.pkl`` /
-  ``REPRO_STORE_BACKEND=pickle``); written atomically via ``os.replace``.
+A path that holds something other than a sqlite database is reported as a
+:class:`~repro.api.config.ConfigError` naming the path.
 
 Invalidation is versioned: the store records a version string
 (:data:`STORE_VERSION`, bumped whenever analysis semantics change) and
 clears itself on mismatch, so stale results can never leak into a run of
 newer code.  Workers open the store read-only; freshly computed payloads
-travel back to the coordinator inside the shard result and are written by
+travel back to the coordinator inside the unit's payload and are written by
 the coordinator alone, which keeps the writer count at one.
 
 Growth is managed: every entry records its pickled size and the store
@@ -43,7 +41,7 @@ survive sweeps that reclaim cold ones.  A writable store touches directly
 (buffered, flushed before any sweep or at close); a read-only store — the
 worker side of the engine's single-writer protocol — records the hit keys
 in :attr:`AnalysisStore.touched_keys`, which travel back to the
-coordinator inside the shard payload and are applied there with
+coordinator inside the unit payload and are applied there with
 :meth:`AnalysisStore.touch_many`.
 """
 
@@ -52,14 +50,10 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import sqlite3
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.api.config import resolved_store_backend, resolved_store_max_bytes
-
-try:  # pragma: no cover - sqlite3 is in the stdlib virtually everywhere
-    import sqlite3
-except ImportError:  # pragma: no cover
-    sqlite3 = None
+from repro.api.config import ConfigError, resolved_store_max_bytes
 
 #: bump when the analysis pipeline's semantics or the key derivation change
 #: in a way that makes previously persisted entries stale or unreachable.
@@ -79,17 +73,6 @@ except ImportError:  # pragma: no cover
 #:     pair once (every analysis answers a pair once per function, chains
 #:     merge the member streams).  ``aaeval-6`` stores are cleared as above.
 STORE_VERSION = "aaeval-7"
-
-
-def default_store_max_bytes() -> Optional[int]:
-    """The configured byte budget (``None`` = unbounded).
-
-    Resolution — active :class:`~repro.api.config.ReproConfig` first, the
-    ``REPRO_STORE_MAX_MB`` environment variable second — lives in
-    :mod:`repro.api.config`; invalid values raise
-    :class:`~repro.api.config.ConfigError` there.
-    """
-    return resolved_store_max_bytes()
 
 
 def function_key(label: str, function_text: str, fingerprint: str = "") -> str:
@@ -146,8 +129,6 @@ def unit_key(kind: str, name: str, source: str, labels: Sequence[str],
 class _SqliteBackend:
     """One sqlite file; readers may be concurrent, the writer is single."""
 
-    name = "sqlite"
-
     def __init__(self, path: str, readonly: bool = False) -> None:
         self.path = path
         self.readonly = readonly
@@ -163,6 +144,9 @@ class _SqliteBackend:
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         self._connection = sqlite3.connect(path)
+
+    def create_schema(self) -> None:
+        """Create the tables of a writable store."""
         self._connection.execute(
             "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)")
         # Pre-v3 stores lack the generation/size columns; the version bump
@@ -264,106 +248,6 @@ class _SqliteBackend:
             self._connection = None
 
 
-class _PickleBackend:
-    """A pickled ``{meta: ..., entries: ...}`` dict, replaced atomically.
-
-    Entry values are ``(blob, generation)`` pairs; pre-v3 files holding bare
-    blobs are coerced to generation 0 on load (the version bump clears them
-    anyway).
-    """
-
-    name = "pickle"
-
-    def __init__(self, path: str, readonly: bool = False) -> None:
-        self.path = path
-        self.readonly = readonly
-        self._dirty = False
-        self._meta: Dict[str, str] = {}
-        self._entries: Dict[str, Tuple[bytes, int]] = {}
-        # A zero-byte file (touch(1), an interrupted first write) is a fresh
-        # store, not a corrupt one — loading it would raise EOFError.
-        if os.path.exists(path) and os.path.getsize(path) > 0:
-            with open(path, "rb") as handle:
-                data = pickle.load(handle)
-            self._meta = dict(data.get("meta", {}))
-            self._entries = {
-                key: value if isinstance(value, tuple) else (value, 0)
-                for key, value in dict(data.get("entries", {})).items()}
-        elif not readonly:
-            directory = os.path.dirname(os.path.abspath(path))
-            os.makedirs(directory, exist_ok=True)
-
-    def _flush(self) -> None:
-        self._dirty = False
-        tmp_path = "{}.tmp.{}".format(self.path, os.getpid())
-        with open(tmp_path, "wb") as handle:
-            pickle.dump({"meta": self._meta, "entries": self._entries}, handle,
-                        protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp_path, self.path)
-
-    def get_meta(self, key: str) -> Optional[str]:
-        return self._meta.get(key)
-
-    def set_meta(self, key: str, value: str) -> None:
-        self._meta[key] = value
-        self._flush()
-
-    def get(self, key: str) -> Optional[bytes]:
-        entry = self._entries.get(key)
-        return entry[0] if entry is not None else None
-
-    def put_many(self, items: Iterable[Tuple[str, bytes, int]]) -> None:
-        # Serialising the whole dict per batch would make the streaming
-        # driver's per-unit write-back O(units x store size); entry writes
-        # are therefore deferred and flushed once on close.
-        self._entries.update(
-            (key, (blob, generation)) for key, blob, generation in items)
-        self._dirty = True
-
-    def keys(self) -> List[str]:
-        return list(self._entries)
-
-    def size_bytes(self) -> int:
-        return sum(len(blob) for blob, _generation in self._entries.values())
-
-    def entry_info(self) -> List[Tuple[str, int, int]]:
-        """``(key, generation, size)`` triples, oldest generation first."""
-        return sorted(
-            ((key, generation, len(blob))
-             for key, (blob, generation) in self._entries.items()),
-            key=lambda item: (item[1], item[0]))
-
-    def delete_many(self, keys: Sequence[str]) -> None:
-        for key in keys:
-            self._entries.pop(key, None)
-        self._dirty = True
-
-    def touch_many(self, keys: Sequence[str], generation: int) -> None:
-        """Promote ``keys`` to ``generation`` (missing keys are no-ops)."""
-        for key in keys:
-            entry = self._entries.get(key)
-            if entry is not None and entry[1] != generation:
-                self._entries[key] = (entry[0], generation)
-                self._dirty = True
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._flush()
-
-    def close(self) -> None:
-        if self._dirty and not self.readonly:
-            self._flush()
-
-
-def _pick_backend(path: str) -> str:
-    explicit = resolved_store_backend()  # active config / REPRO_STORE_BACKEND
-    if explicit is not None:
-        return explicit
-    if path.endswith(".pkl") or path.endswith(".pickle"):
-        return "pickle"
-    return "sqlite" if sqlite3 is not None else "pickle"
-
-
 class AnalysisStore:
     """Persistent, content-addressed map ``key -> evaluation payload``.
 
@@ -379,20 +263,15 @@ class AnalysisStore:
     """
 
     def __init__(self, path: str, version: str = STORE_VERSION,
-                 backend: Optional[str] = None, readonly: bool = False,
+                 readonly: bool = False,
                  max_bytes: Optional[int] = None) -> None:
         self.path = path
         self.version = version
         self.readonly = readonly
         if max_bytes is None:
-            self.max_bytes = default_store_max_bytes()
+            self.max_bytes = resolved_store_max_bytes()
         else:
             self.max_bytes = max_bytes if max_bytes > 0 else None
-        backend_name = backend or _pick_backend(path)
-        if backend_name == "pickle" or sqlite3 is None:
-            self._backend = _PickleBackend(path, readonly=readonly)
-        else:
-            self._backend = _SqliteBackend(path, readonly=readonly)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -402,21 +281,35 @@ class AnalysisStore:
         # Writable stores buffer their own touches and flush them before
         # anything reads generations (eviction) or the store closes.
         self._pending_touches: Set[str] = set()
+        self._backend: Optional[_SqliteBackend] = None
+        try:
+            self._open()
+        except sqlite3.DatabaseError as error:
+            if self._backend is not None:
+                self._backend.close()
+            raise ConfigError("{!r} is not an analysis store ({})".format(
+                path, error)) from None
+
+    def _open(self) -> None:
+        """Connect, set up the schema and check the recorded version.
+
+        Raises :class:`sqlite3.DatabaseError` when the file at the path is
+        not a sqlite database.
+        """
+        self._backend = _SqliteBackend(self.path, readonly=self.readonly)
+        if not self.readonly:
+            self._backend.create_schema()
         stored = self._backend.get_meta("version")
-        self._version_ok = stored == version
-        if not self._version_ok and not readonly:
+        self._version_ok = stored == self.version
+        if not self._version_ok and not self.readonly:
             if stored is not None:
                 self._backend.clear()
-            self._backend.set_meta("version", version)
+            self._backend.set_meta("version", self.version)
             self._version_ok = True
         self.generation = int(self._backend.get_meta("generation") or 0)
-        if not readonly:
+        if not self.readonly:
             self.generation += 1
             self._backend.set_meta("generation", str(self.generation))
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
 
     @property
     def lookups(self) -> int:
@@ -542,7 +435,6 @@ class AnalysisStore:
             generations[generation] = generations.get(generation, 0) + 1
         return {
             "path": self.path,
-            "backend": self.backend_name,
             "version": self._backend.get_meta("version"),
             "version_ok": self._version_ok,
             "generation": self.generation,
@@ -564,5 +456,5 @@ class AnalysisStore:
         self.close()
 
     def __repr__(self) -> str:
-        return "<AnalysisStore {} backend={} hits={} misses={}>".format(
-            self.path, self.backend_name, self.hits, self.misses)
+        return "<AnalysisStore {} hits={} misses={}>".format(
+            self.path, self.hits, self.misses)

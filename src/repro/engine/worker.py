@@ -2,9 +2,9 @@
 
 A worker receives a :class:`~repro.engine.workunit.WorkUnit`, compiles the
 unit's source text with the (deterministic) frontend, runs the requested job
-over its shard of functions and returns a plain-dict payload built from
+over every defined function and returns a plain-dict payload built from
 picklable primitives only — verdict counters, per-pair verdict code strings,
-statistics dicts — which the coordinator merges.
+statistics dicts — which the coordinator collects.
 
 The ``aaeval`` job implements the engine's caching discipline:
 
@@ -22,7 +22,7 @@ The ``aaeval`` job implements the engine's caching discipline:
 4. ship freshly computed payloads back to the coordinator, which alone
    writes to the store.
 
-Every evaluation path — serial, sharded, store-warmed — follows the same
+Every evaluation path — serial, pooled, store-warmed — follows the same
 pipeline convention (evaluate on the e-SSA-converted module), so per-pair
 verdict streams are bit-identical across all of them.
 """
@@ -127,22 +127,13 @@ def scope_fingerprint(scope: str, function_name: str, module_hash: str,
     return prints.fingerprint[function_name]
 
 
-def _shard_functions(module: Module, names: Optional[Sequence[str]]):
-    functions = list(module.defined_functions())
-    if names is None:
-        return functions
-    wanted = set(names)
-    return [function for function in functions if function.name in wanted]
-
-
 def evaluate_module_functions(module: Module,
-                              function_names: Optional[Sequence[str]] = None,
                               specs: Sequence[Sequence[str]] = (("lt",),),
                               cache: Optional[FunctionAnalysisCache] = None,
                               store: Optional[AnalysisStore] = None,
                               interprocedural: bool = True,
                               name: Optional[str] = None) -> Dict[str, object]:
-    """Evaluate ``specs`` over (a shard of) ``module``'s functions.
+    """Evaluate ``specs`` over every defined function of ``module``.
 
     This is the core of the ``aaeval`` job, also callable in-process on an
     already compiled module (the serial fallback needs no pickling and no
@@ -155,7 +146,7 @@ def evaluate_module_functions(module: Module,
     hit the cache or the store lends its codes to the chains containing it.
     """
     cache = cache if cache is not None else FunctionAnalysisCache()
-    functions = _shard_functions(module, function_names)
+    functions = list(module.defined_functions())
     labels = [spec_label(spec) for spec in specs]
     # Interprocedural and intraprocedural LT runs produce different facts for
     # the same IR, so the mode must be part of every memoization key — both
@@ -311,7 +302,7 @@ def _verify_prepared_analyses(
 def _job_aaeval(unit: WorkUnit, module: Module, cache: FunctionAnalysisCache,
                 store: Optional[AnalysisStore]) -> Dict[str, object]:
     return evaluate_module_functions(
-        module, unit.functions, unit.specs, cache, store,
+        module, unit.specs, cache, store,
         interprocedural=unit.interprocedural, name=unit.name)
 
 
@@ -380,12 +371,7 @@ def _run_work_unit(unit: WorkUnit,
     if unit.kind not in JOBS:
         raise KeyError("unknown work-unit kind {!r}".format(unit.kind))
     memo_key = None
-    # Only whole-module units are memoized at the unit level: a shard
-    # (unit.functions set) evaluates a subset of the module, and persisting
-    # its payload under the unit's source key would let a later whole-module
-    # warm run pick up partial results.  Shards still share the
-    # function-level entries.
-    if store is not None and unit.kind in CACHEABLE_KINDS and unit.functions is None:
+    if store is not None and unit.kind in CACHEABLE_KINDS:
         memo_key = unit_key(unit.kind, unit.name, unit.source, unit.labels(),
                             unit.interprocedural)
         cached = store.get(memo_key)
@@ -410,37 +396,24 @@ def _run_work_unit(unit: WorkUnit,
     return payload
 
 
-#: read-only stores opened by this worker process, one per spec.  Reused
-#: across the units a pool worker handles — the pickle backend deserializes
-#: its whole file on open, so opening per unit would cost O(units x entries).
-#: Process-local by construction; closed implicitly at worker exit.
-_OPEN_STORES: Dict[Tuple[str, str, str], AnalysisStore] = {}
+def execute(task: Tuple[int, WorkUnit, Optional[Tuple[str, str]]]) \
+        -> Tuple[int, Dict[str, object]]:
+    """Pool entry point: ``(index, unit, store_spec)``.
 
-
-def _readonly_store(store_spec: Tuple[str, str, str]) -> AnalysisStore:
-    store = _OPEN_STORES.get(store_spec)
-    if store is None:
-        path, version, backend = store_spec
-        store = AnalysisStore(path, version=version, backend=backend,
-                              readonly=True)
-        _OPEN_STORES[store_spec] = store
-    return store
-
-
-def execute(task: Tuple[WorkUnit, Optional[Tuple[str, str, str]]]) -> Dict[str, object]:
-    """Pool entry point: ``(unit, store_spec)`` with the store opened
-    read-only inside the worker (the coordinator is the only writer)."""
-    unit, store_spec = task
+    The store spec is ``(path, version)``; the store is opened read-only for
+    this one unit and closed afterwards (the coordinator is the only
+    writer).  The payload comes back tagged with its input index so the
+    streaming coordinator can restore deterministic output order.
+    """
+    index, unit, store_spec = task
     if store_spec is None:
-        return _ship_telemetry(run_work_unit(unit, store=None))
-    store = _readonly_store(store_spec)
+        return index, _ship_telemetry(run_work_unit(unit, store=None))
+    path, version = store_spec
+    store = AnalysisStore(path, version=version, readonly=True)
     try:
-        return _ship_telemetry(run_work_unit(unit, store=store))
+        return index, _ship_telemetry(run_work_unit(unit, store=store))
     finally:
-        # Each unit's payload carries its own touched-key delta; dropping
-        # the consumed log keeps long-lived pool workers from accumulating
-        # one entry per store hit forever.
-        store.touched_keys.clear()
+        store.close()
 
 
 def _ship_telemetry(payload: Dict[str, object]) -> Dict[str, object]:
@@ -456,11 +429,3 @@ def _ship_telemetry(payload: Dict[str, object]) -> Dict[str, object]:
         payload["spans"] = TRACER.drain()
         payload["span_epoch"] = TRACER.clock_epoch()
     return payload
-
-
-def execute_indexed(task: Tuple[int, WorkUnit, Optional[Tuple[str, str, str]]]) \
-        -> Tuple[int, Dict[str, object]]:
-    """``imap_unordered`` entry point: tags the payload with its input index
-    so the streaming coordinator can restore deterministic output order."""
-    index, unit, store_spec = task
-    return index, execute((unit, store_spec))

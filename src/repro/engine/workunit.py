@@ -1,24 +1,17 @@
-"""Work units and deterministic shard scheduling.
+"""Work units: one per program.
 
 A :class:`WorkUnit` is the picklable unit of work the engine ships to a
-worker process: a job kind, a program name, the program's *source text* (the
-worker compiles it itself — the compiled IR is full of identity-keyed object
-graphs that do not survive pickling, while the frontend and mem2reg are
-deterministic, so recompiling yields bit-identical IR in every process) and
-optionally the subset of function names the shard covers.
-
-The :class:`Scheduler` partitions work deterministically.  It implements
-longest-processing-time (LPT) greedy balancing: items are placed heaviest
-first onto the currently lightest shard, with ties broken by original
-position and shard index, so the same inputs always produce the same shards
-— a prerequisite for reproducible benchmark runs and for comparing sharded
-against serial verdicts bit for bit.
+worker process: a job kind, a program name and the program's *source text*
+(the worker compiles it itself — the compiled IR is full of identity-keyed
+object graphs that do not survive pickling, while the frontend and mem2reg
+are deterministic, so recompiling yields bit-identical IR in every process).
+A unit always covers every defined function of its program.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 #: the default analysis configurations of the paper's tables: BA alone, LT
 #: alone, and the BA + LT chain.
@@ -27,9 +20,6 @@ DEFAULT_SPECS: Tuple[Tuple[str, ...], ...] = (
     ("lt",),
     ("basicaa", "lt"),
 )
-
-T = TypeVar("T")
-
 
 def spec_label(spec: Sequence[str]) -> str:
     """The display/storage label of an analysis spec: ``("basicaa", "lt")``
@@ -85,66 +75,10 @@ class WorkUnit:
     name: str
     #: mini-C source text; compiled by whichever process runs the unit.
     source: str
-    #: function names this shard evaluates; ``None`` means every defined
-    #: function of the module.
-    functions: Optional[Tuple[str, ...]] = None
     #: analysis configurations to evaluate (``aaeval`` jobs).
     specs: Tuple[Tuple[str, ...], ...] = DEFAULT_SPECS
     #: whether less-than analyses run interprocedurally.
     interprocedural: bool = True
 
-    def with_functions(self, functions: Sequence[str]) -> "WorkUnit":
-        return replace(self, functions=tuple(functions))
-
     def labels(self) -> List[str]:
         return [spec_label(spec) for spec in self.specs]
-
-
-class Scheduler:
-    """Deterministic LPT partitioning of weighted work items into shards."""
-
-    def __init__(self, shard_count: int) -> None:
-        if shard_count < 1:
-            raise ValueError("need at least one shard, got {}".format(shard_count))
-        self.shard_count = shard_count
-
-    def partition(self, items: Sequence[T],
-                  weight: Optional[Callable[[T], float]] = None) -> List[List[T]]:
-        """Split ``items`` into at most ``shard_count`` balanced shards.
-
-        Every item lands in exactly one shard; empty shards are dropped, so
-        fewer items than shards yields one singleton shard per item.  The
-        result is a pure function of ``(items, weights, shard_count)``.
-        """
-        if not items:
-            return []
-        weigh = weight or (lambda _item: 1.0)
-        indexed = sorted(
-            ((weigh(item), position, item) for position, item in enumerate(items)),
-            key=lambda entry: (-entry[0], entry[1]))
-        shard_count = min(self.shard_count, len(indexed))
-        loads = [0.0] * shard_count
-        shards: List[List[Tuple[int, T]]] = [[] for _ in range(shard_count)]
-        for item_weight, position, item in indexed:
-            lightest = min(range(shard_count), key=lambda index: (loads[index], index))
-            loads[lightest] += item_weight
-            shards[lightest].append((position, item))
-        # Present each shard's items in their original order: downstream code
-        # (and the bit-identity checks) reason about input order, not weight
-        # order.
-        return [[item for _position, item in sorted(shard)] for shard in shards]
-
-    def shard_unit(self, unit: WorkUnit, function_names: Sequence[str],
-                   weights: Optional[Sequence[float]] = None) -> List[WorkUnit]:
-        """Shard one module-level unit by its functions.
-
-        ``weights`` (one per function, typically pointer-count²: the query
-        loop is quadratic in the number of pointers) balance the shards; each
-        returned unit carries a disjoint subset of ``function_names``.
-        """
-        if weights is not None and len(weights) != len(function_names):
-            raise ValueError("need one weight per function")
-        table = (dict(zip(function_names, weights)) if weights is not None else {})
-        shards = self.partition(list(function_names),
-                                weight=(lambda name: table[name]) if table else None)
-        return [unit.with_functions(shard) for shard in shards]

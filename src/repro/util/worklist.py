@@ -19,7 +19,7 @@ Two classes implement the scheme:
 
 :class:`SolverInfo` is the cross-solver counter struct (transfer-function
 evaluations, widenings, SCC counts, worklist pops).  It merges losslessly,
-which is how per-shard counters survive the execution engine's coordinator.
+which is how counters of several analyses add up into one report.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ _COUNTERS = ("evaluations", "widenings", "narrowings", "sccs", "cyclic_sccs",
 
 
 class SolverInfo:
-    """Counters describing fixed-point solver work, mergeable across shards.
+    """Counters describing fixed-point solver work, mergeable across analyses.
 
     ``evaluations`` counts transfer-function applications (the quantity the
     sparse solvers exist to reduce), ``sccs``/``cyclic_sccs`` the dependence

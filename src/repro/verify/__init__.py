@@ -11,7 +11,7 @@ Entry points:
   workloads, with per-function diagnostics (``--json`` for machines);
 * ``REPRO_VERIFY=off|post|paranoid`` / ``ReproConfig.verify`` — run the
   suite automatically after every solve (``paranoid`` also inside pool
-  workers, shipping reports back through the shard payload);
+  workers, shipping reports back through the unit payload);
 * :meth:`repro.api.session.Session.verify` — verify everything a session
   has compiled, returning the merged :class:`VerificationReport`.
 """

@@ -9,7 +9,7 @@ A :class:`VerificationReport` aggregates the findings of a verification run
 together with counters of the checks that *passed* (so "0 problems" is
 distinguishable from "0 checks ran").  Reports are plain-data and picklable:
 under ``REPRO_VERIFY=paranoid`` pool workers ship them back to the
-coordinator through the shard payload (``as_dict``/``from_dict``/``merge``),
+coordinator through the unit payload (``as_dict``/``from_dict``/``merge``),
 exactly like tracing spans.
 """
 

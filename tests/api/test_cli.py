@@ -8,6 +8,7 @@ in-process path, and one subprocess test exercises the real
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -128,14 +129,20 @@ def test_missing_source_file_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_subprocess_end_to_end(tmp_path):
-    """The real ``python -m repro`` surface, once, in a subprocess."""
+def _subprocess_env():
+    """The environment for ``python -m repro`` with this checkout's src."""
     repo_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(repo_root, "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_cli_subprocess_end_to_end(tmp_path):
+    """The real ``python -m repro`` surface, once, in a subprocess."""
+    env = _subprocess_env()
     env.pop("REPRO_WORKERS", None)  # keep the smoke run serial and fast
     completed = subprocess.run(
         [sys.executable, "-m", "repro", "eval", "--synth", "testsuite",
@@ -169,6 +176,33 @@ def test_store_commands_refuse_missing_path(tmp_path, capsys):
         assert main(argv) == 2
         assert "no analysis store" in capsys.readouterr().err
     assert not os.path.exists(missing)  # nothing was created at the typo
+
+
+@pytest.mark.parametrize("content", [
+    b"\x00garbage, not a database\n" * 16,
+    pickle.dumps({"meta": {"version": "aaeval-7"}, "entries": {}},
+                 protocol=pickle.HIGHEST_PROTOCOL),
+], ids=["garbage", "old-pickle-store"])
+def test_store_path_that_is_not_a_database_exits_2(source_file, tmp_path,
+                                                    capsys, content):
+    """A non-sqlite file at the store path (an old pickled-dict store, a
+    stray file) is a diagnostic and exit 2, never a traceback."""
+    bad = tmp_path / "bad.sqlite"
+    bad.write_bytes(content)
+    for argv in (["eval", source_file, "--store", str(bad)],
+                 ["stats", source_file, "--store", str(bad)],
+                 ["store", "info", str(bad)],
+                 ["store", "clear", str(bad)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.sqlite" in err, argv
+    assert bad.read_bytes() == content
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "store", "info", str(bad)],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120)
+    assert completed.returncode == 2
+    assert "error:" in completed.stderr
+    assert "Traceback" not in completed.stderr
 
 
 def test_eval_rejects_json_with_csv(source_file, tmp_path, capsys):

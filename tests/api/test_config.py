@@ -6,6 +6,7 @@ invalid values raise :class:`ConfigError` with a message naming the
 offending source, instead of silently falling back.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -19,8 +20,6 @@ from repro.api.config import (
     env_int,
     install_config,
     resolved_class_limit,
-    resolved_full_scale,
-    resolved_store_backend,
     resolved_store_max_bytes,
     resolved_store_path,
     resolved_synth_seed,
@@ -29,9 +28,8 @@ from repro.api.config import (
 )
 
 ALL_VARS = (
-    "REPRO_WORKERS", "REPRO_STORE", "REPRO_STORE_BACKEND",
-    "REPRO_STORE_MAX_MB", "REPRO_CLASS_LIMIT", "REPRO_SYNTH_SEED",
-    "REPRO_FULL", "REPRO_VERIFY",
+    "REPRO_WORKERS", "REPRO_STORE", "REPRO_STORE_MAX_MB", "REPRO_CLASS_LIMIT",
+    "REPRO_SYNTH_SEED", "REPRO_FULL", "REPRO_VERIFY",
 )
 
 
@@ -45,19 +43,18 @@ def test_defaults_without_environment():
     config = ReproConfig()
     assert config.workers == 0
     assert config.store_path is None
-    assert config.store_backend is None
     assert config.store_max_mb is None
     assert config.store_max_bytes is None
     assert config.class_limit == 64
     assert config.synth_seed == 7
-    assert config.full_scale is False
     assert config.verify == "off"
+    # REPRO_FULL is a benchmark-size switch, read by env_flag only.
+    assert env_flag("REPRO_FULL") is False
 
 
 def test_environment_resolution(monkeypatch):
     monkeypatch.setenv("REPRO_WORKERS", "4")
     monkeypatch.setenv("REPRO_STORE", "/tmp/store.sqlite")
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "pickle")
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "1.5")
     monkeypatch.setenv("REPRO_CLASS_LIMIT", "8")
     monkeypatch.setenv("REPRO_SYNTH_SEED", "11")
@@ -66,13 +63,12 @@ def test_environment_resolution(monkeypatch):
     config = ReproConfig()
     assert config.workers == 4
     assert config.store_path == "/tmp/store.sqlite"
-    assert config.store_backend == "pickle"
     assert config.store_max_mb == 1.5
     assert config.store_max_bytes == int(1.5 * 1024 * 1024)
     assert config.class_limit == 8
     assert config.synth_seed == 11
-    assert config.full_scale is True
     assert config.verify == "paranoid"
+    assert env_flag("REPRO_FULL") is True
 
 
 def test_explicit_field_beats_environment(monkeypatch):
@@ -95,7 +91,6 @@ def test_zero_budget_means_unbounded():
     ("REPRO_WORKERS", "-1"),
     ("REPRO_STORE_MAX_MB", "-5"),
     ("REPRO_STORE_MAX_MB", "lots"),
-    ("REPRO_STORE_BACKEND", "mysql"),
     ("REPRO_CLASS_LIMIT", "-3"),
     ("REPRO_SYNTH_SEED", "x"),
     ("REPRO_FULL", "maybe"),
@@ -104,14 +99,16 @@ def test_zero_budget_means_unbounded():
 def test_invalid_environment_values_raise(monkeypatch, env_var, value):
     monkeypatch.setenv(env_var, value)
     with pytest.raises(ConfigError, match=env_var):
-        ReproConfig()
+        if env_var == "REPRO_FULL":  # a benchmark switch, not a config field
+            env_flag(env_var)
+        else:
+            ReproConfig()
 
 
 @pytest.mark.parametrize("field,value", [
     ("workers", "abc"),
     ("workers", -1),
     ("store_max_mb", -0.5),
-    ("store_backend", "mysql"),
     ("class_limit", -3),
     ("verify", "always"),
 ])
@@ -132,8 +129,8 @@ def test_active_config_wins_over_environment(monkeypatch):
     monkeypatch.setenv("REPRO_WORKERS", "4")
     monkeypatch.setenv("REPRO_VERIFY", "post")
     config = ReproConfig(workers=0, verify="off", class_limit=0,
-                         store_path="/tmp/cfg.sqlite", store_backend="pickle",
-                         store_max_mb=1, synth_seed=3, full_scale=True)
+                         store_path="/tmp/cfg.sqlite", store_max_mb=1,
+                         synth_seed=3)
     assert active_config() is None
     assert resolved_workers() == 4  # environment (no active config)
     with config.activate():
@@ -141,11 +138,9 @@ def test_active_config_wins_over_environment(monkeypatch):
         assert resolved_workers() == 0
         assert resolved_verify() == "off"
         assert resolved_store_path() == "/tmp/cfg.sqlite"
-        assert resolved_store_backend() == "pickle"
         assert resolved_store_max_bytes() == 1024 * 1024
         assert resolved_class_limit() is None  # 0 = unlimited
         assert resolved_synth_seed() == 3
-        assert resolved_full_scale() is True
         # Nested configs shadow the outer one, then restore it.
         with config.replace(workers=7).activate():
             assert resolved_workers() == 7
@@ -186,3 +181,15 @@ def test_env_helpers(monkeypatch):
         env_float("REPRO_MIN_SPEEDUP", 5.0)
     monkeypatch.setenv("REPRO_FULL", "yes")
     assert env_flag("REPRO_FULL") is True
+
+
+def test_knob_surface_is_seven_fields():
+    """One store backend and no benchmark-size switch: neither is a knob."""
+    from repro.api.cli import build_parser
+
+    assert [field.name for field in dataclasses.fields(ReproConfig)] == [
+        "workers", "store_path", "store_max_mb", "verify", "class_limit",
+        "synth_seed", "trace"]
+    with pytest.raises(SystemExit) as raised:
+        build_parser().parse_args(["eval", "--store-backend", "sqlite"])
+    assert raised.value.code == 2

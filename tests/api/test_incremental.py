@@ -68,10 +68,10 @@ def test_update_source_matches_sharded_cold_solve():
     with Session() as session:
         session.update_source("m", BASE, SPECS)
         update = session.update_source("m", EDITED, SPECS)
-    with Session(workers=2) as sharded_session:
-        sharded = sharded_session.evaluate_source("m", EDITED, SPECS,
-                                                  workers=2)
-    assert _verdicts(update.result) == _verdicts(sharded)
+    with Session(workers=2) as pooled_session:
+        pooled = pooled_session.run_workload(
+            [("m", EDITED), ("base", BASE)], specs=SPECS)[0]
+    assert _verdicts(update.result) == _verdicts(pooled)
 
 
 def test_update_source_repeated_edits_stay_consistent():

@@ -74,11 +74,11 @@ def test_print_ir_shows_current_form():
 
 def test_evaluate_source_matches_run_workload():
     with Session() as session:
-        sharded = session.evaluate_source("m", INS_SORT, specs=SPECS,
-                                          workers=0, store=False)
+        single = session.evaluate_source("m", INS_SORT, specs=SPECS,
+                                         store=False)
         listed = session.run_workload([("m", INS_SORT)], specs=SPECS,
                                       workers=0, store=False)[0]
-    assert _verdict_map(sharded) == _verdict_map(listed)
+    assert _verdict_map(single) == _verdict_map(listed)
 
 
 # -- cache/store coherence across calls ----------------------------------------

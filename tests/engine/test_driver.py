@@ -1,4 +1,4 @@
-"""Tests for the engine driver: serial fallback, sharding, store wiring.
+"""Tests for the engine driver: serial fallback, worker pools, store wiring.
 
 Everything runs through :class:`repro.api.Session`, the engine's only
 evaluation entry point.
@@ -7,7 +7,8 @@ evaluation entry point.
 import pytest
 
 from repro.api import Session
-from repro.engine import AnalysisStore, default_store_path, default_workers
+from repro.api.config import resolved_store_path, resolved_workers
+from repro.engine import AnalysisStore
 from repro.frontend import compile_source
 from repro.passes import FunctionAnalysisCache
 
@@ -91,12 +92,15 @@ def test_on_result_streams_under_a_pool(session):
 
 
 def test_evaluate_module_parallel_matches_serial(session):
-    serial = session.evaluate_source("prog", SOURCE, specs=SPECS, workers=0)
-    sharded = session.evaluate_source("prog", SOURCE, specs=SPECS, workers=2)
+    """One module is one unit: evaluate_source agrees with the same unit
+    evaluated inside a pooled workload."""
+    serial = session.evaluate_source("prog", SOURCE, specs=SPECS)
+    pooled = session.run_workload([("prog", SOURCE), ("other", SOURCE)],
+                                  specs=SPECS, workers=2)[0]
     for label in ("basicaa", "lt", "basicaa+lt"):
-        assert sharded.verdicts(label) == serial.verdicts(label)
-        assert sharded.evaluation(label).as_dict() == serial.evaluation(label).as_dict()
-    assert sorted(sharded.payload["functions"]) == sorted(serial.payload["functions"])
+        assert pooled.verdicts(label) == serial.verdicts(label)
+        assert pooled.evaluation(label).as_dict() == serial.evaluation(label).as_dict()
+    assert pooled.payload["functions"] == serial.payload["functions"]
 
 
 def test_evaluate_module_in_process_shares_cache(session):
@@ -151,13 +155,13 @@ def test_partial_warmth_draws_function_entries(session, tmp_path):
 
 
 def test_sharded_run_does_not_poison_whole_unit_memo(session, tmp_path):
-    """Shard payloads must never be stored under the whole-unit key: a warm
-    whole-module run after a sharded one has to see complete results."""
+    """The unit memo evaluate_source writes holds complete results: a warm
+    run answered from it agrees with a store-free run."""
     store_path = str(tmp_path / "store.sqlite")
-    session.evaluate_source("prog", SOURCE, specs=SPECS, workers=2,
-                            store=store_path)
+    session.evaluate_source("prog", SOURCE, specs=SPECS, store=store_path)
     warm = session.run_workload([("prog", SOURCE)], specs=SPECS, workers=0,
                                 store=store_path)[0]
+    assert (warm.store_hits, warm.store_misses) == (1, 0)  # the unit memo
     reference = session.run_workload([("prog", SOURCE)], specs=SPECS,
                                      workers=0, store=False)[0]
     assert warm.payload["labels"] == reference.payload["labels"]
@@ -296,20 +300,20 @@ def test_unit_result_statistics_exposed(session):
 def test_env_defaults(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_STORE", raising=False)
-    assert default_workers() == 0
-    assert default_store_path() is None
+    assert resolved_workers() == 0
+    assert resolved_store_path() is None
     monkeypatch.setenv("REPRO_WORKERS", "3")
     monkeypatch.setenv("REPRO_STORE", "/tmp/some-store.sqlite")
-    assert default_workers() == 3
-    assert default_store_path() == "/tmp/some-store.sqlite"
+    assert resolved_workers() == 3
+    assert resolved_store_path() == "/tmp/some-store.sqlite"
     # Invalid values fail loudly at the config boundary (no silent fallback).
     from repro.api.config import ConfigError
     monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
     with pytest.raises(ConfigError, match="REPRO_WORKERS"):
-        default_workers()
+        resolved_workers()
     monkeypatch.setenv("REPRO_WORKERS", "-2")
     with pytest.raises(ConfigError, match="REPRO_WORKERS"):
-        default_workers()
+        resolved_workers()
 
 
 def test_store_budget_env_bounds_growth(tmp_path, monkeypatch):

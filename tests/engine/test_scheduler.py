@@ -1,10 +1,10 @@
-"""Tests for work units and the deterministic LPT scheduler."""
+"""Tests for work units (one per program) and spec labels."""
 
 import pickle
 
 import pytest
 
-from repro.engine.workunit import DEFAULT_SPECS, Scheduler, WorkUnit, spec_label
+from repro.engine.workunit import DEFAULT_SPECS, WorkUnit, spec_label
 
 
 def test_spec_label():
@@ -19,69 +19,3 @@ def test_work_unit_is_picklable_and_frozen():
     assert clone.specs == DEFAULT_SPECS
     with pytest.raises(Exception):
         unit.name = "other"
-
-
-def test_with_functions_returns_new_unit():
-    unit = WorkUnit("aaeval", "p", "src")
-    shard = unit.with_functions(["f", "g"])
-    assert shard.functions == ("f", "g")
-    assert unit.functions is None
-    assert shard.name == unit.name
-
-
-def test_partition_covers_items_exactly_once():
-    scheduler = Scheduler(3)
-    items = list(range(10))
-    shards = scheduler.partition(items)
-    flattened = sorted(item for shard in shards for item in shard)
-    assert flattened == items
-    assert len(shards) == 3
-
-
-def test_partition_fewer_items_than_shards():
-    shards = Scheduler(8).partition(["a", "b"])
-    assert shards == [["a"], ["b"]]
-    assert Scheduler(4).partition([]) == []
-
-
-def test_partition_balances_weights():
-    # One heavy item and many light ones: LPT must not stack the heavy item
-    # with a large share of the light ones.
-    weights = {"heavy": 100.0}
-    items = ["heavy"] + ["light{}".format(i) for i in range(8)]
-    shards = Scheduler(2).partition(items, weight=lambda item: weights.get(item, 1.0))
-    heavy_shard = next(shard for shard in shards if "heavy" in shard)
-    assert heavy_shard == ["heavy"]
-    light_shard = next(shard for shard in shards if "heavy" not in shard)
-    assert len(light_shard) == 8
-
-
-def test_partition_is_deterministic():
-    items = ["f{}".format(i) for i in range(17)]
-    weights = [float((i * 3) % 7 + 1) for i in range(17)]
-    table = dict(zip(items, weights))
-    first = Scheduler(4).partition(items, weight=lambda item: table[item])
-    second = Scheduler(4).partition(items, weight=lambda item: table[item])
-    assert first == second
-
-
-def test_partition_preserves_input_order_within_shards():
-    shards = Scheduler(2).partition(list(range(9)))
-    for shard in shards:
-        assert shard == sorted(shard)
-
-
-def test_shard_unit_distributes_functions():
-    unit = WorkUnit("aaeval", "p", "src")
-    shards = Scheduler(2).shard_unit(unit, ["f", "g", "h"], weights=[9.0, 1.0, 1.0])
-    assert len(shards) == 2
-    names = sorted(name for shard in shards for name in shard.functions)
-    assert names == ["f", "g", "h"]
-    assert {shard.name for shard in shards} == {"p"}
-    with pytest.raises(ValueError):
-        Scheduler(2).shard_unit(unit, ["f", "g"], weights=[1.0])
-
-
-def test_scheduler_rejects_zero_shards():
-    with pytest.raises(ValueError):
-        Scheduler(0)
