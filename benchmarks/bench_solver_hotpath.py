@@ -10,7 +10,8 @@ only the users of values that actually changed.
 
 This figure builds a loop-heavy synthetic workload (loops whose bodies are
 long arithmetic dependence chains, plus the paper's nested-loop kernels),
-runs both solver configurations over identical IR, and reports
+runs the production solvers and the dense and constraint-keyed references
+of :mod:`repro.verify.reference` over identical IR, and reports
 transfer-function evaluations and wall time per configuration.  Three
 contracts are enforced:
 
@@ -36,6 +37,7 @@ from repro.frontend import compile_source
 from repro.obs import TRACER
 from repro.rangeanalysis import RangeAnalysis
 from repro.synth.kernels import KERNEL_SOURCES
+from repro.verify.reference import ConstraintKeyedSolver, DenseRangeAnalysis
 
 #: dependence-chain lengths of the synthetic loop bodies.
 CHAIN_LINKS = (16, 32, 64, 96) if not full_scale() else (16, 32, 64, 96, 128, 192)
@@ -87,18 +89,17 @@ def _prepared_functions(name, source):
     return module, functions
 
 
-def _range_pass(functions, solver):
+def _range_pass(functions, analysis_class):
     """One full range-analysis pass; returns (analyses, evaluations)."""
-    analyses = [RangeAnalysis(function, solver=solver)
-                for function in functions]
+    analyses = [analysis_class(function) for function in functions]
     return analyses, sum(analysis.statistics.evaluations for analysis in analyses)
 
 
-def _lt_solve(module, functions, strategy):
-    """Generate Figure-7 constraints once and solve with ``strategy``."""
+def _lt_solve(module, functions, solver_class):
+    """Generate Figure-7 constraints once and solve with ``solver_class``."""
     ranges = {function: RangeAnalysis(function) for function in functions}
     constraints = ConstraintGenerator(ranges).generate_for_module(module)
-    solver = ConstraintSolver(constraints, strategy=strategy)
+    solver = solver_class(constraints)
     solution = solver.solve()
     return solution, solver.statistics
 
@@ -114,16 +115,18 @@ def _measure_program(name, source):
     module, functions = _prepared_functions(name, source)
 
     dense_seconds, (dense_analyses, dense_evals) = _time_repeats(
-        lambda: _range_pass(functions, "dense"), REPEATS)
+        lambda: _range_pass(functions, DenseRangeAnalysis), REPEATS)
     sparse_seconds, (sparse_analyses, sparse_evals) = _time_repeats(
-        lambda: _range_pass(functions, "sparse"), REPEATS)
+        lambda: _range_pass(functions, RangeAnalysis), REPEATS)
 
     # Contract: identical fixed points, value for value.
     for dense, sparse in zip(dense_analyses, sparse_analyses):
         assert dense.ranges == sparse.ranges, name
 
-    legacy_solution, legacy_stats = _lt_solve(module, functions, "constraint")
-    sparse_solution, sparse_stats = _lt_solve(module, functions, "sparse")
+    legacy_solution, legacy_stats = _lt_solve(module, functions,
+                                              ConstraintKeyedSolver)
+    sparse_solution, sparse_stats = _lt_solve(module, functions,
+                                              ConstraintSolver)
     assert legacy_solution == sparse_solution, name
 
     return {
@@ -149,7 +152,7 @@ def test_sparse_solver_hotpath(benchmark):
 
     # pytest-benchmark tracks the sparse pass on the largest chain program.
     _bench_module, bench_functions = _prepared_functions(*programs[len(CHAIN_LINKS) - 1])
-    benchmark(_range_pass, bench_functions, "sparse")
+    benchmark(_range_pass, bench_functions, RangeAnalysis)
 
     total_dense = sum(row.pop("_dense_seconds") for row in rows)
     total_sparse = sum(row.pop("_sparse_seconds") for row in rows)
@@ -180,8 +183,8 @@ def test_sparse_solver_hotpath(benchmark):
         "sparse solver only cut evaluations by {:.2f}x".format(reduction)
     assert time_ratio <= MAX_SPARSE_RATIO, \
         "sparse path took {:.2f}x the dense wall time".format(time_ratio)
-    # The sparse LT strategy never evaluates more constraints than the
-    # reference constraint-keyed scheme.
+    # The variable-keyed LT solver never evaluates more constraints than
+    # the reference constraint-keyed scheme.
     for row in rows[:-1]:
         assert row["lt_evals_sparse"] <= row["lt_evals_legacy"], row["benchmark"]
 
@@ -201,13 +204,13 @@ def test_tracer_disabled_overhead():
     _module, functions = _prepared_functions(name, source)
 
     sparse_seconds, _ = _time_repeats(
-        lambda: _range_pass(functions, "sparse"), REPEATS)
+        lambda: _range_pass(functions, RangeAnalysis), REPEATS)
     per_pass = sparse_seconds / REPEATS
 
     # How many spans does one traced pass emit?
     TRACER.enable()
     try:
-        _range_pass(functions, "sparse")
+        _range_pass(functions, RangeAnalysis)
         spans_per_pass = len(TRACER.spans())
     finally:
         TRACER.disable()

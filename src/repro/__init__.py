@@ -13,8 +13,8 @@ High-level entry points
   ``Session(config).compile(src).analyze().disambiguate()`` pipeline,
   ``Session.evaluate`` / ``Session.run_workload`` over the execution
   engine, one shared analysis cache and store handle.
-* :class:`repro.api.ReproConfig` — every knob (workers, store, solver
-  strategies, truncation, synth seeds) as one validated, frozen dataclass
+* :class:`repro.api.ReproConfig` — every knob (workers, store, verify
+  mode, truncation, synth seed, trace) as one validated, frozen dataclass
   with the precedence chain *explicit argument > config field > ``REPRO_*``
   env var > default*.
 * ``python -m repro`` — the CLI (``eval``, ``print-ir``, ``stats``,

@@ -85,14 +85,6 @@ class MemoryLocation:
         self.pointer = pointer
         self.size = size
 
-    @staticmethod
-    def for_load(load) -> "MemoryLocation":
-        return MemoryLocation(load.pointer, 1)
-
-    @staticmethod
-    def for_store(store) -> "MemoryLocation":
-        return MemoryLocation(store.pointer, 1)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MemoryLocation)

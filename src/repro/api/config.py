@@ -372,12 +372,6 @@ def resolved_synth_seed() -> int:
             else _resolve_synth_seed(UNSET))
 
 
-def resolved_trace() -> Optional[str]:
-    """The trace output path, or ``None`` when tracing is off."""
-    config = active_config()
-    return config.trace if config is not None else _resolve_trace(UNSET)
-
-
 # ---------------------------------------------------------------------------
 # Validated environment helpers for harness-local knobs
 # ---------------------------------------------------------------------------

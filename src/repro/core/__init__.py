@@ -13,7 +13,7 @@
   used by the ablation benchmarks.
 """
 
-from repro.core.lessthan.analysis import LessThanAnalysis, LessThanAnalysisPass
+from repro.core.lessthan.analysis import LessThanAnalysis
 from repro.core.lessthan.solver import SolverStatistics
 from repro.core.disambiguation import (
     DisambiguationReason,
@@ -26,7 +26,6 @@ from repro.core.rangebased import RangeBasedAliasAnalysis
 
 __all__ = [
     "LessThanAnalysis",
-    "LessThanAnalysisPass",
     "SolverStatistics",
     "DisambiguationReason",
     "DisambiguationStatistics",

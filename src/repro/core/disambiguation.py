@@ -194,14 +194,6 @@ def equivalent_names(value: Value, limit: Optional[int] = 64,
     return names
 
 
-def strip_trivial_geps(pointer: Value) -> Value:
-    """Walk through zero-offset ``gep`` instructions to the underlying pointer."""
-    current = pointer
-    while isinstance(current, GetElementPtr) and current.constant_index() == 0:
-        current = current.base
-    return current
-
-
 def decompose_pointer(pointer: Value) -> Tuple[Value, Optional[Value]]:
     """Split a pointer into ``(base, index)`` when it is a derived pointer.
 

@@ -8,7 +8,7 @@ from repro.core.lessthan.constraints import (
 )
 from repro.core.lessthan.generation import ConstraintGenerator
 from repro.core.lessthan.solver import ConstraintSolver, SolverStatistics
-from repro.core.lessthan.analysis import LessThanAnalysis, LessThanAnalysisPass
+from repro.core.lessthan.analysis import LessThanAnalysis
 from repro.core.lessthan.inequality_graph import InequalityGraph
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "ConstraintSolver",
     "SolverStatistics",
     "LessThanAnalysis",
-    "LessThanAnalysisPass",
     "InequalityGraph",
 ]

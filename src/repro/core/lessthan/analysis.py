@@ -27,7 +27,6 @@ from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.values import Value
 from repro.obs import TRACER
-from repro.passes.pass_base import AnalysisPass
 from repro.rangeanalysis.analysis import RangeAnalysis
 
 
@@ -50,20 +49,12 @@ class LessThanAnalysis:
         When provided, the e-SSA conversion and the per-function range
         analyses are fetched from (and stored into) the cache, so several
         analyses over the same functions share one computation.
-    solver_strategy:
-        Worklist scheduling of the constraint solver: ``"sparse"``
-        (variable-keyed, the default) or ``"constraint"`` (the reference
-        constraint-keyed scheme).  Both reach the same fixed point; the
-        argument exists for differential tests and the solver hot-path
-        benchmark.
     """
 
     def __init__(self, subject: Union[Function, Module], build_essa: bool = True,
-                 interprocedural: bool = True, cache: Optional[object] = None,
-                 solver_strategy: str = "sparse") -> None:
+                 interprocedural: bool = True, cache: Optional[object] = None) -> None:
         self.subject = subject
         self.cache = cache
-        self.solver_strategy = solver_strategy
         self.functions: List[Function] = (
             [subject] if isinstance(subject, Function)
             else [f for f in subject.functions if not f.is_declaration()]
@@ -102,7 +93,7 @@ class LessThanAnalysis:
             else:
                 self.constraints = generator.generate_for_function(self.subject)
             span.annotate(constraints=len(self.constraints))
-        solver = ConstraintSolver(self.constraints, strategy=self.solver_strategy)
+        solver = ConstraintSolver(self.constraints)
         self.lt_sets = solver.solve()
         self.statistics = solver.statistics
 
@@ -129,22 +120,5 @@ class LessThanAnalysis:
     def constraint_count(self) -> int:
         return len(self.constraints)
 
-    def non_empty_sets(self) -> int:
-        return sum(1 for lt_set in self.lt_sets.values() if lt_set)
-
     def range_of(self, function: Function) -> RangeAnalysis:
         return self.ranges[function]
-
-
-class LessThanAnalysisPass(AnalysisPass):
-    """Pass-manager wrapper: per-function less-than analysis.
-
-    The wrapped analysis converts the function to e-SSA form, so this pass is
-    *not* purely observational; it mirrors the original artifact where
-    ``vSSA`` rewrites the program before ``sraa`` runs.
-    """
-
-    name = "less-than-analysis"
-
-    def run_on_function(self, function: Function) -> LessThanAnalysis:
-        return LessThanAnalysis(function, build_essa=True)

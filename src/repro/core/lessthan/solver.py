@@ -6,26 +6,22 @@ never materialise the full set).  Constraints are then re-evaluated until a
 fixed point; by Lemma 3.6 of the paper the sets only shrink, so termination
 is guaranteed by the finiteness of the lattice.
 
-Two scheduling strategies reach that fixed point (the solution is the same —
-the descending chaotic iteration of a monotone system converges to one fixed
-point regardless of evaluation order, which the differential tests assert):
-
-* ``sparse`` (the default) — the worklist is keyed by **variable**: after a
-  seed pass that evaluates every constraint once, only the dependents of a
-  variable whose LT set actually shrank are re-evaluated.  Multiple changes
-  to the same variable coalesce into one pending entry, so a constraint is
-  revisited once per batch of source changes rather than once per change.
-* ``constraint`` — the reference scheme: the worklist holds whole
-  constraints and a change re-pushes every dependent constraint
-  individually.  Select it with ``ConstraintSolver(constraints,
-  strategy="constraint")``; it exists for the differential tests.
+The worklist is keyed by **variable**: after a seed pass that evaluates
+every constraint once, only the dependents of a variable whose LT set
+actually shrank are re-evaluated.  Multiple changes to the same variable
+coalesce into one pending entry, so a constraint is revisited once per batch
+of source changes rather than once per change.  The descending chaotic
+iteration of a monotone system converges to one fixed point regardless of
+evaluation order, so this reaches the same solution as the constraint-keyed
+reference scheme, :class:`repro.verify.reference.ConstraintKeyedSolver`,
+which the differential tests assert.
 
 The solver records the statistics the paper reports in Section 4.2: number
 of constraints, number of constraint (re-)evaluations, and the
 visits-per-constraint ratio (the paper measures about 2.1 visits per
 constraint over SPEC plus the LLVM test suite, which is the observation
-backing the "linear in practice" claim).  The sparse strategy additionally
-records variable pops, coalesced pushes and the resulting skip ratio, which
+backing the "linear in practice" claim).  The solver additionally records
+variable pops, coalesced pushes and the resulting skip ratio, which
 quantify the work the dependents-only scheme avoids.
 """
 
@@ -38,16 +34,13 @@ from repro.ir.values import Value
 from repro.obs import TRACER
 from repro.util.worklist import SolverInfo, Worklist
 
-#: the scheduling strategies :class:`ConstraintSolver` accepts.
-LT_STRATEGIES = ("sparse", "constraint")
-
 
 class SolverStatistics:
     """Counters describing one constraint-solving run.
 
-    ``worklist_pops`` counts constraint evaluations in both strategies (the
-    paper's "visits per constraint" metric); ``variable_pops`` and
-    ``coalesced_pushes`` are only non-zero under the sparse strategy.
+    ``worklist_pops`` counts constraint evaluations (the paper's "visits per
+    constraint" metric); ``variable_pops`` and ``coalesced_pushes`` account
+    the variable-keyed worklist's traffic.
     """
 
     def __init__(self) -> None:
@@ -102,13 +95,8 @@ class SolverStatistics:
 class ConstraintSolver:
     """Solves a system of less-than constraints to a fixed point."""
 
-    def __init__(self, constraints: Sequence[Constraint],
-                 strategy: str = "sparse") -> None:
-        if strategy not in LT_STRATEGIES:
-            raise ValueError("less-than strategy {!r} is not one of {}".format(
-                strategy, "/".join(LT_STRATEGIES)))
+    def __init__(self, constraints: Sequence[Constraint]) -> None:
         self.constraints: List[Constraint] = list(constraints)
-        self.strategy = strategy
         self.statistics = SolverStatistics()
         # Dependency map: which constraints must be re-evaluated when the LT
         # set of a given variable changes.
@@ -120,14 +108,10 @@ class ConstraintSolver:
     def solve(self) -> Dict[Value, FrozenSet[Value]]:
         """Run the fixed-point iteration and return the final LT sets."""
         state: LTState = {}
-        with TRACER.timer("lt.solve", strategy=self.strategy,
-                          constraints=len(self.constraints)) as timer:
+        with TRACER.timer("lt.solve", constraints=len(self.constraints)) as timer:
             for constraint in self.constraints:
                 state[constraint.target] = TOP
-            if self.strategy == "sparse":
-                self._solve_sparse(state)
-            else:
-                self._solve_constraint_keyed(state)
+            self._fixpoint(state)
         self.statistics.constraint_count = len(self.constraints)
         self.statistics.variable_count = len(state)
         self.statistics.solve_time_seconds = timer.seconds
@@ -139,7 +123,7 @@ class ConstraintSolver:
             result[value] = frozenset() if lt_set is TOP else lt_set  # type: ignore[assignment]
         return result
 
-    def _solve_sparse(self, state: LTState) -> None:
+    def _fixpoint(self, state: LTState) -> None:
         """Variable-keyed worklist: re-evaluate only affected dependents.
 
         A constraint must be revisited iff one of its sources changed *after*
@@ -187,20 +171,6 @@ class ConstraintSolver:
         self.statistics.worklist_pops = evaluations
         self.statistics.variable_pops = worklist.pops
         self.statistics.coalesced_pushes = worklist.coalesced + skipped
-
-    def _solve_constraint_keyed(self, state: LTState) -> None:
-        """Reference scheme: the worklist holds whole constraints."""
-        worklist: Worklist[Constraint] = Worklist(self.constraints)
-        while worklist:
-            constraint = worklist.pop()
-            evaluated = constraint.evaluate(state)
-            current = state.get(constraint.target, TOP)
-            updated = self._meet(current, evaluated)
-            if updated != current:
-                state[constraint.target] = updated
-                for dependent in self._dependents.get(constraint.target, []):
-                    worklist.push(dependent)
-        self.statistics.worklist_pops = worklist.pops
 
     @staticmethod
     def _meet(current: object, evaluated: object) -> object:

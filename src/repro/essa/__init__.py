@@ -16,6 +16,6 @@ This package implements that transformation (the ``vSSA`` pass of the
 original artifact) for our IR.
 """
 
-from repro.essa.transform import EssaConstructionPass, EssaInfo, convert_to_essa
+from repro.essa.transform import EssaInfo, convert_to_essa
 
-__all__ = ["EssaConstructionPass", "EssaInfo", "convert_to_essa"]
+__all__ = ["EssaInfo", "convert_to_essa"]

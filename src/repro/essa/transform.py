@@ -24,7 +24,7 @@ and after the transformation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.dominators import DominatorTree
@@ -41,7 +41,6 @@ from repro.ir.instructions import (
 )
 from repro.ir.values import Argument, ConstantInt, Value
 from repro.obs import TRACER
-from repro.passes.pass_base import TransformPass
 from repro.rangeanalysis.analysis import RangeAnalysis
 from repro.rangeanalysis.classify import shrink_base
 
@@ -184,17 +183,3 @@ def _insert_copies(function: Function, ranges: RangeAnalysis,
                 successor.insert(successor.first_non_phi_index(), copy)
                 info.sigma_copies.append(copy)
                 _rename_dominated_uses(domtree, operand, copy)
-
-
-class EssaConstructionPass(TransformPass):
-    """Pass-manager wrapper around :func:`convert_to_essa`."""
-
-    name = "essa-construction"
-
-    def __init__(self) -> None:
-        self.last_info: Dict[Function, EssaInfo] = {}
-
-    def run_on_function(self, function: Function) -> bool:
-        info = convert_to_essa(function)
-        self.last_info[function] = info
-        return info.total_copies > 0 or info.split_edges > 0

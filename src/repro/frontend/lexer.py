@@ -78,9 +78,13 @@ def tokenize(source: str) -> List[Token]:
             if end == -1:
                 raise error("unterminated block comment")
             skipped = source[index:end + 2]
-            line += skipped.count("\n")
+            newlines = skipped.count("\n")
+            if newlines:
+                line += newlines
+                column = len(skipped) - skipped.rfind("\n")
+            else:
+                column += len(skipped)
             index = end + 2
-            column = 1
             continue
         # Numbers.
         if ch.isdigit():

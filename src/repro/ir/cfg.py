@@ -125,6 +125,3 @@ def split_critical_edge(pred: BasicBlock, succ: BasicBlock) -> Optional[BasicBlo
                 phi.incoming_blocks[i] = middle
     return middle
 
-
-def has_single_predecessor(block: BasicBlock) -> bool:
-    return len(block.predecessors()) == 1

@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.instructions import Instruction
-from repro.ir.types import FunctionType, Type, VoidType
+from repro.ir.types import Type, VoidType
 from repro.ir.values import Argument, Value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,10 +71,6 @@ class Function:
     @property
     def entry_block(self) -> Optional[BasicBlock]:
         return self.blocks[0] if self.blocks else None
-
-    @property
-    def function_type(self) -> FunctionType:
-        return FunctionType(self.return_type, tuple(a.type for a in self.arguments))
 
     def is_declaration(self) -> bool:
         return not self.blocks

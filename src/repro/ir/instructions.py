@@ -70,11 +70,6 @@ class Instruction(Value):
             operand.remove_use(self, index)
         self._operands = []
 
-    def replace_uses_of(self, old: Value, new: Value) -> None:
-        for index, operand in enumerate(self._operands):
-            if operand is old:
-                self.set_operand(index, new)
-
     # -- structural helpers ---------------------------------------------------
     @property
     def function(self) -> Optional["Function"]:

@@ -107,16 +107,6 @@ class LivenessInfo:
         # this block that has uses after `point` is already captured above.
         return live
 
-    def definition_block(self, value: Value) -> BasicBlock:
-        if isinstance(value, Argument):
-            entry = self.function.entry_block
-            if entry is None:
-                raise ValueError("function has no entry block")
-            return entry
-        if isinstance(value, Instruction) and value.parent is not None:
-            return value.parent
-        raise ValueError("value {} has no definition block".format(value))
-
     def simultaneously_live(self, a: Value, b: Value) -> bool:
         """Conservative interference test for two SSA values.
 
@@ -140,11 +130,3 @@ class LivenessInfo:
                     if first in self.live_at(entry.instructions[0]):
                         return True
         return False
-
-    def live_values(self) -> Set[Value]:
-        """Every value that is live-in or live-out of some block."""
-        result: Set[Value] = set()
-        for block in self.function.blocks:
-            result |= self.live_in[block]
-            result |= self.live_out[block]
-        return result

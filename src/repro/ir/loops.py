@@ -107,9 +107,6 @@ class LoopInfo:
                     break
 
     # -- queries ------------------------------------------------------------------
-    def loop_for_header(self, block: BasicBlock) -> Optional[Loop]:
-        return self._loop_of_header.get(block)
-
     def innermost_loop_containing(self, block: BasicBlock) -> Optional[Loop]:
         best: Optional[Loop] = None
         for loop in self.loops:

@@ -8,7 +8,7 @@ with ``replace_all_uses_with``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.ir.types import IntType, PointerType, Type
 
@@ -141,15 +141,3 @@ class GlobalVariable(Value):
 
     def __repr__(self) -> str:
         return "<GlobalVariable @{}:{}>".format(self.name, self.type)
-
-
-def constant_int_value(value: Value) -> Optional[int]:
-    """Return the integer payload if ``value`` is a ``ConstantInt``, else None."""
-    if isinstance(value, ConstantInt):
-        return value.value
-    return None
-
-
-def operands_signature(values: Tuple[Value, ...]) -> str:
-    """Human-readable rendering of a tuple of operands (used in error text)."""
-    return ", ".join(v.short_name() for v in values)

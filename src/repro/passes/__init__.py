@@ -1,13 +1,13 @@
-"""A small pass-manager framework.
+"""The one way the pipeline manages its analyses.
 
-The original artifact chains LLVM passes (``vSSA``, ``RangeAnalysis``,
-``sraa``, ``DepGraph``).  This package provides the equivalent plumbing:
-passes declare a ``name``, run over functions or modules, and analysis
-results are cached per function until a transformation invalidates them.
+The original artifact chains LLVM passes (``RangeAnalysis``, ``vSSA``,
+``sraa``).  Here that chain has a fixed order, so there is no pass
+scheduler: :class:`FunctionAnalysisCache` runs each stage on demand —
+ranges, e-SSA conversion, constraint generation and the worklist solve —
+memoizes the results per function and per module, and drops them when the
+IR changes.
 """
 
-from repro.passes.pass_base import AnalysisPass, FunctionPass, ModulePass, TransformPass
-from repro.passes.manager import PassManager
 from repro.passes.analysis_cache import (
     CacheStatistics,
     FunctionAnalysisCache,
@@ -15,11 +15,6 @@ from repro.passes.analysis_cache import (
 )
 
 __all__ = [
-    "AnalysisPass",
-    "FunctionPass",
-    "ModulePass",
-    "TransformPass",
-    "PassManager",
     "CacheStatistics",
     "FunctionAnalysisCache",
     "RefreshResult",

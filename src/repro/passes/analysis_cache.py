@@ -32,17 +32,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
+from repro.essa.transform import EssaInfo, convert_to_essa
+from repro.ir import callgraph
 from repro.ir.function import Function
 from repro.ir.module import Module
+from repro.rangeanalysis.analysis import RangeAnalysis
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.essa.transform import EssaInfo
-    from repro.ir.callgraph import ModuleFingerprints
-    from repro.rangeanalysis.analysis import RangeAnalysis
+    from repro.core.disambiguation import PointerDisambiguator
+    from repro.core.lessthan.analysis import LessThanAnalysis
 
-# The analysis modules themselves import ``repro.passes.pass_base`` (whose
-# package __init__ imports this module), so they are imported lazily inside
-# the methods below to keep the import graph acyclic.
+# ``repro.core.sraa`` and ``repro.engine.worker`` import this module, so the
+# ``repro.core`` and ``repro.engine`` modules it uses are imported lazily
+# inside the methods below to keep the import graph acyclic.
 
 
 class CacheStatistics:
@@ -106,7 +108,7 @@ class _ModuleSnapshot:
 
     __slots__ = ("prints", "functions", "module_hash")
 
-    def __init__(self, prints: "ModuleFingerprints",
+    def __init__(self, prints: callgraph.ModuleFingerprints,
                  functions: Dict[str, Function], module_hash: str) -> None:
         self.prints = prints
         self.functions = functions
@@ -177,9 +179,6 @@ class FunctionAnalysisCache:
         pre-conversion form are dropped here — this is the one mutation the
         cache itself performs and can therefore track.
         """
-        from repro.essa.transform import EssaInfo, convert_to_essa
-        from repro.rangeanalysis.analysis import RangeAnalysis
-
         info = self._essa.get(function)
         if info is not None:
             self.statistics.record("essa", hit=True)
@@ -205,8 +204,6 @@ class FunctionAnalysisCache:
     # -- range analysis ------------------------------------------------------------
     def ranges(self, function: Function) -> RangeAnalysis:
         """The (memoized) range analysis of ``function`` in its current form."""
-        from repro.rangeanalysis.analysis import RangeAnalysis
-
         cached = self._ranges.get(function)
         if cached is not None:
             self.statistics.record("ranges", hit=True)
@@ -219,12 +216,6 @@ class FunctionAnalysisCache:
                                  previous=self._range_hints.pop(function, None))
         self._ranges[function] = analysis
         return analysis
-
-    def hint_previous_ranges(self, function: Function,
-                             previous: "RangeAnalysis") -> None:
-        """Seed the next :meth:`ranges` miss on ``function`` with a previous
-        compile's analysis for an incremental re-solve."""
-        self._range_hints[function] = previous
 
     # -- less-than analysis -----------------------------------------------------------
     def lessthan(self, function: Function) -> "LessThanAnalysis":
@@ -370,8 +361,6 @@ class FunctionAnalysisCache:
             self._pre_range_hints.clear()
             self._snapshots.clear()
             return
-        from repro.ir.callgraph import CallGraph
-
         self._essa.pop(function, None)
         self._drop_function_entries(function)
         self._drop_function_evaluations(function)
@@ -384,7 +373,7 @@ class FunctionAnalysisCache:
                 del self._module_lessthan[key]
             for key in [k for k in self._module_disambiguators if k[0] is module]:
                 del self._module_disambiguators[key]
-            graph = CallGraph(module)
+            graph = callgraph.CallGraph(module)
             if function.name in graph.callees:
                 coupled = (graph.transitive_callers(function.name)
                            | graph.transitive_callees(function.name))
@@ -416,9 +405,10 @@ class FunctionAnalysisCache:
         like the engine's content addressing).
         """
         from repro.engine.workunit import label_fingerprint_scope
-        from repro.ir.callgraph import module_fingerprints
 
-        prints = module_fingerprints(module)
+        # Looked up on the module at call time, so a wrapper installed on
+        # ``callgraph.module_fingerprints`` (a tracing probe) sees this call.
+        prints = callgraph.module_fingerprints(module)
         functions = {function.name: function
                      for function in module.defined_functions()}
         module_hash = _module_content_hash(module)

@@ -14,11 +14,7 @@ connected component ordering, and the analysis driver.
 
 from repro.rangeanalysis.interval import Interval, NEG_INF, POS_INF
 from repro.rangeanalysis.graph import DependencyGraph, strongly_connected_components
-from repro.rangeanalysis.analysis import (
-    RangeAnalysis,
-    RangeAnalysisPass,
-    RangeStatistics,
-)
+from repro.rangeanalysis.analysis import RangeAnalysis, RangeStatistics
 
 __all__ = [
     "Interval",
@@ -27,6 +23,5 @@ __all__ = [
     "DependencyGraph",
     "strongly_connected_components",
     "RangeAnalysis",
-    "RangeAnalysisPass",
     "RangeStatistics",
 ]

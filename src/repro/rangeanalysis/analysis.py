@@ -20,21 +20,16 @@ condition that dominates them; the analysis uses those conditions to refine
 ranges, which is how ``for (i = 0; i < N; i++)`` yields ``i ∈ [0, N-1]`` on
 the true branch.
 
-Two solver implementations compute the fixed point of a cyclic component:
-
-* ``sparse`` (the default) — a def-use worklist seeded from the
-  :class:`~repro.rangeanalysis.graph.DependencyGraph`.  Only users of values
-  whose interval actually changed are re-evaluated; per-value widening-point
-  tracking records where widening fired (the back-edge φ/σ nodes in
-  practice).  The worklist is ordered by ``(sweep, member index)`` so it
-  replays the dense solver's Gauss-Seidel trajectory exactly, skipping only
-  evaluations that are provably no-ops — the resulting intervals are
-  **bit-identical** to the dense solver's.
-* ``dense`` — the reference implementation: every member of the component is
-  re-evaluated on every iteration/widening/narrowing sweep.  Kept for
-  differential testing and as the baseline of
-  ``benchmarks/bench_solver_hotpath.py``; select it with
-  ``RangeAnalysis(function, solver="dense")``.
+A cyclic component is solved by a sparse def-use worklist seeded from the
+:class:`~repro.rangeanalysis.graph.DependencyGraph`.  Only users of values
+whose interval actually changed are re-evaluated; per-value widening-point
+tracking records where widening fired (the back-edge φ/σ nodes in
+practice).  The worklist is ordered by ``(sweep, member index)`` so it
+replays full Gauss-Seidel sweeps over the component exactly, skipping only
+evaluations that are provably no-ops — the resulting intervals are
+**bit-identical** to those of the dense sweeps, which
+:class:`repro.verify.reference.DenseRangeAnalysis` keeps as the independent
+reference for differential tests and ``benchmarks/bench_solver_hotpath.py``.
 """
 
 from __future__ import annotations
@@ -53,13 +48,9 @@ from repro.ir.instructions import (
 from repro.ir.printer import format_instruction
 from repro.ir.values import Argument, ConstantInt, Undef, Value
 from repro.obs import TRACER
-from repro.passes.pass_base import AnalysisPass
 from repro.rangeanalysis.graph import DependencyGraph, SCCComponent
 from repro.rangeanalysis.interval import Interval
 from repro.util.worklist import SolverInfo, SweepWorklist
-
-#: the range solvers :class:`RangeAnalysis` accepts.
-RANGE_SOLVERS = ("sparse", "dense")
 
 
 def value_signature(value: Value) -> tuple:
@@ -178,7 +169,6 @@ class RangeAnalysis:
 
     def __init__(self, function: Function,
                  argument_ranges: Optional[Dict[Argument, Interval]] = None,
-                 solver: str = "sparse",
                  previous: Optional["RangeAnalysis"] = None) -> None:
         """``previous`` is a finished analysis of an earlier compile of (an
         edit of) the same function: components whose structure and external
@@ -186,21 +176,16 @@ class RangeAnalysis:
         (incremental re-solve, bit-identical to a fresh solve — see
         :meth:`_try_reuse`).  It is only read during the solve, so an
         analysis never keeps its predecessor alive."""
-        if solver not in RANGE_SOLVERS:
-            raise ValueError("range solver {!r} is not one of {}".format(
-                solver, "/".join(RANGE_SOLVERS)))
         self.function = function
         self.argument_ranges = argument_ranges or {}
         self.ranges: Dict[Value, Interval] = {}
-        self.solver = solver
         self.statistics = RangeStatistics()
         self._schedule = None
         self._reuse_table: Optional[Dict[tuple, List[tuple]]] = None
         #: values whose bounds widening actually changed — the per-value
         #: widening points (back-edge φ/σ nodes and the chains they feed).
         self.widening_points: Set[Value] = set()
-        with TRACER.timer("range.solve", fn=function.name,
-                          solver=self.solver) as timer:
+        with TRACER.timer("range.solve", fn=function.name) as timer:
             self._run(previous)
         self.statistics.solve_time_seconds = timer.seconds
 
@@ -240,10 +225,7 @@ class RangeAnalysis:
                 # widening, no worklist.
                 self._solve_acyclic(component.members[0])
                 continue
-            if self.solver == "dense":
-                self._solve_cyclic_dense(component.members)
-            else:
-                self._solve_cyclic_sparse(component)
+            self._solve_cyclic(component)
         self.statistics.widening_points = len(self.widening_points)
 
     # -- incremental re-solve --------------------------------------------------------
@@ -344,62 +326,25 @@ class RangeAnalysis:
     def _solve_acyclic(self, value: Value) -> None:
         self.ranges[value] = self._evaluate(value)
 
-    def _solve_cyclic_dense(self, component: List[Value]) -> None:
-        """Reference solver: full sweeps over the component until stable."""
-        members = list(component)
-        # Phase 1: plain iteration, then widening until stabilisation.
-        for iteration in range(self.ITERATIONS_BEFORE_WIDENING):
-            changed = False
-            for value in members:
-                new = self._evaluate(value)
-                if new != self.ranges[value]:
-                    self.ranges[value] = new
-                    changed = True
-            if not changed:
-                return
-        stable = False
-        while not stable:
-            stable = True
-            for value in members:
-                new = self._evaluate(value)
-                widened = self.ranges[value].widen(new)
-                if widened != self.ranges[value]:
-                    self.ranges[value] = widened
-                    if value not in self.widening_points:
-                        self.widening_points.add(value)
-                    self.statistics.widenings += 1
-                    stable = False
-        # Phase 2: narrowing.
-        for _ in range(self.MAX_NARROWING_ITERATIONS):
-            changed = False
-            for value in members:
-                new = self._evaluate(value)
-                narrowed = self.ranges[value].narrow(new)
-                if narrowed != self.ranges[value]:
-                    self.ranges[value] = narrowed
-                    self.statistics.narrowings += 1
-                    changed = True
-            if not changed:
-                break
-
     def _harvest(self, worklist: SweepWorklist) -> None:
         """Fold a drained worklist's traffic counters into the statistics."""
         self.statistics.pops += worklist.pops
         self.statistics.coalesced_pushes += worklist.coalesced
 
-    def _solve_cyclic_sparse(self, component: SCCComponent) -> None:
+    def _solve_cyclic(self, component: SCCComponent) -> None:
         """Change-driven solver: re-evaluate only users of changed values.
 
         The :class:`~repro.util.worklist.SweepWorklist` holds member indices
-        keyed ``(sweep, index)``, which replays the dense solver's
-        Gauss–Seidel sweeps: when the value at index ``i`` changes during
+        keyed ``(sweep, index)``, which replays dense Gauss–Seidel sweeps
+        over the component: when the value at index ``i`` changes during
         sweep ``s``, a user at index ``j > i`` is re-evaluated later in the
         same sweep (it would have seen the update in the dense pass too) and
         a user at ``j <= i`` in sweep ``s + 1``.  Values whose operands did
         not change are skipped outright — their re-evaluation would
         reproduce the stored interval, so the dense sweep's visit is a no-op
-        there.  The per-phase sweep limits are shared with the dense solver,
-        which makes the two solvers' results bit-identical.
+        there.  The per-phase sweep limits are the class constants above,
+        shared with the dense reference, which makes the two solvers'
+        results bit-identical.
         """
         members = component.members
         users = component.users
@@ -531,12 +476,3 @@ class RangeAnalysis:
         if predicate == "eq":
             return mine.refine_equal(other)
         return mine
-
-
-class RangeAnalysisPass(AnalysisPass):
-    """Pass-manager wrapper around :class:`RangeAnalysis`."""
-
-    name = "range-analysis"
-
-    def run_on_function(self, function: Function) -> RangeAnalysis:
-        return RangeAnalysis(function)

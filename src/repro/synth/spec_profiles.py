@@ -24,7 +24,7 @@ sites and call-heavy code (BA far ahead of LT).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,3 @@ SPEC_PROFILES: Dict[str, SpecProfile] = {
     "dealII":     SpecProfile("dealII",     pointer_kernels=3,  alloc_kernels=12, random_programs=3, random_statements=40, random_parameters=0, seed=115),
     "gcc":        SpecProfile("gcc",        pointer_kernels=6,  alloc_kernels=14, random_programs=4, random_statements=40, random_parameters=1, seed=116),
 }
-
-
-def spec_benchmark_names() -> List[str]:
-    """Profile names in the paper's order (ascending query counts)."""
-    return list(SPEC_PROFILES)

@@ -14,6 +14,13 @@ Entry points:
   workers, shipping reports back through the unit payload);
 * :meth:`repro.api.session.Session.verify` — verify everything a session
   has compiled, returning the merged :class:`VerificationReport`.
+
+This package is the one home of the independent references:
+:mod:`repro.verify.certificate` holds the transfer-function recompute and
+``reference_disambiguate``, and :mod:`repro.verify.reference` the dense
+range solver and the constraint-keyed LT solver the differential tests
+compare the production solvers against.  The latter is imported only by
+tests and benchmarks, never from here, so production runs do not load it.
 """
 
 from repro.verify.diagnostics import (

@@ -14,6 +14,7 @@ from repro.core.lessthan.constraints import (
     UnionConstraint,
 )
 from repro.core.lessthan.solver import ConstraintSolver
+from repro.verify.reference import ConstraintKeyedSolver
 from repro.ir import INT
 from repro.ir.values import Value
 
@@ -153,14 +154,14 @@ def _example_systems():
 
 def test_sparse_and_constraint_strategies_agree():
     for name, constraints in _example_systems().items():
-        sparse = ConstraintSolver(constraints, strategy="sparse").solve()
-        legacy = ConstraintSolver(constraints, strategy="constraint").solve()
+        sparse = ConstraintSolver(constraints).solve()
+        legacy = ConstraintKeyedSolver(constraints).solve()
         assert sparse == legacy, name
 
 
 def test_sparse_statistics_prove_the_reduction():
     constraints = _example_systems()["cycle"]
-    solver = ConstraintSolver(constraints, strategy="sparse")
+    solver = ConstraintSolver(constraints)
     solver.solve()
     stats = solver.statistics
     # Every constraint is visited at least once (the seed pass)...
@@ -176,18 +177,20 @@ def test_sparse_statistics_prove_the_reduction():
 
 def test_sparse_never_evaluates_more_than_legacy():
     for name, constraints in _example_systems().items():
-        sparse = ConstraintSolver(constraints, strategy="sparse")
-        legacy = ConstraintSolver(constraints, strategy="constraint")
+        sparse = ConstraintSolver(constraints)
+        legacy = ConstraintKeyedSolver(constraints)
         sparse.solve()
         legacy.solve()
         assert sparse.statistics.worklist_pops <= legacy.statistics.worklist_pops, name
 
 
 def test_strategy_selection_via_environment(monkeypatch):
-    # The strategy is a constructor argument only: a REPRO_LT_SOLVER left in
-    # the environment does not reroute the production solve.
+    # There is one production solver: a REPRO_LT_SOLVER left in the
+    # environment does not reroute it, and the old keyword is gone.
     monkeypatch.setenv("REPRO_LT_SOLVER", "constraint")
-    assert ConstraintSolver([]).strategy == "sparse"
-    assert ConstraintSolver([], strategy="constraint").strategy == "constraint"
-    with pytest.raises(ValueError, match="unknown"):
-        ConstraintSolver([], strategy="unknown")
+    solver = ConstraintSolver(_example_systems()["cycle"])
+    solver.solve()
+    # Only the variable-keyed worklist pops variables.
+    assert solver.statistics.variable_pops > 0
+    with pytest.raises(TypeError):
+        ConstraintSolver([], strategy="constraint")

@@ -27,6 +27,21 @@ def test_tokenize_comments_and_lines():
     assert idents == ["a", "b"]
 
 
+@pytest.mark.parametrize("source, line, column", [
+    ("int /* c */ x;", 1, 13),
+    ("int /* a\nb */ x;", 2, 6),
+], ids=["single-line", "multi-line"])
+def test_token_column_after_block_comment(source, line, column):
+    token = next(t for t in tokenize(source) if t.text == "x")
+    assert (token.line, token.column) == (line, column)
+
+
+def test_lexer_error_column_after_block_comment():
+    with pytest.raises(LexerError) as raised:
+        tokenize("int /* c */ @;")
+    assert (raised.value.line, raised.value.column) == (1, 13)
+
+
 def test_tokenize_rejects_garbage():
     with pytest.raises(LexerError):
         tokenize("int a = @;")

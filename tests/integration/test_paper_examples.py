@@ -11,8 +11,7 @@ from repro.alias import AliasAnalysisChain, AliasResult, BasicAliasAnalysis, Mem
 from repro.alias.aaeval import evaluate_module
 from repro.core import LessThanAnalysis, PointerDisambiguator, StrictInequalityAliasAnalysis
 from repro.ir.instructions import GetElementPtr, Load, Store
-from repro.passes import PassManager
-from repro.core import LessThanAnalysisPass
+from repro.passes import FunctionAnalysisCache
 from repro.synth import KERNEL_SOURCES, kernel_module
 
 
@@ -101,15 +100,15 @@ def test_ba_plus_lt_strictly_better_on_figure1_kernels():
 
 def test_pass_manager_pipeline_runs_all_passes():
     module = kernel_module("ins_sort")
-    pm = PassManager(module)
-    results = pm.run(LessThanAnalysisPass())
+    cache = FunctionAnalysisCache()
     function = module.get_function("ins_sort")
-    analysis = results[function]
+    analysis = cache.lessthan(function)
     assert isinstance(analysis, LessThanAnalysis)
+    assert getattr(function, "essa_form", False)
     # The analysis is cached: a second request returns the same object.
-    again = pm.get_analysis(LessThanAnalysisPass(), function)
+    again = cache.lessthan(function)
     assert again is analysis
-    assert pm.history.count("less-than-analysis") == 1
+    assert cache.statistics.by_kind["lessthan"] == {"hits": 1, "misses": 1}
 
 
 def test_figure1_sources_match_paper_text():

@@ -2,17 +2,20 @@
 
 The contract of the sparse solver layer: per-pair alias verdicts must be
 **bit-identical** between the production solvers (the sparse range solver
-and the variable-keyed less-than solver) and their reference oracles (the
-dense range solver and the constraint-keyed less-than strategy), because
-the fixed points the solvers reach are the same.  The reference solvers are
-constructor arguments only, so these tests route the pipeline's solves to
-them by pinning the argument at the two construction sites, and the whole
-pipeline (frontend → e-SSA → ranges → constraints → disambiguation →
-aa-eval) runs under each combination.
+and the variable-keyed less-than solver) and their reference oracles in
+:mod:`repro.verify.reference` (the dense range solver and the
+constraint-keyed less-than solver), because the fixed points the solvers
+reach are the same.  The production pipeline never constructs a reference,
+so these tests monkeypatch the reference classes in at the modules that
+construct the solvers, and the whole pipeline (frontend → e-SSA → ranges →
+constraints → disambiguation → aa-eval) runs under each combination.
 """
 
 from repro.api import Session
+from repro.core.lessthan.solver import ConstraintSolver
+from repro.rangeanalysis.analysis import RangeAnalysis
 from repro.synth import kernel_module, kernel_names
+from repro.verify.reference import ConstraintKeyedSolver, DenseRangeAnalysis
 
 SPECS = (("basicaa",), ("lt",), ("basicaa", "lt"))
 
@@ -31,40 +34,29 @@ def _verdict_streams(results):
             for result in results]
 
 
-def _pin_solvers(monkeypatch, range_solver, lt_strategy):
-    """Make every range solve use ``range_solver`` and every less-than solve
-    ``lt_strategy`` for the rest of the test (in-process runs only)."""
+def _pin_solvers(monkeypatch, range_class, solver_class):
+    """Make every range solve use ``range_class`` and every less-than solve
+    ``solver_class`` for the rest of the test (in-process runs only)."""
     import repro.core.lessthan.analysis as lessthan_module
-    import repro.rangeanalysis.analysis as range_module
+    import repro.essa.transform as essa_module
+    import repro.passes.analysis_cache as cache_module
 
-    range_class = range_module.RangeAnalysis
-    solver_class = lessthan_module.ConstraintSolver
-
-    class PinnedRangeAnalysis(range_class):
-        def __init__(self, function, argument_ranges=None, solver=None,
-                     previous=None):
-            super().__init__(function, argument_ranges, range_solver, previous)
-
-    class PinnedConstraintSolver(solver_class):
-        def __init__(self, constraints, strategy=None):
-            super().__init__(constraints, lt_strategy)
-
-    monkeypatch.setattr(range_module, "RangeAnalysis", PinnedRangeAnalysis)
-    monkeypatch.setattr(lessthan_module, "RangeAnalysis", PinnedRangeAnalysis)
-    monkeypatch.setattr(lessthan_module, "ConstraintSolver",
-                        PinnedConstraintSolver)
+    for module in (cache_module, essa_module, lessthan_module):
+        monkeypatch.setattr(module, "RangeAnalysis", range_class)
+    monkeypatch.setattr(lessthan_module, "ConstraintSolver", solver_class)
 
 
-def _run_with_solvers(monkeypatch, range_solver, lt_strategy):
+def _run_with_solvers(monkeypatch, range_class, solver_class):
     with monkeypatch.context() as patch:
-        _pin_solvers(patch, range_solver, lt_strategy)
+        _pin_solvers(patch, range_class, solver_class)
         with Session(workers=0, store_path=None) as session:
             return session.run_workload(_kernel_units(), specs=SPECS)
 
 
 def test_verdicts_bit_identical_across_solver_modes(monkeypatch):
-    sparse = _run_with_solvers(monkeypatch, "sparse", "sparse")
-    dense = _run_with_solvers(monkeypatch, "dense", "constraint")
+    sparse = _run_with_solvers(monkeypatch, RangeAnalysis, ConstraintSolver)
+    dense = _run_with_solvers(monkeypatch, DenseRangeAnalysis,
+                              ConstraintKeyedSolver)
     assert _verdict_streams(sparse) == _verdict_streams(dense)
     for sparse_result, dense_result in zip(sparse, dense):
         for label in sparse_result.labels:
@@ -77,16 +69,17 @@ def test_verdicts_bit_identical_across_solver_modes(monkeypatch):
 
 def test_verdicts_bit_identical_with_mixed_modes(monkeypatch):
     # One layer sparse, the other the reference — the layers are independent.
-    mixed_a = _run_with_solvers(monkeypatch, "sparse", "constraint")
-    mixed_b = _run_with_solvers(monkeypatch, "dense", "sparse")
+    mixed_a = _run_with_solvers(monkeypatch, RangeAnalysis,
+                                ConstraintKeyedSolver)
+    mixed_b = _run_with_solvers(monkeypatch, DenseRangeAnalysis,
+                                ConstraintSolver)
     assert _verdict_streams(mixed_a) == _verdict_streams(mixed_b)
 
 
 def test_worklist_order_equivalence_survives_sharding():
     """Serial vs ``workers=2`` under the solvers' FIFO order: identical
-    verdicts and identical merged solver totals (the per-shard
-    ``SolverInfo`` counters must survive the coordinator merge
-    losslessly)."""
+    verdicts and identical ``SolverInfo`` totals per program (the counters
+    a pool worker ships back must match the serial run's)."""
     with Session(store_path=None) as session:
         serial = session.run_workload(_kernel_units(), specs=SPECS, workers=0)
         sharded = session.run_workload(_kernel_units(), specs=SPECS, workers=2)
@@ -100,12 +93,9 @@ def test_worklist_order_equivalence_survives_sharding():
 
 def test_lt_sets_identical_across_strategies():
     from repro.core import LessThanAnalysis
-    from repro.core.lessthan.solver import ConstraintSolver
 
     for name in kernel_names():
         module = kernel_module(name)
-        analysis = LessThanAnalysis(module, build_essa=True,
-                                    solver_strategy="constraint")
-        resolved = ConstraintSolver(analysis.constraints,
-                                    strategy="sparse").solve()
+        analysis = LessThanAnalysis(module, build_essa=True)
+        resolved = ConstraintKeyedSolver(analysis.constraints).solve()
         assert resolved == analysis.lt_sets, name

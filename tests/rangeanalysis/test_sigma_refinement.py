@@ -15,6 +15,7 @@ from repro.frontend import compile_source
 from repro.ir import INT, IRBuilder, Module
 from repro.ir.instructions import Copy, ICmp
 from repro.rangeanalysis import Interval, NEG_INF, POS_INF, RangeAnalysis
+from repro.verify.reference import DenseRangeAnalysis
 
 #: range pinned on the *known* side of the comparison in every scenario.
 OTHER = Interval(0, 10)
@@ -78,10 +79,9 @@ def test_refinement_agrees_between_solvers(side):
     for predicate in sorted(ICmp.VALID_PREDICATES):
         for on_true in (True, False):
             function, known, copy = _build_sigma_function(predicate, side, on_true)
-            dense = RangeAnalysis(function, argument_ranges={known: OTHER},
-                                  solver="dense")
-            sparse = RangeAnalysis(function, argument_ranges={known: OTHER},
-                                   solver="sparse")
+            dense = DenseRangeAnalysis(function,
+                                       argument_ranges={known: OTHER})
+            sparse = RangeAnalysis(function, argument_ranges={known: OTHER})
             assert dense.range_of(copy) == sparse.range_of(copy)
 
 

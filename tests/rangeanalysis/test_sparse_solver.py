@@ -1,8 +1,8 @@
 """Differential and regression tests for the sparse range solver.
 
 The sparse def-use worklist must produce intervals **bit-identical** to the
-dense reference sweeps (the worklist only skips evaluations that are
-provably no-ops), while performing no more — and on loop-heavy code far
+dense reference sweeps of :class:`repro.verify.reference.DenseRangeAnalysis`
+(the worklist only skips evaluations that are provably no-ops), while performing no more — and on loop-heavy code far
 fewer — transfer-function evaluations.  Interval interning is asserted at
 object-identity level: repeated constant lookups must stop allocating.
 """
@@ -14,6 +14,7 @@ from repro.frontend import compile_source
 from repro.ir import IRBuilder
 from repro.rangeanalysis import Interval, RangeAnalysis
 from repro.synth import kernel_module, kernel_names
+from repro.verify.reference import DenseRangeAnalysis
 from tests.helpers import (
     build_counting_loop_module,
     build_figure3_module,
@@ -34,8 +35,8 @@ CHAIN_SOURCE = (
 
 
 def _assert_identical(function):
-    dense = RangeAnalysis(function, solver="dense")
-    sparse = RangeAnalysis(function, solver="sparse")
+    dense = DenseRangeAnalysis(function)
+    sparse = RangeAnalysis(function)
     assert set(dense.ranges) == set(sparse.ranges)
     for value in dense.ranges:
         assert dense.ranges[value] == sparse.ranges[value], \
@@ -71,8 +72,8 @@ def test_sparse_never_evaluates_more_than_dense():
     for name in kernel_names():
         module = kernel_module(name)
         for function in module.defined_functions():
-            dense = RangeAnalysis(function, solver="dense")
-            sparse = RangeAnalysis(function, solver="sparse")
+            dense = DenseRangeAnalysis(function)
+            sparse = RangeAnalysis(function)
             assert dense.ranges == sparse.ranges
             assert sparse.statistics.evaluations <= dense.statistics.evaluations
 
@@ -91,7 +92,7 @@ def test_widening_points_are_tracked_per_value():
     assert header_phi in analysis.widening_points
     assert analysis.statistics.widening_points == len(analysis.widening_points)
     assert analysis.statistics.widenings >= 1
-    dense = RangeAnalysis(function, solver="dense")
+    dense = DenseRangeAnalysis(function)
     assert dense.widening_points == analysis.widening_points
 
 
@@ -106,14 +107,17 @@ def test_statistics_shape():
 
 
 def test_solver_selection_via_environment(monkeypatch):
-    # The solver is a constructor argument only: a REPRO_RANGE_SOLVER left in
-    # the environment does not reroute the production solve.
+    # There is one production solver: a REPRO_RANGE_SOLVER left in the
+    # environment does not reroute it, and the old keyword is gone.
     monkeypatch.setenv("REPRO_RANGE_SOLVER", "dense")
-    _module, function = build_counting_loop_module()
-    assert RangeAnalysis(function).solver == "sparse"
-    assert RangeAnalysis(function, solver="dense").solver == "dense"
-    with pytest.raises(ValueError, match="unknown"):
-        RangeAnalysis(function, solver="unknown")
+    module = compile_source(CHAIN_SOURCE, module_name="chain")
+    function = next(iter(module.defined_functions()))
+    sparse = RangeAnalysis(function)
+    dense = DenseRangeAnalysis(function)
+    assert sparse.ranges == dense.ranges
+    assert sparse.statistics.evaluations < dense.statistics.evaluations
+    with pytest.raises(TypeError):
+        RangeAnalysis(function, solver="dense")
 
 
 # -- interval interning -----------------------------------------------------------
