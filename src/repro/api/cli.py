@@ -34,6 +34,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.config import ConfigError, ReproConfig, VERIFY_MODES
+from repro.frontend import LexerError, LoweringError, ParseError
 from repro.obs import TRACER
 
 #: analysis members accepted inside an ``--specs`` item.
@@ -580,10 +581,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as error:
-        print("error: {}".format(error), file=sys.stderr)
-        return 2
-    except OSError as error:
+    except (ConfigError, OSError,
+            LexerError, ParseError, LoweringError) as error:
         print("error: {}".format(error), file=sys.stderr)
         return 2
 

@@ -368,13 +368,12 @@ class Session:
         The churn entry point: recompiles ``source``, diffs call-graph-aware
         fingerprints against the previous ``update_source``/baseline call
         for the same name (:meth:`FunctionAnalysisCache.refresh`), migrates
-        every still-valid evaluation payload onto the new compile, seeds the
-        range solver with the previous analyses for incremental re-solves,
-        then evaluates in-process exactly like :meth:`evaluate` — so
-        verdicts are bit-identical to a cold solve, only the edit's blast
-        radius is recomputed, and with a session store the untouched
-        functions hit their fingerprint-keyed entries warm.  The first call
-        for a name is the cold baseline (everything dirty).
+        every still-valid evaluation payload onto the new compile, then
+        evaluates in-process exactly like :meth:`evaluate` — so verdicts
+        are bit-identical to a cold solve, only the edit's blast radius is
+        recomputed (every range solve is cold), and with a session store
+        the untouched functions hit their fingerprint-keyed entries warm.
+        The first call for a name is the cold baseline (everything dirty).
         """
         with self.config.activate():
             module = compile_source(source, module_name=name)

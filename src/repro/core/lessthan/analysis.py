@@ -71,12 +71,8 @@ class LessThanAnalysis:
             for function in self.functions:
                 if self.cache is not None:
                     self.cache.ensure_essa(function)
-                elif not getattr(function, "essa_form", False):
-                    # The pre-conversion ranges only matter for the conversion
-                    # itself, so skip them entirely on already-converted
-                    # functions (conversion is a tagged no-op there).
-                    pre_ranges = RangeAnalysis(function)
-                    convert_to_essa(function, pre_ranges)
+                else:
+                    convert_to_essa(function)
         # Ranges on the (possibly transformed) functions, reused by the
         # constraint generator.
         for function in self.functions:

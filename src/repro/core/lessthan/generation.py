@@ -72,8 +72,8 @@ class ConstraintGenerator:
     """Generates less-than constraints for functions (and whole modules)."""
 
     def __init__(self, ranges: Optional[Dict[Function, RangeAnalysis]] = None) -> None:
-        # Ranges may be shared with the caller (the analysis driver computes
-        # them once and reuses them for e-SSA construction and generation).
+        # Ranges may be shared with the caller (the analysis driver solves
+        # them once on the e-SSA form and hands them over).
         self._ranges = ranges or {}
 
     # -- entry points ------------------------------------------------------------

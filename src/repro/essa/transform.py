@@ -24,7 +24,7 @@ and after the transformation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.dominators import DominatorTree
@@ -106,13 +106,11 @@ def _rename_dominated_uses(domtree: DominatorTree, original: Value, copy: Copy) 
                 user.set_operand(use.index, copy)
 
 
-def convert_to_essa(function: Function,
-                    ranges: Optional[RangeAnalysis] = None) -> EssaInfo:
+def convert_to_essa(function: Function) -> EssaInfo:
     """Convert ``function`` to e-SSA form in place.
 
-    ``ranges`` may be supplied to reuse an existing range analysis; when
-    omitted a fresh one is computed (it is needed to classify additions with
-    variable operands as growths or decrements).
+    A range analysis of the pre-conversion form is solved first: it
+    classifies additions with variable operands as growths or decrements.
     """
     info = EssaInfo()
     if function.is_declaration():
@@ -123,8 +121,7 @@ def convert_to_essa(function: Function,
     if getattr(function, "essa_form", False):
         return info
     function.essa_form = True
-    if ranges is None:
-        ranges = RangeAnalysis(function)
+    ranges = RangeAnalysis(function)
     with TRACER.span("essa.transform", fn=function.name):
         _insert_copies(function, ranges, info)
     return info

@@ -9,7 +9,7 @@ conversion, one constraint solve.  :class:`FunctionAnalysisCache` memoizes
 that invariant state so no analysis is ever computed twice on an unchanged
 function:
 
-* e-SSA conversion status (with the pre-conversion range analysis folded in),
+* e-SSA conversion status,
 * the post-conversion :class:`RangeAnalysis` per function,
 * :class:`LessThanAnalysis` per function and per module (keyed on the
   interprocedural flag),
@@ -158,15 +158,6 @@ class FunctionAnalysisCache:
         #: per-function label index over ``_evaluations`` so invalidation
         #: touches only that function's entries instead of scanning them all.
         self._function_evaluations: Dict[Function, Set[str]] = {}
-        #: previous-compile range analyses, consumed by :meth:`ranges` to run
-        #: an incremental re-solve instead of a cold one (see ``refresh``).
-        self._range_hints: Dict[Function, RangeAnalysis] = {}
-        #: the *pre-conversion* range analyses that drove each e-SSA
-        #: conversion, kept as next-generation seeds, plus the hints
-        #: :meth:`ensure_essa` consumes (the pre/post forms have different
-        #: value signatures, so the two hint families never mix).
-        self._pre_ranges: Dict[Function, RangeAnalysis] = {}
-        self._pre_range_hints: Dict[Function, RangeAnalysis] = {}
         #: refresh baselines by module name.
         self._snapshots: Dict[str, _ModuleSnapshot] = {}
         self.statistics = CacheStatistics()
@@ -189,14 +180,7 @@ class FunctionAnalysisCache:
             # summary so later calls hit.
             info = EssaInfo()
         else:
-            pre_ranges = RangeAnalysis(
-                function, previous=self._pre_range_hints.pop(function, None))
-            self._pre_ranges[function] = pre_ranges
-            # Freeze the reuse signatures before the conversion rewrites the
-            # IR in place, so the next generation's pre-conversion solve can
-            # still match them.
-            pre_ranges.snapshot()
-            info = convert_to_essa(function, pre_ranges)
+            info = convert_to_essa(function)
             self._drop_function_entries(function)
         self._essa[function] = info
         return info
@@ -209,11 +193,7 @@ class FunctionAnalysisCache:
             self.statistics.record("ranges", hit=True)
             return cached
         self.statistics.record("ranges", hit=False)
-        # A hint is the previous compile's finished analysis of (an edit of)
-        # this function: the solver copies every component whose structure
-        # and external inputs are unchanged, bit-identical to a cold solve.
-        analysis = RangeAnalysis(function,
-                                 previous=self._range_hints.pop(function, None))
+        analysis = RangeAnalysis(function)
         self._ranges[function] = analysis
         return analysis
 
@@ -356,17 +336,11 @@ class FunctionAnalysisCache:
             self._module_disambiguators.clear()
             self._evaluations.clear()
             self._function_evaluations.clear()
-            self._range_hints.clear()
-            self._pre_ranges.clear()
-            self._pre_range_hints.clear()
             self._snapshots.clear()
             return
         self._essa.pop(function, None)
         self._drop_function_entries(function)
         self._drop_function_evaluations(function)
-        self._range_hints.pop(function, None)
-        self._pre_ranges.pop(function, None)
-        self._pre_range_hints.pop(function, None)
         module = function.parent
         if module is not None:
             for key in [k for k in self._module_lessthan if k[0] is module]:
@@ -395,10 +369,9 @@ class FunctionAnalysisCache:
         onto the new compile's function object — region-scoped entries
         survive edits outside ``{function} ∪ transitive callers``,
         dependency-scoped entries survive edits outside the callee closure,
-        module-scoped entries only a byte-identical module.  Dirty functions
-        additionally get their previous range analysis registered as an
-        incremental-re-solve hint (consumed by :meth:`ranges`).  Stale state
-        of the previous compile's objects is purged.
+        module-scoped entries only a byte-identical module.  Stale state of
+        the previous compile's objects is purged, so the cache holds one
+        analysis per function of the current compile.
 
         Snapshots hash whatever form the functions are currently in, so call
         ``refresh`` at a consistent pipeline point (before e-SSA conversion,
@@ -454,36 +427,14 @@ class FunctionAnalysisCache:
                     self.put_evaluation(functions[name], label, payload)
                     migrated += 1
 
-        # Previous-compile range analyses become incremental-re-solve seeds
-        # for the new objects; for clean functions the solver reuses every
-        # component, for dirty ones only the edit's def-use frontier re-runs.
-        for name, function in functions.items():
-            old_function = previous.functions.get(name)
-            if old_function is None or old_function is function:
-                continue
-            old_ranges = self._ranges.get(old_function)
-            if old_ranges is not None:
-                self._range_hints[function] = old_ranges
-            old_pre = self._pre_ranges.get(old_function)
-            if old_pre is not None:
-                self._pre_range_hints[function] = old_pre
-
         # Purge the previous compile's (now unreachable) objects, and stale
         # state when refreshing the same compile in place.
         for name, old_function in previous.functions.items():
-            if old_function is functions.get(name):
-                if name in dirty_set:
-                    self._essa.pop(old_function, None)
-                    self._drop_function_entries(old_function)
-                    self._drop_function_evaluations(old_function)
-                    self._pre_ranges.pop(old_function, None)
+            if old_function is functions.get(name) and name not in dirty_set:
                 continue
             self._essa.pop(old_function, None)
             self._drop_function_entries(old_function)
             self._drop_function_evaluations(old_function)
-            self._range_hints.pop(old_function, None)
-            self._pre_ranges.pop(old_function, None)
-            self._pre_range_hints.pop(old_function, None)
         old_modules = {old_function.parent
                        for old_function in previous.functions.values()
                        if old_function.parent is not None

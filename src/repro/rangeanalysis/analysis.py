@@ -34,7 +34,7 @@ reference for differential tests and ``benchmarks/bench_solver_hotpath.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -45,60 +45,11 @@ from repro.ir.instructions import (
     Load,
     Phi,
 )
-from repro.ir.printer import format_instruction
 from repro.ir.values import Argument, ConstantInt, Undef, Value
 from repro.obs import TRACER
 from repro.rangeanalysis.graph import DependencyGraph, SCCComponent
 from repro.rangeanalysis.interval import Interval
 from repro.util.worklist import SolverInfo, SweepWorklist
-
-
-def value_signature(value: Value) -> tuple:
-    """A content signature identifying ``value`` across recompilations.
-
-    Two values with equal signatures have identical transfer functions over
-    identically *named* inputs: the printed instruction text pins the opcode,
-    the result name (unique per function in SSA) and every operand name; the
-    parent block name pins the position; and σ-copies additionally pin their
-    branch condition — the printed ``copy`` omits it, yet it feeds the
-    refinement — including which side the copy renames and which branch it
-    lives on.  This is what lets an incremental re-solve match values of a
-    freshly compiled function against a previous compile's results.
-    """
-    if isinstance(value, Argument):
-        return ("arg", value.name)
-    block = getattr(value, "parent", None)
-    block_name = getattr(block, "name", None)
-    condition = getattr(value, "sigma_condition", None)
-    if isinstance(condition, ICmp):
-        condition_block = getattr(condition, "parent", None)
-        extra = (format_instruction(condition),
-                 getattr(condition_block, "name", None),
-                 getattr(value, "sigma_operand_side", None),
-                 getattr(value, "sigma_on_true_branch", None))
-    else:
-        extra = None
-    return (block_name, format_instruction(value), extra)
-
-
-def _transfer_inputs(value: Value) -> List[Value]:
-    """The values whose intervals :meth:`RangeAnalysis._evaluate` reads.
-
-    Arguments, loads and geps are state-independent (their transfer is a
-    constant of the analysis), so they contribute no inputs.
-    """
-    if isinstance(value, BinaryOp):
-        return [value.lhs, value.rhs]
-    if isinstance(value, Phi):
-        return [incoming for incoming, _block in value.incoming()]
-    if isinstance(value, Copy):
-        inputs = [value.source]
-        condition = getattr(value, "sigma_condition", None)
-        if isinstance(condition, ICmp):
-            inputs.append(condition.lhs)
-            inputs.append(condition.rhs)
-        return inputs
-    return []
 
 
 class RangeStatistics:
@@ -120,8 +71,8 @@ class RangeStatistics:
         self.widening_points = 0
         self.pops = 0
         self.coalesced_pushes = 0
-        #: components whose previous-solve intervals were copied instead of
-        #: solved (incremental re-solve only; always 0 on a fresh solve).
+        #: always 0: every solve is cold.  Kept because perfbench's
+        #: ``range.reused_ratio`` metric still reads it.
         self.reused_components = 0
         #: wall time of the solve, measured by an always-on obs timer.  Kept
         #: out of ``as_dict`` so counter aggregation and byte-parity
@@ -148,7 +99,6 @@ class RangeStatistics:
             "widening_points": self.widening_points,
             "pops": self.pops,
             "coalesced_pushes": self.coalesced_pushes,
-            "reused_components": self.reused_components,
         }
 
     def __repr__(self) -> str:
@@ -168,25 +118,17 @@ class RangeAnalysis:
     MAX_NARROWING_ITERATIONS = 16
 
     def __init__(self, function: Function,
-                 argument_ranges: Optional[Dict[Argument, Interval]] = None,
-                 previous: Optional["RangeAnalysis"] = None) -> None:
-        """``previous`` is a finished analysis of an earlier compile of (an
-        edit of) the same function: components whose structure and external
-        inputs are unchanged copy its intervals instead of re-solving
-        (incremental re-solve, bit-identical to a fresh solve — see
-        :meth:`_try_reuse`).  It is only read during the solve, so an
-        analysis never keeps its predecessor alive."""
+                 argument_ranges: Optional[Dict[Argument, Interval]] = None
+                 ) -> None:
         self.function = function
         self.argument_ranges = argument_ranges or {}
         self.ranges: Dict[Value, Interval] = {}
         self.statistics = RangeStatistics()
-        self._schedule = None
-        self._reuse_table: Optional[Dict[tuple, List[tuple]]] = None
         #: values whose bounds widening actually changed — the per-value
         #: widening points (back-edge φ/σ nodes and the chains they feed).
         self.widening_points: Set[Value] = set()
         with TRACER.timer("range.solve", fn=function.name) as timer:
-            self._run(previous)
+            self._run()
         self.statistics.solve_time_seconds = timer.seconds
 
     # -- public API ---------------------------------------------------------------
@@ -205,123 +147,22 @@ class RangeAnalysis:
         return self.range_of(value).is_strictly_negative()
 
     # -- solving ---------------------------------------------------------------------
-    def _run(self, previous: Optional["RangeAnalysis"]) -> None:
+    def _run(self) -> None:
         if self.function.is_declaration():
             return
         schedule = DependencyGraph(self.function).condense()
-        self._schedule = schedule
-        reuse = self._previous_reuse_table(previous)
         for node in schedule.graph.nodes:
             self.ranges[node] = Interval.bottom()
         for component in schedule:
             self.statistics.components += 1
             if component.cyclic:
                 self.statistics.cyclic_components += 1
-            if reuse is not None and self._try_reuse(component, reuse):
-                self.statistics.reused_components += 1
-                continue
-            if not component.cyclic:
+                self._solve_cyclic(component)
+            else:
                 # Topological order makes a single evaluation final here; no
                 # widening, no worklist.
                 self._solve_acyclic(component.members[0])
-                continue
-            self._solve_cyclic(component)
         self.statistics.widening_points = len(self.widening_points)
-
-    # -- incremental re-solve --------------------------------------------------------
-    def snapshot(self) -> None:
-        """Freeze the reuse table now, against later in-place IR mutation.
-
-        The table is otherwise built lazily on first use as a ``previous``
-        analysis, reading signatures from the function's *current* printed
-        form — correct but lossy once a transformation (e-SSA conversion)
-        has rewritten operands, since mutated texts no longer match the
-        solved structure.  A caller that mutates the IR right after solving
-        snapshots first so the signatures describe what was actually solved.
-        Mutation after the solve can never make reuse *unsound* either way:
-        any operand rebinding shows up in the printed text, so a stale
-        signature fails to match rather than matching wrongly.
-        """
-        if self._schedule is not None:
-            self._component_snapshot()
-
-    def _previous_reuse_table(self, previous: Optional["RangeAnalysis"]
-                              ) -> Optional[Dict[tuple, List[tuple]]]:
-        """``previous``'s components, keyed for signature matching.
-
-        Reuse is only attempted when neither analysis carries argument
-        ranges: an Argument's transfer function reads ``argument_ranges``
-        directly, which the signatures do not (and need not, for the cache
-        paths that drive incremental re-solves) capture.
-        """
-        if previous is None or previous._schedule is None:
-            return None
-        if self.argument_ranges or previous.argument_ranges:
-            return None
-        return previous._component_snapshot()
-
-    def _component_snapshot(self) -> Dict[tuple, List[tuple]]:
-        """This (finished) analysis, as a reuse table for a later one.
-
-        Maps the *ordered* tuple of a component's member signatures to a
-        per-member ``(interval, context)`` list, where the context holds, per
-        transfer-function input, ``None`` for intra-component inputs and the
-        input's final interval otherwise.  The member order is Tarjan's
-        canonical order — the order the solvers sweep — so a matching key
-        pins the exact solve trajectory, not just the member set.
-        """
-        if self._reuse_table is None:
-            table: Dict[tuple, List[tuple]] = {}
-            for component in self._schedule:
-                member_set = set(component.members)
-                records: List[tuple] = []
-                for value in component.members:
-                    context = tuple(
-                        None if operand in member_set
-                        else self.range_of(operand)
-                        for operand in _transfer_inputs(value))
-                    records.append((self.ranges[value], context))
-                key = tuple(value_signature(value)
-                            for value in component.members)
-                table[key] = records
-            self._reuse_table = table
-        return self._reuse_table
-
-    def _try_reuse(self, component: SCCComponent,
-                   reuse: Dict[tuple, List[tuple]]) -> bool:
-        """Copy a component's previous intervals when a fresh solve is
-        provably a replay.
-
-        The solve of one component is a deterministic function of (a) the
-        ordered member instruction texts and σ-annotations — they fix the
-        transfer functions and every intra-component edge — and (b) the
-        intervals of all external inputs, final by topological order.  When
-        the ordered signature tuple matches a previous component and every
-        external input's interval equals what that solve saw (``None``
-        markers guarantee the member/non-member split of each input list
-        matches too), the fresh trajectory would reproduce the previous
-        intervals bound for bound, so they are copied and the component is
-        skipped.  Solved-vs-reused composition stays bit-identical to a
-        fresh solve by induction over the topological order.
-        """
-        key = tuple(value_signature(value) for value in component.members)
-        records = reuse.get(key)
-        if records is None:
-            return False
-        member_set = set(component.members)
-        for value, (_interval, old_context) in zip(component.members, records):
-            inputs = _transfer_inputs(value)
-            if len(inputs) != len(old_context):
-                return False
-            for operand, old_input in zip(inputs, old_context):
-                if operand in member_set:
-                    if old_input is not None:
-                        return False
-                elif old_input != self.range_of(operand):
-                    return False
-        for value, (interval, _context) in zip(component.members, records):
-            self.ranges[value] = interval
-        return True
 
     def _solve_acyclic(self, value: Value) -> None:
         self.ranges[value] = self._evaluate(value)

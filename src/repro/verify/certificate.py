@@ -1,9 +1,9 @@
 """Fixpoint certificate checkers and the NoAlias verdict audit.
 
 The solvers are fast because they are clever (sparse worklists, SCC
-condensation, incremental re-solve); the checkers here are
-trustworthy because they are dumb.  Each one re-derives an artifact with the
-most naive machinery available and compares:
+condensation); the checkers here are trustworthy because they are
+dumb.  Each one re-derives an artifact with the most naive machinery
+available and compares:
 
 * **range certificate** — the solved interval state is a *post-fixpoint*:
   re-applying every transfer function once, using only the plain

@@ -205,6 +205,31 @@ def test_store_path_that_is_not_a_database_exits_2(source_file, tmp_path,
     assert "Traceback" not in completed.stderr
 
 
+@pytest.mark.parametrize("bad_source", [
+    "int f(int x) { return x +; }\n",
+    "int f(int x) { return x @ 1; }\n",
+    "int f(int x) { return y; }\n",
+], ids=["parse", "lexer", "lowering"])
+def test_source_that_does_not_compile_exits_2(source_file, tmp_path, capsys,
+                                              bad_source):
+    """A source the frontend rejects is a diagnostic and exit 2, never a
+    traceback."""
+    bad = tmp_path / "bad.c"
+    bad.write_text(bad_source, encoding="utf-8")
+    for argv in (["eval", str(bad), source_file],
+                 ["check", str(bad)],
+                 ["stats", str(bad)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 1" in err, argv
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "eval", str(bad), source_file],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120)
+    assert completed.returncode == 2
+    assert completed.stderr.startswith("error:")
+    assert "Traceback" not in completed.stderr
+
+
 def test_eval_rejects_json_with_csv(source_file, tmp_path, capsys):
     csv_path = str(tmp_path / "out.csv")
     assert main(["eval", source_file, "--json", "--csv", csv_path]) == 2

@@ -1,10 +1,10 @@
 """``Session.update_source``: the incremental edit-compile-analyze loop.
 
 The contract under test is *determinism first*: whatever the refresh layer
-migrates and the solver reuses, the verdict stream of an incremental update
-must be bit-identical to a cold solve of the same source — serially and
-against a sharded (``REPRO_WORKERS=2``) cold run — and the incremental
-state must not pin earlier compiles.
+migrates, the verdict stream of an incremental update must be bit-identical
+to a cold solve of the same source — serially and against a sharded
+(``REPRO_WORKERS=2``) cold run — and the incremental state must not pin
+earlier compiles.
 """
 
 import gc
@@ -115,8 +115,15 @@ def test_update_source_does_not_chain_earlier_analyses():
         for source in sources:
             session.update_source("m", source, SPECS)
         cache = session.cache
-        cached = list(cache._ranges.values()) + list(cache._pre_ranges.values())
+        cached = list(cache._ranges.values())
         assert cached
+        # One analysis per live function: the cache reaches exactly its own
+        # ``_ranges`` values, one per defined function of the current compile.
+        assert ({id(analysis) for analysis in _reachable_analyses(cache)}
+                == {id(analysis) for analysis in cached})
+        analysed = [analysis.function for analysis in cached]
+        assert len(set(analysed)) == len(analysed)
+        assert set(analysed) == set(cache._snapshots["m"].functions.values())
         for analysis in cached:
             module = analysis.function.parent
             for other in _reachable_analyses(analysis):

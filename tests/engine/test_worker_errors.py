@@ -95,8 +95,9 @@ def _run_eval(tmp_path, workers):
 def test_pooled_run_with_parse_error_fails_like_serial(tmp_path):
     serial = _run_eval(tmp_path, 0)
     pooled = _run_eval(tmp_path, 2)  # used to hang: bounded by the timeout
-    assert serial.returncode != 0
+    assert serial.returncode == 2
     assert pooled.returncode == serial.returncode
     last_line = serial.stderr.strip().splitlines()[-1]
-    assert last_line.startswith("repro.frontend.parser.ParseError: ")
+    assert last_line.startswith("error: expected an expression at line 1")
     assert pooled.stderr.strip().splitlines()[-1] == last_line
+    assert "Traceback" not in serial.stderr + pooled.stderr

@@ -43,6 +43,8 @@ def test_solver_selectors_are_gone():
         ConstraintSolver([], strategy="constraint")
     with pytest.raises(TypeError):
         LessThanAnalysis(module, solver_strategy="constraint")
+    with pytest.raises(TypeError):
+        RangeAnalysis(function, previous=None)
 
 
 def test_plain_run_imports_no_reference_or_pass_framework():
