@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.alias.interface import AliasAnalysis, verdict_codes
+from repro.alias.interface import AliasAnalysis
 from repro.alias.results import AliasResult, MemoryLocation
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.values import Value
+from repro.obs import TRACER
 
 
 class AliasEvaluation:
@@ -114,7 +115,7 @@ def collect_memory_locations(function: Function,
 
     The seed evaluator allocated a fresh location per *pair* (O(n²)
     allocations); building them once here and passing the list to
-    :meth:`AliasAnalysis.alias_many` is the batched fast path.
+    :meth:`AliasAnalysis.verdict_codes` is the batched fast path.
     """
     return [MemoryLocation(pointer, size)
             for pointer in collect_pointer_values(function)]
@@ -132,7 +133,11 @@ def evaluate_function_verdicts(function: Function, analysis: AliasAnalysis,
     bit-identical to the serial path.
     """
     analysis.prepare_function(function)
-    codes = verdict_codes(analysis, collect_memory_locations(function, size))
+    locations = collect_memory_locations(function, size)
+    count = len(locations)
+    with TRACER.span("aaeval.verdicts", analysis=analysis.name,
+                     function=function.name, pairs=count * (count - 1) // 2):
+        codes = analysis.verdict_codes(locations)
     return AliasEvaluation.from_codes(codes), codes
 
 

@@ -16,15 +16,21 @@ from:
 The strict-inequality analysis is deliberately complementary to these rules:
 BA knows nothing about *variable* offsets, which is exactly where the
 less-than analysis contributes (Section 3.6 of the paper).
+
+Bulk queries decompose each pointer once into ``(object, constant offset)``
+and classify its object into one of five kinds.  For two *distinct* objects
+the verdict depends only on the pair of kinds (the ``_DISTINCT`` table), so
+one precomputed row string per kind answers every pair of a batch; only the
+pairs that share an object go through the constant-offset rule.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.alias.interface import AliasAnalysis
 from repro.alias.results import AliasResult, MemoryLocation
-from repro.ir.instructions import Alloca, Call, Copy, GetElementPtr, Load, Malloc, Phi
+from repro.ir.instructions import Alloca, Call, Copy, GetElementPtr, Load, Malloc
 from repro.ir.values import Argument, GlobalVariable, NullPointer, Value
 
 
@@ -51,14 +57,41 @@ def underlying_object_and_offset(pointer: Value) -> Tuple[Value, Optional[int]]:
         return current, offset
 
 
-def is_identified_object(value: Value) -> bool:
-    """Objects whose identity is known exactly: stack, heap and global storage."""
-    return isinstance(value, (Alloca, Malloc, GlobalVariable))
+#: Object kinds, one character each so a batch's kinds form a string.
+_NULL, _LOCAL, _GLOBAL, _ESCAPED, _OTHER = _KINDS = "01234"
+
+#: The verdict code for pointers into two *distinct* objects, by kind:
+#: ``kind_b.translate(_DISTINCT[kind_a])``.
+#:
+#: * the null pointer aliases no other object;
+#: * two distinct identified objects (local or global storage) never overlap;
+#: * a local allocation never aliases a pointer that flowed in from the
+#:   caller or out of memory (argument, load, call result): its address has
+#:   not escaped through those channels within well-formed programs.
+#:
+#: ============  ====  =====  ======  =======  =====
+#:  a \ b        null  local  global  escaped  other
+#: ============  ====  =====  ======  =======  =====
+#:  null          N     N      N       N        N
+#:  local         N     N      N       N        M
+#:  global        N     N      N       M        M
+#:  escaped       N     N      M       M        M
+#:  other         N     M      M       M        M
+#: ============  ====  =====  ======  =======  =====
+_DISTINCT = {kind: str.maketrans(_KINDS, row) for kind, row in zip(
+    _KINDS, ("NNNNN", "NNNNM", "NNNMM", "NNMMM", "NMMMM"))}
 
 
-def is_identified_local(value: Value) -> bool:
-    """Function-local allocations (not visible to callers)."""
-    return isinstance(value, (Alloca, Malloc))
+def _object_kind(obj: Value) -> str:
+    if isinstance(obj, NullPointer):
+        return _NULL
+    if isinstance(obj, (Alloca, Malloc)):
+        return _LOCAL
+    if isinstance(obj, GlobalVariable):
+        return _GLOBAL
+    if isinstance(obj, (Argument, Load, Call)):
+        return _ESCAPED
+    return _OTHER
 
 
 class BasicAliasAnalysis(AliasAnalysis):
@@ -67,47 +100,56 @@ class BasicAliasAnalysis(AliasAnalysis):
     name = "basicaa"
 
     def alias(self, loc_a: MemoryLocation, loc_b: MemoryLocation) -> AliasResult:
-        ptr_a, ptr_b = loc_a.pointer, loc_b.pointer
-        if ptr_a is ptr_b:
-            return AliasResult.MUST_ALIAS
-
-        obj_a, off_a = underlying_object_and_offset(ptr_a)
-        obj_b, off_b = underlying_object_and_offset(ptr_b)
-
-        # The null pointer does not alias any identified object (dereferencing
-        # it is undefined behaviour anyway).
-        if isinstance(obj_a, NullPointer) or isinstance(obj_b, NullPointer):
-            if obj_a is not obj_b:
-                return AliasResult.NO_ALIAS
-
+        obj_a, off_a = underlying_object_and_offset(loc_a.pointer)
+        obj_b, off_b = underlying_object_and_offset(loc_b.pointer)
         if obj_a is obj_b:
-            return self._same_object(loc_a, loc_b, off_a, off_b)
+            code = self._same_object(loc_a, loc_b, off_a, off_b)
+        else:
+            code = _object_kind(obj_b).translate(_DISTINCT[_object_kind(obj_a)])
+        return AliasResult.from_code(code)
 
-        # Two distinct identified allocation sites cannot overlap.
-        if is_identified_object(obj_a) and is_identified_object(obj_b):
-            return AliasResult.NO_ALIAS
+    def verdict_codes(self, locations: Sequence[MemoryLocation]) -> str:
+        """Row ``i`` is a slice of the precomputed row of its object's kind;
+        only the pairs sharing an object are patched, one by one."""
+        count = len(locations)
+        offsets: List[Optional[int]] = []
+        kinds: List[str] = []
+        buckets: Dict[Value, List[int]] = {}
+        for position, location in enumerate(locations):
+            obj, offset = underlying_object_and_offset(location.pointer)
+            offsets.append(offset)
+            kinds.append(_object_kind(obj))
+            buckets.setdefault(obj, []).append(position)
+        kind_string = "".join(kinds)
+        kind_rows = {kind: kind_string.translate(_DISTINCT[kind])
+                     for kind in set(kinds)}
+        rows = [kind_rows[kinds[i]][i + 1:] for i in range(count)]
+        same_object = self._same_object
+        for members in buckets.values():
+            for rank, i in enumerate(members[:-1], 1):
+                row = list(rows[i])
+                loc_i, off_i = locations[i], offsets[i]
+                for j in members[rank:]:
+                    row[j - i - 1] = same_object(loc_i, locations[j],
+                                                 off_i, offsets[j])
+                rows[i] = "".join(row)
+        return "".join(rows)
 
-        # A local allocation cannot alias a pointer that flowed in from the
-        # caller (arguments) or out of memory (loads) because its address has
-        # not escaped through those channels within well-formed programs.
-        for local, other in ((obj_a, obj_b), (obj_b, obj_a)):
-            if is_identified_local(local) and isinstance(other, (Argument, Load, Call)):
-                return AliasResult.NO_ALIAS
-
-        return AliasResult.MAY_ALIAS
-
-    def _same_object(self, loc_a: MemoryLocation, loc_b: MemoryLocation,
-                     off_a: Optional[int], off_b: Optional[int]) -> AliasResult:
-        """Both pointers address the same object; compare constant offsets."""
+    @staticmethod
+    def _same_object(loc_a: MemoryLocation, loc_b: MemoryLocation,
+                     off_a: Optional[int], off_b: Optional[int]) -> str:
+        """The code for two pointers into the same object: compare their
+        constant offsets."""
+        if loc_a.pointer is loc_b.pointer:
+            return "U"
         if off_a is None or off_b is None:
-            return AliasResult.MAY_ALIAS
+            return "M"
         if off_a == off_b:
-            return AliasResult.MUST_ALIAS
-        size_a = loc_a.size if loc_a.size is not None else None
-        size_b = loc_b.size if loc_b.size is not None else None
+            return "U"
+        size_a, size_b = loc_a.size, loc_b.size
         if size_a is None or size_b is None:
-            return AliasResult.MAY_ALIAS
+            return "M"
         # Disjoint access windows [off, off + size) never overlap.
         if off_a + size_a <= off_b or off_b + size_b <= off_a:
-            return AliasResult.NO_ALIAS
-        return AliasResult.PARTIAL_ALIAS
+            return "N"
+        return "P"

@@ -11,25 +11,15 @@ from repro.ir.function import Function
 _MAY_CODE = AliasResult.MAY_ALIAS.code
 
 
-def verdict_codes(analysis: "AliasAnalysis",
-                  locations: Sequence[MemoryLocation]) -> str:
-    """``analysis``'s verdict stream over ``locations`` as a code string.
-
-    One :attr:`AliasResult.code` character per unordered pair, in the
-    ``(i, j)`` order of :meth:`AliasAnalysis.alias_many`.
-    """
-    return "".join([verdict.code
-                    for _i, _j, verdict in analysis.alias_many(locations)])
-
-
 def chain_codes(streams: Sequence[str]) -> str:
     """The chain rule over member verdict streams: the first definitive
     answer wins.
 
-    ``streams`` are code strings (:func:`verdict_codes`) over the same
-    pairs, in chain order.  At every position the first code other than
-    MayAlias wins, exactly like :meth:`AliasAnalysisChain.alias`.  The chain
-    combinator and the execution engine both merge through this function.
+    ``streams`` are code strings (:meth:`AliasAnalysis.verdict_codes`) over
+    the same pairs, in chain order.  At every position the first code other
+    than MayAlias wins, exactly like :meth:`AliasAnalysisChain.alias`.  The
+    chain combinator and the execution engine both merge through this
+    function.
     """
     merged = streams[0]
     for codes in streams[1:]:
@@ -47,6 +37,12 @@ class AliasAnalysis:
     per function before queries are issued, which lets analyses that need a
     whole-function (or whole-module) precomputation build their data
     structures lazily.
+
+    :meth:`verdict_codes` is the one bulk primitive: it answers every
+    unordered pair of a batch as a code string.  Its default asks
+    :meth:`alias` pair by pair; analyses with per-pointer tables override it
+    to answer the batch without a per-pair Python call.  :meth:`alias_many`
+    decodes that string.
     """
 
     name = "alias-analysis"
@@ -57,23 +53,30 @@ class AliasAnalysis:
     def alias(self, loc_a: MemoryLocation, loc_b: MemoryLocation) -> AliasResult:
         raise NotImplementedError  # pragma: no cover - interface
 
+    def verdict_codes(self, locations: Sequence[MemoryLocation]) -> str:
+        """The verdicts over ``locations`` as a code string.
+
+        One :attr:`AliasResult.code` character per unordered pair, in
+        ``(i, j)`` order (``i < j``, row by row).  This is what the
+        ``aa-eval`` harness asks, what the execution engine merges into chain
+        verdicts and persists, and what :meth:`alias_many` decodes.  Codes
+        are identical to issuing :meth:`alias` pair by pair.
+        """
+        alias = self.alias
+        count = len(locations)
+        return "".join([alias(locations[i], locations[j]).code
+                        for i in range(count) for j in range(i + 1, count)])
+
     def alias_many(self, locations: Sequence[MemoryLocation]) \
             -> Iterator[Tuple[int, int, AliasResult]]:
-        """Bulk query: yield ``(i, j, verdict)`` for every unordered pair.
-
-        This is the batched entry point the ``aa-eval`` harness and the PDG
-        builder drive: ``MemoryLocation`` objects are constructed once by the
-        caller and reused across the whole O(n²) loop, and analyses whose
-        per-query cost has a memoizable component (e.g. the strict-inequality
-        analysis with its per-value tables) amortize it across the batch.
-        Verdicts are identical to issuing :meth:`alias` pair by pair, in the
-        same ``(i, j)`` iteration order.
-        """
+        """Bulk query: yield ``(i, j, verdict)`` for every unordered pair,
+        decoded from :meth:`verdict_codes` (the PDG builder's entry point)."""
+        codes = iter(self.verdict_codes(locations))
+        from_code = AliasResult.from_code
         count = len(locations)
         for i in range(count):
-            loc_i = locations[i]
             for j in range(i + 1, count):
-                yield i, j, self.alias(loc_i, locations[j])
+                yield i, j, from_code(next(codes))
 
     # Convenience entry point used by tests and examples.
     def alias_values(self, a, b, size: Optional[int] = 1) -> AliasResult:
@@ -109,20 +112,8 @@ class AliasAnalysisChain(AliasAnalysis):
                 return result
         return result
 
-    def alias_many(self, locations: Sequence[MemoryLocation]) \
-            -> Iterator[Tuple[int, int, AliasResult]]:
-        """Lockstep merge of the members' full batched streams.
-
-        Every member answers the whole batch; :func:`chain_codes` merges the
-        streams position by position, so verdicts and their ``(i, j)`` order
-        are identical to :meth:`alias` pair by pair.
-        """
-        codes = chain_codes([verdict_codes(analysis, locations)
-                             for analysis in self.analyses])
-        from_code = AliasResult.from_code
-        count = len(locations)
-        position = 0
-        for i in range(count):
-            for j in range(i + 1, count):
-                yield i, j, from_code(codes[position])
-                position += 1
+    def verdict_codes(self, locations: Sequence[MemoryLocation]) -> str:
+        """Every member answers the whole batch; :func:`chain_codes` merges
+        the streams position by position."""
+        return chain_codes([analysis.verdict_codes(locations)
+                            for analysis in self.analyses])

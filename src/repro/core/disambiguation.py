@@ -24,16 +24,20 @@ Performance.  The ``aa-eval`` methodology issues O(n²) queries per function,
 and the class-walk behind each query is invariant while the IR is unchanged.
 The disambiguator therefore memoizes, per value, the canonical name, the
 ``(base, index)`` decomposition, and the copy-equivalence class together with
-the union of the LT sets of its members.  The memoized check
+the union of the LT sets of its members.  A batch is then answered without
+any per-pair check: :meth:`PointerDisambiguator.pair_reasons` inverts the
+classes into a map from each name to the pointers that own it, and marks
+``(i, j)`` for every owner ``j`` of every ``v ∈ LT∪(i)``.  That is the check
 
 ``ordered(a, b)  ⇔  names(b) ∩ LT∪(a) ≠ ∅  or  names(a) ∩ LT∪(b) ≠ ∅``
 
-is set-for-set identical to walking every name pair, so verdicts are
-bit-identical to the recompute-per-query reference
+for every pair at once, and criterion 2 is the same over the index classes
+of each canonical-base group.  Verdicts are bit-identical to the
+recompute-per-query reference
 (:func:`repro.verify.certificate.reference_disambiguate`, which the tests
-and the throughput benchmark compare against); only the cost per query
-changes.  Call :meth:`PointerDisambiguator.invalidate` after mutating the
-IR.
+and the throughput benchmark compare against); only the cost changes: it
+grows with the LT sets and the pairs proven disjoint, not with all pairs.
+Call :meth:`PointerDisambiguator.invalidate` after mutating the IR.
 """
 
 from __future__ import annotations
@@ -211,9 +215,9 @@ def decompose_pointer(pointer: Value) -> Tuple[Value, Optional[Value]]:
 class PointerDisambiguator:
     """Answers "are these two pointers provably different?" questions.
 
-    Per-value tables are filled on first use and reused across the whole
-    O(n²) pair loop; :meth:`disambiguate_pairs` bulk-fills them for a batch
-    up front, and :meth:`disambiguate` is its one-pair case.
+    Per-value tables are filled on first use and reused across batches;
+    :meth:`pair_reasons` answers a batch from them, and
+    :meth:`disambiguate_pairs` and :meth:`disambiguate` read its map.
     """
 
     def __init__(self, analysis: LessThanAnalysis,
@@ -281,74 +285,71 @@ class PointerDisambiguator:
         return info
 
     # -- batched entry point ---------------------------------------------------------------
-    def disambiguate_pairs(self, pointers: List[Value]):
-        """Yield ``(i, j, reason)`` for every unordered pair of ``pointers``.
+    def pair_reasons(self, pointers: List[Value]) -> Dict[int, DisambiguationReason]:
+        """``{pair position: reason}`` for the pairs of ``pointers`` proven
+        disjoint; every other pair is ``NONE``.
 
-        The batch hoists every per-value table lookup out of the O(n²) loop,
-        leaving only identity checks and frozenset operations per pair:
+        Positions count unordered pairs ``(i, j)``, ``i < j``, row by row.
+        Nothing is asked per pair: two inverted indices, from each name to
+        the pointers whose class contains it, mark the proven pairs.
 
-        * criterion 1 — the class of one pointer meets the LT∪ of the other;
-        * criterion 2 — same canonical base, variable indices, and the class
-          of one index meets the LT∪ of the other.
+        * criterion 1 — for every ``v ∈ LT∪(i)``, the pointers ``j`` whose
+          class holds ``v``;
+        * criterion 2 — the same over the classes of the variable indices,
+          within each group of pointers with the same canonical base.
+
+        Pairs naming the same canonical pointer are never marked, and
+        criterion 1 wins over criterion 2.
         """
-        if not TRACER.enabled:
-            return self._disambiguate_pairs(pointers)
-        # The result is a lazily consumed generator, so a plain ``with``
-        # around it would close the span before any pair is evaluated —
-        # materialize inside the span instead (tracing runs only).
-        with TRACER.span("disambiguate.pairs", pointers=len(pointers)) as span:
-            results = list(self._disambiguate_pairs(pointers))
-            span.annotate(pairs=len(results))
-        return iter(results)
-
-    def _disambiguate_pairs(self, pointers: List[Value]):
         count = len(pointers)
-        canon = [self._canonical_of(p) for p in pointers]
-        classes = [self._class_info(p) for p in pointers]
-        decomps = [self._decompose(p) for p in pointers]
-        index_class: List[Optional[Tuple[FrozenSet[Value], FrozenSet[Value]]]] = []
-        base_canon: List[Optional[Value]] = []
-        for base, index in decomps:
-            if index is not None and _is_variable(index):
-                base_canon.append(self._canonical_of(base))
-                index_class.append(self._class_info(index))
-            else:
-                # Constant or missing index: criterion 2 never applies.
-                base_canon.append(None)
-                index_class.append(None)
+        pairs = count * (count - 1) // 2
+        with TRACER.span("disambiguate.pairs", pointers=count, pairs=pairs):
+            self.statistics.queries += pairs
+            canon = [self._canonical_of(p) for p in pointers]
+            classes = [self._class_info(p) for p in pointers]
+            groups: Dict[Value, List[int]] = {}
+            index_classes: Dict[int, Tuple[FrozenSet[Value], FrozenSet[Value]]] = {}
+            for position, pointer in enumerate(pointers):
+                base, index = self._decompose(pointer)
+                if index is not None and _is_variable(index):
+                    groups.setdefault(self._canonical_of(base), []).append(position)
+                    index_classes[position] = self._class_info(index)
+            # Row starts: pair (i, j), i < j, sits at row_start[i] + j.
+            row_start = [i * count - i * (i + 1) // 2 - i - 1 for i in range(count)]
+            reasons: Dict[int, DisambiguationReason] = {}
+
+            def mark(members, member_classes, reason) -> None:
+                owners: Dict[Value, List[int]] = {}
+                for j in members:
+                    for name in member_classes[j][0]:
+                        owners.setdefault(name, []).append(j)
+                for i in members:
+                    for name in member_classes[i][1] & owners.keys():
+                        for j in owners[name]:
+                            if canon[j] is not canon[i]:
+                                low, high = (i, j) if i < j else (j, i)
+                                reasons[row_start[low] + high] = reason
+
+            # Criterion 1 is marked last, so it overwrites criterion 2.
+            for members in groups.values():
+                mark(members, index_classes, DisambiguationReason.INDICES_ORDERED)
+            mark(range(count), classes, DisambiguationReason.POINTERS_ORDERED)
+        return reasons
+
+    def disambiguate_pairs(self, pointers: List[Value]):
+        """Yield ``(i, j, reason)`` for every unordered pair of ``pointers``,
+        read from :meth:`pair_reasons`."""
+        reasons = self.pair_reasons(pointers)
         none = DisambiguationReason.NONE
-        ordered = DisambiguationReason.POINTERS_ORDERED
-        indexed = DisambiguationReason.INDICES_ORDERED
-        for i in range(count):
-            canon_i = canon[i]
-            names_i, lt_i = classes[i]
-            base_i = base_canon[i]
-            index_i = index_class[i]
-            for j in range(i + 1, count):
-                self.statistics.queries += 1
-                if canon_i is canon[j]:
-                    yield i, j, none
-                    continue
-                names_j, lt_j = classes[j]
-                if not names_j.isdisjoint(lt_i) or not names_i.isdisjoint(lt_j):
-                    yield i, j, ordered
-                    continue
-                index_j = index_class[j]
-                if (index_i is not None and index_j is not None
-                        and base_i is base_canon[j]):
-                    idx_names_i, idx_lt_i = index_i
-                    idx_names_j, idx_lt_j = index_j
-                    if (not idx_names_j.isdisjoint(idx_lt_i)
-                            or not idx_names_i.isdisjoint(idx_lt_j)):
-                        yield i, j, indexed
-                        continue
-                yield i, j, none
+        count = len(pointers)
+        pairs = ((i, j) for i in range(count) for j in range(i + 1, count))
+        return ((i, j, reasons.get(position, none))
+                for position, (i, j) in enumerate(pairs))
 
     # -- main entry point -----------------------------------------------------------------
     def disambiguate(self, p1: Value, p2: Value) -> DisambiguationReason:
         """Return the criterion proving ``p1`` and ``p2`` disjoint, if any."""
-        _i, _j, reason = next(self._disambiguate_pairs([p1, p2]))
-        return reason
+        return self.pair_reasons([p1, p2]).get(0, DisambiguationReason.NONE)
 
     def no_alias(self, p1: Value, p2: Value) -> bool:
         return bool(self.disambiguate(p1, p2))

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Union
 
 from repro.alias.interface import AliasAnalysis
 from repro.alias.results import AliasResult, MemoryLocation
-from repro.core.disambiguation import DisambiguationReason, PointerDisambiguator
+from repro.core.disambiguation import PointerDisambiguator
 from repro.core.lessthan.analysis import LessThanAnalysis
 from repro.ir.function import Function
 from repro.ir.module import Module
@@ -95,26 +95,20 @@ class StrictInequalityAliasAnalysis(AliasAnalysis):
             return AliasResult.NO_ALIAS
         return AliasResult.MAY_ALIAS
 
-    def alias_many(self, locations):
-        """Batched queries through :meth:`PointerDisambiguator.disambiguate_pairs`.
-
-        One table lookup per location instead of per pair; verdicts are
-        identical to issuing :meth:`alias` pair by pair.
-        """
-        if not locations:
-            return
+    def verdict_codes(self, locations) -> str:
+        """``"M"`` per pair, with ``"N"`` at the positions
+        :meth:`PointerDisambiguator.pair_reasons` proves disjoint."""
         disambiguators = [self._disambiguator_for(location) for location in locations]
-        disambiguator = disambiguators[0]
+        disambiguator = disambiguators[0] if disambiguators else None
         if disambiguator is None or any(d is not disambiguator for d in disambiguators):
             # Mixed-function or unanalysable batches take the pairwise path.
-            yield from super().alias_many(locations)
-            return
-        pointers = [location.pointer for location in locations]
-        no_alias = AliasResult.NO_ALIAS
-        may_alias = AliasResult.MAY_ALIAS
-        none = DisambiguationReason.NONE
-        for i, j, reason in disambiguator.disambiguate_pairs(pointers):
-            yield i, j, (may_alias if reason is none else no_alias)
+            return super().verdict_codes(locations)
+        count = len(locations)
+        codes = bytearray(b"M" * (count * (count - 1) // 2))
+        for position in disambiguator.pair_reasons(
+                [location.pointer for location in locations]):
+            codes[position] = ord("N")
+        return codes.decode()
 
     # -- introspection ---------------------------------------------------------------------
     @property

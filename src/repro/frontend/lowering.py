@@ -165,7 +165,7 @@ class _FunctionLowering:
                 scope.declare(declarator.name, slot, value_type, is_array=False)
                 if declarator.initializer is not None:
                     value = self.lower_expression(declarator.initializer, scope)
-                    self.builder.store(value, slot)
+                    self._store(value, slot, declarator.line)
 
     def lower_if(self, statement: ast.IfStmt, scope: _Scope) -> None:
         then_block = self._new_block("if.then")
@@ -316,8 +316,15 @@ class _FunctionLowering:
             current = self.builder.load(address)
             op = _ARITHMETIC[assignment.op[0]]
             value = self._arith(op, current, value)
-        self.builder.store(value, address)
+        self._store(value, address, assignment.line)
         return value
+
+    def _store(self, value: Value, address: Value, line: int) -> None:
+        slot_type = address.type.pointee
+        if value.type != slot_type:
+            raise LoweringError("cannot assign {} to {} (line {})".format(
+                value.type, slot_type, line))
+        self.builder.store(value, address)
 
     def lower_binary(self, expression: ast.BinaryExpr, scope: _Scope) -> Value:
         if expression.op == ",":

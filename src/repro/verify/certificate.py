@@ -33,6 +33,7 @@ the offending function and value; none of them mutate analysis state.
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from repro.alias.aaeval import collect_pointer_values
@@ -279,13 +280,15 @@ def audit_verdicts(function: Function, disambiguator: PointerDisambiguator,
                 statistics.largest_class, statistics.memoized_values)
     try:
         with TRACER.suppress():
-            claims = list(disambiguator.disambiguate_pairs(pointers))
+            claims = disambiguator.pair_reasons(pointers)
     finally:
         (statistics.queries, statistics.truncated_classes,
          statistics.largest_class, statistics.memoized_values) = snapshot
-    for i, j, reason in claims:
-        if reason is DisambiguationReason.NONE:
-            continue
+    # Only the proven pairs are audited; map each position back to (i, j).
+    row_starts = [i * len(pointers) - i * (i + 1) // 2 for i in range(len(pointers))]
+    for position, reason in sorted(claims.items()):
+        i = bisect.bisect_right(row_starts, position) - 1
+        j = position - row_starts[i] + i + 1
         report.bump("verdict")
         p_a, p_b = pointers[i], pointers[j]
         if canonical_value(p_a) is canonical_value(p_b):

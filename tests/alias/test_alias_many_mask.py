@@ -13,7 +13,7 @@ from repro.alias import (
     evaluate_module,
 )
 from repro.alias.aaeval import collect_memory_locations
-from repro.alias.interface import chain_codes, verdict_codes
+from repro.alias.interface import chain_codes
 from repro.core import StrictInequalityAliasAnalysis
 from repro.frontend import compile_source
 from repro.passes import FunctionAnalysisCache
@@ -111,9 +111,9 @@ def test_chain_accepts_caller_mask():
     lt = StrictInequalityAliasAnalysis(module, cache=cache)
     chain = AliasAnalysisChain([ba, lt], name="ba+lt")
     chain.prepare_function(function)
-    merged = chain_codes([verdict_codes(ba, locations),
-                          verdict_codes(lt, locations)])
-    assert verdict_codes(chain, locations) == merged
+    merged = chain_codes([ba.verdict_codes(locations),
+                          lt.verdict_codes(locations)])
+    assert chain.verdict_codes(locations) == merged
     assert "N" in merged and "M" in merged
 
 

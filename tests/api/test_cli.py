@@ -209,7 +209,8 @@ def test_store_path_that_is_not_a_database_exits_2(source_file, tmp_path,
     "int f(int x) { return x +; }\n",
     "int f(int x) { return x @ 1; }\n",
     "int f(int x) { return y; }\n",
-], ids=["parse", "lexer", "lowering"])
+    "int f(int *a, int c) { int x = 1; if (c) x = a; return x; }\n",
+], ids=["parse", "lexer", "lowering", "store-type"])
 def test_source_that_does_not_compile_exits_2(source_file, tmp_path, capsys,
                                               bad_source):
     """A source the frontend rejects is a diagnostic and exit 2, never a

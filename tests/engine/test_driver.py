@@ -243,35 +243,34 @@ def test_memoize_evaluations_off_reruns_queries(session):
 
 
 def test_each_analysis_answers_each_pair_once(session, monkeypatch):
-    """Over DEFAULT_SPECS, basicaa answers every pair once (its own spec and
-    the basicaa+lt chain share one stream) and lt is asked once per pair."""
+    """Over DEFAULT_SPECS, basicaa answers each function's pairs in one bulk
+    call (its own spec and the basicaa+lt chain share one stream) and lt is
+    asked once per pair."""
     from repro.alias import BasicAliasAnalysis
     from repro.alias.aaeval import collect_pointer_values
     from repro.engine import DEFAULT_SPECS
 
     calls = []
-    original = BasicAliasAnalysis.alias
+    original = BasicAliasAnalysis.verdict_codes
 
-    def counting_alias(self, loc_a, loc_b):
-        calls.append((loc_a.pointer, loc_b.pointer))
-        return original(self, loc_a, loc_b)
+    def counting_verdict_codes(self, locations):
+        calls.append([location.pointer for location in locations])
+        return original(self, locations)
 
-    monkeypatch.setattr(BasicAliasAnalysis, "alias", counting_alias)
+    monkeypatch.setattr(BasicAliasAnalysis, "verdict_codes",
+                        counting_verdict_codes)
     module = compile_source(SOURCE, module_name="prog")
     pairs = 0
-    expected_calls = []
+    expected_batches = []
     for function in module.defined_functions():
         pointers = collect_pointer_values(function)
         pairs += len(pointers) * (len(pointers) - 1) // 2
-        expected_calls.extend((pointers[i], pointers[j])
-                              for i in range(len(pointers))
-                              for j in range(i + 1, len(pointers)))
+        expected_batches.append([id(pointer) for pointer in pointers])
     assert pairs > 0
     result = session.evaluate(module, specs=DEFAULT_SPECS,
                               cache=FunctionAnalysisCache(), store=False)
-    assert len(calls) == pairs
-    assert ({(id(a), id(b)) for a, b in calls}
-            == {(id(a), id(b)) for a, b in expected_calls})
+    assert ([[id(pointer) for pointer in batch] for batch in calls]
+            == expected_batches)
     assert result.statistics.queries == pairs
     for label in ("basicaa", "lt", "basicaa+lt"):
         assert result.evaluation(label).total_queries == pairs

@@ -193,6 +193,24 @@ def test_lowering_errors():
         compile_source("int f() { void x; return 0; }")
 
 
+@pytest.mark.parametrize("source, message", [
+    ("int f(int *a, int c) {\n int x = 1;\n if (c) x = a;\n return x; }",
+     r"cannot assign i64\* to i64 \(line 3\)"),
+    ("int f(int *a) {\n int x = a;\n return x; }",
+     r"cannot assign i64\* to i64 \(line 2\)"),
+    ("int f(int *a) {\n int *p;\n p = 1;\n return *p; }",
+     r"cannot assign i64 to i64\* \(line 3\)"),
+    ("int f(int **a) {\n *a = 2;\n return 0; }",
+     r"cannot assign i64 to i64\* \(line 2\)"),
+], ids=["assign-pointer-to-int", "init-pointer-to-int", "assign-int-to-pointer",
+        "store-int-through-pointer"])
+def test_ill_typed_store_is_a_lowering_error(source, message):
+    """A store whose value type differs from the slot's element type is
+    rejected at the assignment, before it can surface as an ill-typed phi."""
+    with pytest.raises(LoweringError, match=message):
+        compile_source(source)
+
+
 def test_void_function_returns_none():
     module = compile_source("void nothing(int x) { x = x + 1; }")
     assert Interpreter(module).run("nothing", [1]) is None

@@ -66,7 +66,7 @@ def test_traced_session_covers_every_pipeline_layer(tmp_path):
     phases = {e["name"] for e in _complete_events(payload)}
     expected = {"frontend.parse", "frontend.lower", "ir.mem2reg",
                 "essa.transform", "range.solve", "lt.generate", "lt.solve",
-                "disambiguate.pairs", "engine.unit"}
+                "disambiguate.pairs", "aaeval.verdicts", "engine.unit"}
     assert expected <= phases
     assert len(phases) >= 5  # the acceptance floor, with margin
 
