@@ -2,9 +2,11 @@
 
 The paper's motivating programs (Figure 1) and its Csmith-generated
 workloads are C code.  This package provides a small C-like language — just
-enough to express those programs — together with a lexer, a recursive
-descent parser, and a lowering pass that produces our SSA IR (local scalars
-are first lowered to ``alloca`` slots and then promoted by mem2reg).
+enough to express those programs — together with a lexer (one compiled
+master regex), a recursive descent parser, and a lowering pass that produces
+our SSA IR (local scalars are first lowered to ``alloca`` slots and then
+promoted by mem2reg).  Source text is ASCII: a non-ASCII character, even a
+digit or letter, is a :class:`LexerError` with its line and column.
 
 Supported subset: ``int``/``void`` types with arbitrary pointer depth,
 function definitions and calls, local declarations (including fixed-size

@@ -1,8 +1,16 @@
-"""Tokenizer for the mini-C language."""
+"""Tokenizer for the mini-C language.
+
+One compiled master pattern with a named group per token class (space,
+newline, comments, words, integers, operators) is matched at the current
+position; ``tokenize`` dispatches on the group that matched.  The language
+is ASCII-only: any other character is a :class:`LexerError` with its line
+and column.
+"""
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional
+import re
+from typing import List, NamedTuple
 
 KEYWORDS = {
     "int", "void", "if", "else", "while", "for", "return", "break", "continue",
@@ -15,6 +23,19 @@ OPERATORS = [
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^",
     "(", ")", "{", "}", "[", "]", ";", ",",
 ]
+
+# One alternative per token class, tried in order: comments before the ``/``
+# operator, and ``OPERATORS`` longest first.  Numbers and words are ASCII
+# only, so a non-ASCII character matches no alternative.
+_TOKEN = re.compile("|".join([
+    r"(?P<space>[ \t\r]+)",
+    r"(?P<newline>\n)",
+    r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
+    r"(?P<int>[0-9]+)",
+    r"(?P<line_comment>//[^\n]*)",
+    r"(?P<block_comment>/\*)",
+    "(?P<op>{})".format("|".join(re.escape(op) for op in OPERATORS)),
+]))
 
 
 class LexerError(Exception):
@@ -49,72 +70,37 @@ class Token(NamedTuple):
 def tokenize(source: str) -> List[Token]:
     """Convert ``source`` into a token list terminated by an ``eof`` token."""
     tokens: List[Token] = []
-    line, column = 1, 1
+    match = _TOKEN.match
+    line, line_start = 1, 0
     index = 0
     length = len(source)
-
-    def error(message: str) -> LexerError:
-        return LexerError(message, line, column)
-
     while index < length:
-        ch = source[index]
-        # Whitespace.
-        if ch in " \t\r":
-            index += 1
-            column += 1
-            continue
-        if ch == "\n":
-            index += 1
+        m = match(source, index)
+        if m is None:
+            raise LexerError("unexpected character {!r}".format(source[index]),
+                             line, index - line_start + 1)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "newline":
             line += 1
-            column = 1
-            continue
-        # Comments.
-        if source.startswith("//", index):
-            while index < length and source[index] != "\n":
-                index += 1
-            continue
-        if source.startswith("/*", index):
-            end = source.find("*/", index + 2)
-            if end == -1:
-                raise error("unterminated block comment")
-            skipped = source[index:end + 2]
-            newlines = skipped.count("\n")
+            line_start = end
+        elif kind == "line_comment":
+            if end == length:
+                break  # the eof token sits where a final comment starts
+        elif kind == "block_comment":
+            close = source.find("*/", end)
+            if close == -1:
+                raise LexerError("unterminated block comment", line, index - line_start + 1)
+            end = close + 2
+            newlines = source.count("\n", index, end)
             if newlines:
                 line += newlines
-                column = len(skipped) - skipped.rfind("\n")
-            else:
-                column += len(skipped)
-            index = end + 2
-            continue
-        # Numbers.
-        if ch.isdigit():
-            start = index
-            while index < length and source[index].isdigit():
-                index += 1
-            text = source[start:index]
-            tokens.append(Token("int", text, line, column))
-            column += len(text)
-            continue
-        # Identifiers and keywords.
-        if ch.isalpha() or ch == "_":
-            start = index
-            while index < length and (source[index].isalnum() or source[index] == "_"):
-                index += 1
-            text = source[start:index]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, column))
-            column += len(text)
-            continue
-        # Operators and punctuation.
-        matched: Optional[str] = None
-        for op in OPERATORS:
-            if source.startswith(op, index):
-                matched = op
-                break
-        if matched is None:
-            raise error("unexpected character {!r}".format(ch))
-        tokens.append(Token("op", matched, line, column))
-        index += len(matched)
-        column += len(matched)
-    tokens.append(Token("eof", "", line, column))
+                line_start = source.rfind("\n", index, end) + 1
+        elif kind != "space":
+            text = m.group()
+            if kind == "word":
+                kind = "keyword" if text in KEYWORDS else "ident"
+            tokens.append(Token(kind, text, line, index - line_start + 1))
+        index = end
+    tokens.append(Token("eof", "", line, index - line_start + 1))
     return tokens

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.ir.basicblock import BasicBlock
+from repro.ir.cfg import ControlFlowGraph
 from repro.ir.dominators import DominatorTree
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Instruction, Jump, Phi, Return
@@ -97,7 +98,7 @@ def _check_blocks(function: Function) -> None:
                 _error("block {} branches to a block of another function".format(block.name))
     entry = function.entry_block
     assert entry is not None
-    if entry.predecessors():
+    if ControlFlowGraph(function).preds(entry):
         _error("the entry block must not have predecessors")
 
 
@@ -121,8 +122,10 @@ def _check_operand_scope(function: Function) -> None:
 
 
 def _check_phis(function: Function) -> None:
+    cfg = ControlFlowGraph(function)
     for block in function.blocks:
-        preds = block.predecessors()
+        # Each predecessor once, in block order, as BasicBlock.predecessors.
+        preds = list(dict.fromkeys(cfg.preds(block)))
         for phi in block.phis():
             incoming_blocks = phi.incoming_blocks
             if len(incoming_blocks) != len(set(id(b) for b in incoming_blocks)):
@@ -153,6 +156,8 @@ def _check_phis(function: Function) -> None:
 
 def _check_ssa_dominance(function: Function) -> None:
     domtree = DominatorTree(function)
+    position = {inst: index for block in function.blocks
+                for index, inst in enumerate(block.instructions)}
     for inst in function.instructions():
         for index, operand in enumerate(inst.operands):
             if not isinstance(operand, Instruction):
@@ -160,7 +165,11 @@ def _check_ssa_dominance(function: Function) -> None:
             if operand.parent is None:
                 _error("instruction {} uses an erased value %{}".format(
                     format_instruction(inst), operand.name))
-            if not domtree.value_dominates_use(operand, inst, index):
+            if operand.parent is inst.parent and not isinstance(inst, Phi):
+                dominates = position[operand] < position[inst]
+            else:
+                dominates = domtree.value_dominates_use(operand, inst, index)
+            if not dominates:
                 _error("definition of %{} does not dominate its use in {}".format(
                     operand.name, format_instruction(inst)))
 

@@ -210,7 +210,8 @@ def test_store_path_that_is_not_a_database_exits_2(source_file, tmp_path,
     "int f(int x) { return x @ 1; }\n",
     "int f(int x) { return y; }\n",
     "int f(int *a, int c) { int x = 1; if (c) x = a; return x; }\n",
-], ids=["parse", "lexer", "lowering", "store-type"])
+    "int main() { int x = \u00b2; return x; }\n",
+], ids=["parse", "lexer", "lowering", "store-type", "unicode-digit"])
 def test_source_that_does_not_compile_exits_2(source_file, tmp_path, capsys,
                                               bad_source):
     """A source the frontend rejects is a diagnostic and exit 2, never a

@@ -49,6 +49,43 @@ def test_tokenize_rejects_garbage():
         tokenize("/* never closed")
 
 
+@pytest.mark.parametrize("source, ops", [
+    ("a<<b", ["<<"]),
+    ("a<=b", ["<="]),
+    ("x+++y", ["++", "+"]),
+    ("a&&b||!c", ["&&", "||", "!"]),
+    ("p->", ["-", ">"]),
+], ids=["shift", "le", "plus-plus-plus", "logical", "arrow"])
+def test_tokenize_takes_the_longest_operator(source, ops):
+    assert [t.text for t in tokenize(source) if t.kind == "op"] == ops
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("int\tx;", [("keyword", "int", 1, 1), ("ident", "x", 1, 5),
+                 ("op", ";", 1, 6), ("eof", "", 1, 7)]),
+    ("x // c\ny", [("ident", "x", 1, 1), ("ident", "y", 2, 1), ("eof", "", 2, 2)]),
+    ("int\n  x\n", [("keyword", "int", 1, 1), ("ident", "x", 2, 3), ("eof", "", 3, 1)]),
+    ("x // c", [("ident", "x", 1, 1), ("eof", "", 1, 3)]),
+    ("", [("eof", "", 1, 1)]),
+], ids=["tab", "line-comment", "eof-on-new-line", "eof-after-final-comment", "empty"])
+def test_token_positions(source, expected):
+    assert [tuple(token) for token in tokenize(source)] == expected
+
+
+@pytest.mark.parametrize("source, message, line, column", [
+    ("int x;\n  /* open", "unterminated block comment", 2, 3),
+    ("int a = $;", "unexpected character '$'", 1, 9),
+    ("int a;\n\t@", "unexpected character '@'", 2, 2),
+    ("int main() { int x = ²; return x; }", "unexpected character '²'", 1, 22),
+    ("int é;", "unexpected character 'é'", 1, 5),
+], ids=["unterminated-comment", "dollar", "at", "unicode-digit", "unicode-letter"])
+def test_lexer_error_positions(source, message, line, column):
+    with pytest.raises(LexerError) as raised:
+        tokenize(source)
+    error = raised.value
+    assert (error.message, error.line, error.column) == (message, line, column)
+
+
 def test_parse_function_with_parameters():
     program = parse_program("void ins(int* v, int N) { }")
     assert len(program.functions) == 1

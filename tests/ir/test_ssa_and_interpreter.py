@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.ir import INT, IRBuilder, Module, pointer_to, verify_function
+from repro.frontend import compile_source
+from repro.ir import INT, IRBuilder, Module, pointer_to, print_module, verify_function
 from repro.ir.interpreter import Interpreter, InterpreterError, Pointer
 from repro.ir.ssa import promotable_allocas, promote_memory_to_registers
 from repro.ir.ssa_destruction import destruct_ssa, remove_copies
+from repro.ir.values import Undef
+from repro.synth import CsmithConfig, RandomProgramGenerator
 from tests.helpers import (
     build_counting_loop_module,
     build_diamond_module,
@@ -70,6 +73,79 @@ def test_mem2reg_preserves_semantics():
     after = Interpreter(module).run("max", [3, 9])
     assert before == after == 9
     assert Interpreter(module).run("max", [9, 3]) == 9
+
+
+def _run_unpromoted_and_promoted(source):
+    """``main``'s result on the memory-slot IR and on the mem2reg'd IR."""
+    return [Interpreter(compile_source(source, promote=promote), max_steps=400000).run("main")
+            for promote in (False, True)]
+
+
+@pytest.mark.parametrize("depth", [2, 4, 6])
+def test_mem2reg_preserves_random_program_results(depth):
+    for seed in range(40):
+        config = CsmithConfig(seed=seed, pointer_depth=depth)
+        source = RandomProgramGenerator(config).generate_source()
+        before, after = _run_unpromoted_and_promoted(source)
+        assert before == after, (seed, depth)
+
+
+def test_mem2reg_rotates_slots_through_each_other():
+    # Each store's value is a load of another promoted slot.
+    source = """
+    int main() {
+      int a = 1; int b = 2; int t = 0; int s = 0; int i = 0;
+      while (i < 5) { t = a; a = b; b = t + i; s = s * 3 + a - b; i = i + 1; }
+      return s;
+    }
+    """
+    before, after = _run_unpromoted_and_promoted(source)
+    assert before == after == 17
+
+
+def test_mem2reg_reads_undef_before_any_store():
+    source = "int main() { int x; int y = x + 3; x = 4; return y + x; }"
+    assert "undef" in print_module(compile_source(source))
+    assert _run_unpromoted_and_promoted(source) == [7, 7]
+
+
+def test_mem2reg_slot_stored_in_one_branch():
+    source = """
+    int f(int c) { int x; if (c > 0) { x = c; } return x; }
+    int main() { return f(5) * 10 + f(-2); }
+    """
+    module = compile_source(source)
+    phis = [inst for inst in module.get_function("f").instructions() if inst.opcode == "phi"]
+    assert len(phis) == 1
+    assert any(isinstance(value, Undef) for value, _block in phis[0].incoming())
+    assert _run_unpromoted_and_promoted(source) == [50, 50]
+
+
+def test_mem2reg_fills_phi_entry_of_unreachable_predecessor():
+    module = Module("m")
+    f = module.create_function("f", INT, [INT], ["c"])
+    entry = f.append_block(name="entry")
+    then_block = f.append_block(name="then")
+    dead = f.append_block(name="dead")
+    join = f.append_block(name="join")
+    builder = IRBuilder(entry)
+    slot = builder.alloca(INT, "slot")
+    builder.store(builder.const(0), slot)
+    builder.branch(builder.icmp_slt(f.arguments[0], builder.const(0)), then_block, join)
+    builder.set_insert_point(then_block)
+    builder.store(builder.const(1), slot)
+    builder.jump(join)
+    builder.set_insert_point(dead)
+    builder.jump(join)
+    builder.set_insert_point(join)
+    builder.ret(builder.load(slot, "result"))
+    before = [Interpreter(module).run("f", [c]) for c in (-1, 1)]
+    assert promote_memory_to_registers(f) == 1
+    verify_function(f)
+    incoming = {block.name: value for value, block in join.phis()[0].incoming()}
+    assert sorted(incoming) == ["dead", "entry", "then"]
+    assert isinstance(incoming["dead"], Undef)
+    assert [Interpreter(module).run("f", [c]) for c in (-1, 1)] == before == [1, 0]
 
 
 def test_interpreter_runs_counting_loop():
