@@ -3,9 +3,9 @@
 The evaluation methodology (``aa-eval``) issues one query per unordered
 pointer pair per function, and the harness evaluates every module several
 times (LT alone, BA + LT, repeated figures).  The seed pipeline recomputed
-the whole strict-inequality stack per evaluation — two range-analysis passes
-and a constraint solve per ``LessThanAnalysis``, plus a copy-equivalence
-class walk per query.  The cached engine computes that state once per
+the whole strict-inequality stack per evaluation — the range analysis, the
+e-SSA conversion and a constraint solve per ``LessThanAnalysis``, plus a
+copy-equivalence class walk per query.  The cached engine computes that state once per
 (unchanged) module via :class:`repro.passes.FunctionAnalysisCache` and
 answers each query with precomputed per-value tables.
 

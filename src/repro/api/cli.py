@@ -34,7 +34,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.config import ConfigError, ReproConfig, VERIFY_MODES
-from repro.frontend import LexerError, LoweringError, ParseError
+from repro.frontend import FrontendError
 from repro.obs import TRACER
 
 #: analysis members accepted inside an ``--specs`` item.
@@ -114,6 +114,14 @@ def _unit_name(path: str) -> str:
         return "stdin"
     base = os.path.basename(path)
     return os.path.splitext(base)[0] or base
+
+
+def _unit_path(args: argparse.Namespace, unit: Optional[str]) -> str:
+    """The command-line path unit ``unit`` was read from, else its name."""
+    paths = getattr(args, "sources", None) or [getattr(args, "source", None)]
+    matches = [path for path in paths
+               if path not in (None, "-") and _unit_name(path) == unit]
+    return matches[0] if len(matches) == 1 else str(unit)
 
 
 def _print_table(rows: Sequence[Dict[str, object]]) -> None:
@@ -581,8 +589,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, OSError,
-            LexerError, ParseError, LoweringError) as error:
+    except FrontendError as error:
+        print("error: {}: {}".format(_unit_path(args, error.unit), error),
+              file=sys.stderr)
+        return 2
+    except (ConfigError, OSError) as error:
         print("error: {}".format(error), file=sys.stderr)
         return 2
 

@@ -67,19 +67,16 @@ class LessThanAnalysis:
 
     # -- pipeline ------------------------------------------------------------------
     def _run(self, build_essa: bool, interprocedural: bool) -> None:
-        if build_essa:
-            for function in self.functions:
-                if self.cache is not None:
-                    self.cache.ensure_essa(function)
-                else:
-                    convert_to_essa(function)
         # Ranges on the (possibly transformed) functions, reused by the
-        # constraint generator.
+        # constraint generator.  A conversion solves them as it goes.
         for function in self.functions:
             if self.cache is not None:
+                if build_essa:
+                    self.cache.ensure_essa(function)
                 self.ranges[function] = self.cache.ranges(function)
             else:
-                self.ranges[function] = RangeAnalysis(function)
+                ranges = convert_to_essa(function).ranges if build_essa else None
+                self.ranges[function] = ranges or RangeAnalysis(function)
         generator = ConstraintGenerator(self.ranges)
         with TRACER.span("lt.generate",
                          functions=len(self.functions)) as span:

@@ -72,7 +72,11 @@ from repro.api.config import ConfigError, resolved_store_max_bytes
 #: v7: the lt disambiguator's persisted ``statistics.queries`` counts each
 #:     pair once (every analysis answers a pair once per function, chains
 #:     merge the member streams).  ``aaeval-6`` stores are cleared as above.
-STORE_VERSION = "aaeval-7"
+#: v8: additions are classified on σ-refined ranges (a function can gain a
+#:     split copy and sharper verdicts), and persisted range counters no
+#:     longer count split-copy evaluations.  ``aaeval-7`` stores are cleared
+#:     as above.
+STORE_VERSION = "aaeval-8"
 
 
 def function_key(label: str, function_text: str, fingerprint: str = "") -> str:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.ir.cfg import ControlFlowGraph
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Copy, ICmp, Phi
 from repro.essa.transform import _is_splittable
@@ -39,7 +40,8 @@ def _describe(value) -> str:
     return "%{}".format(name) if name else repr(value)
 
 
-def _lint_sigma_copy(copy: Copy, problems: List[Tuple[str, str]]) -> None:
+def _lint_sigma_copy(copy: Copy, cfg: ControlFlowGraph,
+                     problems: List[Tuple[str, str]]) -> None:
     name = getattr(copy, "name", "") or ""
     condition = getattr(copy, "sigma_condition", None)
     side = getattr(copy, "sigma_operand_side", None)
@@ -55,7 +57,8 @@ def _lint_sigma_copy(copy: Copy, problems: List[Tuple[str, str]]) -> None:
     if block is None:
         problems.append((name, "sigma-copy %{} is not attached to a block".format(name)))
         return
-    predecessors = block.predecessors()
+    # Each predecessor once, in block order, as BasicBlock.predecessors.
+    predecessors = list(dict.fromkeys(cfg.preds(block)))
     if len(predecessors) != 1:
         problems.append((name, "sigma-copy %{} sits in block {} with {} predecessors "
                          "(expected a dedicated edge block)".format(
@@ -131,10 +134,11 @@ def sigma_problems(function: Function) -> List[Tuple[str, str]]:
     problems: List[Tuple[str, str]] = []
     if function.is_declaration():
         return problems
+    cfg = ControlFlowGraph(function)
     for block in function.blocks:
         for inst in block.instructions:
             if isinstance(inst, Copy) and getattr(inst, "kind", None) == "sigma":
-                _lint_sigma_copy(inst, problems)
+                _lint_sigma_copy(inst, cfg, problems)
     if getattr(function, "essa_form", False):
         _lint_completeness(function, problems)
     return problems

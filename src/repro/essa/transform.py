@@ -16,6 +16,12 @@ The transformation has two parts:
   by that point are renamed.  The copy is annotated with the subtraction so
   the constraint generator can emit ``x1 ∈ LT(x3)``.
 
+The σ-copies go in first; they need no ranges.  The function's one
+:class:`~repro.rangeanalysis.analysis.RangeAnalysis` is solved on that
+σ-form, so additions are classified on σ-refined ranges, the ones the
+constraint generator reads.  Each split copy inherits its base's interval
+(a copy's transfer function is the identity), so nothing is re-solved.
+
 Both kinds of copies are ordinary :class:`repro.ir.instructions.Copy`
 instructions; they are semantically transparent (removing them restores the
 original program), which a test verifies by running the interpreter before
@@ -24,7 +30,7 @@ and after the transformation.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Optional
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.dominators import DominatorTree
@@ -52,6 +58,9 @@ class EssaInfo:
         self.sigma_copies: List[Copy] = []
         self.subtraction_copies: List[Copy] = []
         self.split_edges: int = 0
+        #: the one range analysis of the converted function (``None`` when
+        #: nothing was converted).
+        self.ranges: Optional[RangeAnalysis] = None
 
     @property
     def total_copies(self) -> int:
@@ -109,8 +118,8 @@ def _rename_dominated_uses(domtree: DominatorTree, original: Value, copy: Copy) 
 def convert_to_essa(function: Function) -> EssaInfo:
     """Convert ``function`` to e-SSA form in place.
 
-    A range analysis of the pre-conversion form is solved first: it
-    classifies additions with variable operands as growths or decrements.
+    The conversion's one range analysis (see the module docstring) is
+    returned as :attr:`EssaInfo.ranges`.
     """
     info = EssaInfo()
     if function.is_declaration():
@@ -121,14 +130,12 @@ def convert_to_essa(function: Function) -> EssaInfo:
     if getattr(function, "essa_form", False):
         return info
     function.essa_form = True
-    ranges = RangeAnalysis(function)
     with TRACER.span("essa.transform", fn=function.name):
-        _insert_copies(function, ranges, info)
+        _insert_copies(function, info)
     return info
 
 
-def _insert_copies(function: Function, ranges: RangeAnalysis,
-                   info: EssaInfo) -> None:
+def _insert_copies(function: Function, info: EssaInfo) -> None:
     # --- σ-copies after conditionals -------------------------------------------------
     # First make sure every interesting branch target can host σ-copies
     # (single predecessor), then compute dominance once and insert copies in
@@ -147,20 +154,11 @@ def _insert_copies(function: Function, ranges: RangeAnalysis,
         _ensure_dedicated_successor(function, terminator, terminator.true_block, info)
         _ensure_dedicated_successor(function, terminator, terminator.false_block, info)
 
+    # Copies leave the CFG alone, so one dominator tree serves both walks.
     domtree = DominatorTree(function)
-
-    for block in domtree.dom_tree_preorder():
-        # Copies at subtractions (processed before the terminator of the block).
-        for inst in list(block.instructions):
-            if isinstance(inst, (BinaryOp, GetElementPtr)) and inst.type.is_scalar():
-                base = shrink_base(inst, ranges)
-                if base is None or not _is_splittable(base):
-                    continue
-                copy = Copy(base, "", kind="split")
-                copy.split_subtraction = inst
-                block.insert_after(inst, copy)
-                info.subtraction_copies.append(copy)
-                _rename_dominated_uses(domtree, base, copy)
+    preorder = list(domtree.dom_tree_preorder())
+    sigmas: Dict[BasicBlock, List[Copy]] = {}
+    for block in preorder:
         terminator = block.terminator
         if not isinstance(terminator, Branch):
             continue
@@ -169,6 +167,7 @@ def _insert_copies(function: Function, ranges: RangeAnalysis,
             continue
         if terminator.true_block is terminator.false_block:
             continue
+        first = len(info.sigma_copies)
         for on_true, successor in ((True, terminator.true_block), (False, terminator.false_block)):
             for side, operand in (("lhs", condition.lhs), ("rhs", condition.rhs)):
                 if not _is_splittable(operand):
@@ -180,3 +179,28 @@ def _insert_copies(function: Function, ranges: RangeAnalysis,
                 successor.insert(successor.first_non_phi_index(), copy)
                 info.sigma_copies.append(copy)
                 _rename_dominated_uses(domtree, operand, copy)
+        sigmas[block] = info.sigma_copies[first:]
+
+    # --- copies at subtractions, classified on the σ-form --------------------------
+    ranges = info.ranges = RangeAnalysis(function)
+    order: List[Copy] = []
+    for block in preorder:
+        for inst in list(block.instructions):
+            if isinstance(inst, (BinaryOp, GetElementPtr)) and inst.type.is_scalar():
+                base = shrink_base(inst, ranges)
+                if base is None or not _is_splittable(base):
+                    continue
+                copy = Copy(base, "", kind="split")
+                copy.split_subtraction = inst
+                block.insert_after(inst, copy)
+                # Identity transfer: the base's interval is the copy's fixpoint.
+                ranges.ranges[copy] = ranges.range_of(base)
+                info.subtraction_copies.append(copy)
+                order.append(copy)
+                _rename_dominated_uses(domtree, base, copy)
+        order.extend(sigmas.get(block, ()))
+    # Numbering follows one interleaved preorder walk: per block, its split
+    # copies, then the σ-copies of its terminator.
+    names = [copy.name for copy in info.sigma_copies + info.subtraction_copies]
+    for copy, name in zip(order, names):
+        copy.name = name

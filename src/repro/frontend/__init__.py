@@ -16,12 +16,13 @@ logical operators, array indexing, pointer dereference, ``if``/``else``,
 ``malloc``.
 """
 
-from repro.frontend.lexer import LexerError, Token, tokenize
+from repro.frontend.lexer import FrontendError, LexerError, Token, tokenize
 from repro.frontend.parser import ParseError, parse_program
 from repro.frontend.lowering import LoweringError, compile_source, lower_program
 from repro.frontend import ast
 
 __all__ = [
+    "FrontendError",
     "LexerError",
     "Token",
     "tokenize",

@@ -10,7 +10,7 @@ and column.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Optional
 
 KEYWORDS = {
     "int", "void", "if", "else", "while", "for", "return", "break", "continue",
@@ -38,7 +38,19 @@ _TOKEN = re.compile("|".join([
 ]))
 
 
-class LexerError(Exception):
+class FrontendError(Exception):
+    """A source the frontend rejects.
+
+    :func:`~repro.frontend.lowering.compile_source` sets ``unit`` to the
+    name of the module it was compiling, so a run over several sources can
+    say which one failed.  The subclasses' reductions carry it through
+    pickle (pool workers ship exceptions back).
+    """
+
+    unit: Optional[str] = None
+
+
+class LexerError(FrontendError):
     """Raised on malformed input text."""
 
     def __init__(self, message: str, line: int, column: int) -> None:
@@ -49,7 +61,7 @@ class LexerError(Exception):
 
     def __reduce__(self):
         # Round-trips through pickle (pool workers ship exceptions).
-        return (type(self), (self.message, self.line, self.column))
+        return (type(self), (self.message, self.line, self.column), vars(self))
 
 
 class Token(NamedTuple):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.frontend import ast
+from repro.frontend.lexer import FrontendError
 from repro.frontend.parser import parse_program
 from repro.ir import (
     BasicBlock,
@@ -34,7 +35,7 @@ _COMPARISONS = {"<": "slt", "<=": "sle", ">": "sgt", ">=": "sge", "==": "eq", "!
 _ARITHMETIC = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "rem"}
 
 
-class LoweringError(Exception):
+class LoweringError(FrontendError):
     """Raised when the program uses a construct outside the supported subset."""
 
 
@@ -414,15 +415,23 @@ def lower_program(program: ast.Program, module_name: str = "program",
         if promote:
             promote_memory_to_registers(function)
     if verify:
-        verify_module(module)
+        with TRACER.span("ir.verify", module=module_name):
+            verify_module(module)
     return module
 
 
 def compile_source(source: str, module_name: str = "program",
                    promote: bool = True, verify: bool = True) -> Module:
-    """Parse and lower mini-C ``source`` text to an IR module."""
-    with TRACER.span("frontend.parse", module=module_name):
-        program = parse_program(source)
-    with TRACER.span("frontend.lower", module=module_name,
-                     functions=len(program.functions)):
-        return lower_program(program, module_name, promote, verify)
+    """Parse and lower mini-C ``source`` text to an IR module.
+
+    A :class:`FrontendError` leaves with ``unit`` set to ``module_name``.
+    """
+    try:
+        with TRACER.span("frontend.parse", module=module_name):
+            program = parse_program(source)
+        with TRACER.span("frontend.lower", module=module_name,
+                         functions=len(program.functions)):
+            return lower_program(program, module_name, promote, verify)
+    except FrontendError as error:
+        error.unit = module_name
+        raise

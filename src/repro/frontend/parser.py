@@ -5,10 +5,10 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.frontend import ast
-from repro.frontend.lexer import Token, tokenize
+from repro.frontend.lexer import FrontendError, Token, tokenize
 
 
-class ParseError(Exception):
+class ParseError(FrontendError):
     """Raised when the token stream does not form a valid program."""
 
     def __init__(self, message: str, token: Token) -> None:
@@ -20,7 +20,7 @@ class ParseError(Exception):
     def __reduce__(self):
         # Pool workers ship exceptions by pickle; the default reduction
         # replays ``args`` (the formatted text) and misses ``token``.
-        return (type(self), (self.message, self.token))
+        return (type(self), (self.message, self.token), vars(self))
 
 
 #: binary operator precedence (larger binds tighter); assignment is handled

@@ -76,8 +76,10 @@ def function_problems(function: Function) -> List[str]:
 # ---------------------------------------------------------------------------
 
 def _check_blocks(function: Function) -> None:
-    if function.entry_block is None:
+    entry = function.entry_block
+    if entry is None:
         _error("function has no entry block")
+    entry_has_predecessor = False
     for block in function.blocks:
         if block.parent is not function:
             _error("block {} has a stale parent link".format(block.name))
@@ -96,9 +98,8 @@ def _check_blocks(function: Function) -> None:
         for succ in block.successors():
             if succ.parent is not function:
                 _error("block {} branches to a block of another function".format(block.name))
-    entry = function.entry_block
-    assert entry is not None
-    if ControlFlowGraph(function).preds(entry):
+            entry_has_predecessor = entry_has_predecessor or succ is entry
+    if entry_has_predecessor:
         _error("the entry block must not have predecessors")
 
 

@@ -2,15 +2,15 @@
 
 The paper's evaluation (``aa-eval``) asks O(n²) queries per function, and
 every configuration of the harness (``LT``, ``BA + LT``, ``BA + CF`` ...)
-re-runs the same sub-analyses on the same, unchanged functions: two
-:class:`~repro.rangeanalysis.analysis.RangeAnalysis` passes per
-:class:`~repro.core.lessthan.analysis.LessThanAnalysis`, one e-SSA
-conversion, one constraint solve.  :class:`FunctionAnalysisCache` memoizes
-that invariant state so no analysis is ever computed twice on an unchanged
-function:
+re-runs the same sub-analyses on the same, unchanged functions: one e-SSA
+conversion (which solves the function's one
+:class:`~repro.rangeanalysis.analysis.RangeAnalysis`) and one constraint
+solve per :class:`~repro.core.lessthan.analysis.LessThanAnalysis`.
+:class:`FunctionAnalysisCache` memoizes that invariant state so no analysis
+is ever computed twice on an unchanged function:
 
 * e-SSA conversion status,
-* the post-conversion :class:`RangeAnalysis` per function,
+* the :class:`RangeAnalysis` per function (the conversion's own solve),
 * :class:`LessThanAnalysis` per function and per module (keyed on the
   interprocedural flag),
 * the :class:`~repro.core.disambiguation.PointerDisambiguator` per analysis,
@@ -36,6 +36,7 @@ from repro.essa.transform import EssaInfo, convert_to_essa
 from repro.ir import callgraph
 from repro.ir.function import Function
 from repro.ir.module import Module
+from repro.obs import TRACER
 from repro.rangeanalysis.analysis import RangeAnalysis
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -168,7 +169,8 @@ class FunctionAnalysisCache:
 
         The conversion mutates the IR, so analyses cached for the
         pre-conversion form are dropped here — this is the one mutation the
-        cache itself performs and can therefore track.
+        cache itself performs and can therefore track.  The conversion's
+        range analysis becomes the function's cached ranges.
         """
         info = self._essa.get(function)
         if info is not None:
@@ -180,8 +182,10 @@ class FunctionAnalysisCache:
             # summary so later calls hit.
             info = EssaInfo()
         else:
-            info = convert_to_essa(function)
+            with TRACER.span("essa.ensure", fn=function.name):
+                info = convert_to_essa(function)
             self._drop_function_entries(function)
+            self._ranges[function] = info.ranges
         self._essa[function] = info
         return info
 

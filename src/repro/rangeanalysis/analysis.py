@@ -18,7 +18,8 @@ When the function is in e-SSA form (after
 :func:`repro.essa.transform.convert_to_essa`), σ-copies carry the branch
 condition that dominates them; the analysis uses those conditions to refine
 ranges, which is how ``for (i = 0; i < N; i++)`` yields ``i ∈ [0, N-1]`` on
-the true branch.
+the true branch.  The conversion solves the function's one analysis itself
+(see :mod:`repro.essa.transform`).
 
 A cyclic component is solved by a sparse def-use worklist seeded from the
 :class:`~repro.rangeanalysis.graph.DependencyGraph`.  Only users of values

@@ -156,8 +156,8 @@ def check_range_certificate(function: Function, analysis: RangeAnalysis,
     """Assert the solved interval state of ``function`` is inductive."""
     ranges = analysis.ranges
     argument_ranges = analysis.argument_ranges
+    report.bump("range", len(ranges))
     for value, interval in ranges.items():
-        report.bump("range")
         recomputed = recompute_transfer(value, ranges, argument_ranges)
         if not interval.includes(recomputed):
             report.add(
@@ -176,9 +176,9 @@ def check_lt_certificate(constraints: Sequence[Constraint],
                          report: VerificationReport) -> None:
     """Assert the final LT sets satisfy every generated constraint."""
     targets: Set[Value] = set()
+    report.bump("lt", len(constraints))
     for constraint in constraints:
         targets.add(constraint.target)
-        report.bump("lt")
         evaluated = constraint.evaluate(lt_sets)
         if evaluated is TOP:
             # Only reachable through a residual-TOP source, which the solver
@@ -218,17 +218,23 @@ def check_lt_certificate(constraints: Sequence[Constraint],
 
 def _ordered_witness(a: Value, b: Value,
                      lt_sets: Dict[Value, FrozenSet[Value]],
-                     limit: Optional[int] = None) -> bool:
+                     limit: Optional[int] = None,
+                     classes: Optional[Dict[Value, Set[Value]]] = None) -> bool:
     """``∃ na ∈ names(a), nb ∈ names(b): na < nb or nb < na`` — from scratch.
 
-    Classes are re-walked with no memoization.  The audit passes no
-    ``limit``: truncation can only lose legitimate witnesses, never invent
-    one, so the unlimited walk accepts everything the production tables
-    could justify.  :func:`reference_disambiguate` passes the production
-    limit to reproduce its verdicts exactly.
+    Classes are walked afresh, never read from the production tables;
+    ``classes`` keeps the walks of one caller (for one ``limit``) so each
+    value is walked once.  The audit passes no ``limit``: truncation can
+    only lose legitimate witnesses, never invent one, so the unlimited walk
+    accepts everything the production tables could justify.
+    :func:`reference_disambiguate` passes the production limit to reproduce
+    its verdicts exactly.
     """
-    names_a = set(equivalent_names(a, limit=limit))
-    names_b = set(equivalent_names(b, limit=limit))
+    classes = {} if classes is None else classes
+    for value in (a, b):
+        if value not in classes:
+            classes[value] = set(equivalent_names(value, limit=limit))
+    names_a, names_b = classes[a], classes[b]
     lt_a: Set[Value] = set()
     for name in names_a:
         lt_a.update(lt_sets.get(name, ()))
@@ -284,12 +290,13 @@ def audit_verdicts(function: Function, disambiguator: PointerDisambiguator,
     finally:
         (statistics.queries, statistics.truncated_classes,
          statistics.largest_class, statistics.memoized_values) = snapshot
+    classes: Dict[Value, Set[Value]] = {}
+    report.bump("verdict", len(claims))
     # Only the proven pairs are audited; map each position back to (i, j).
     row_starts = [i * len(pointers) - i * (i + 1) // 2 for i in range(len(pointers))]
     for position, reason in sorted(claims.items()):
         i = bisect.bisect_right(row_starts, position) - 1
         j = position - row_starts[i] + i + 1
-        report.bump("verdict")
         p_a, p_b = pointers[i], pointers[j]
         if canonical_value(p_a) is canonical_value(p_b):
             report.add(
@@ -298,7 +305,7 @@ def audit_verdicts(function: Function, disambiguator: PointerDisambiguator,
                 "canonical pointer".format(_short(p_a), _short(p_b)))
             continue
         if reason is DisambiguationReason.POINTERS_ORDERED:
-            if not _ordered_witness(p_a, p_b, lt_sets):
+            if not _ordered_witness(p_a, p_b, lt_sets, classes=classes):
                 report.add(
                     "verdict", "error", function.name, _value_name(p_a),
                     "NoAlias({}, {}) claims the pointers are strictly "
@@ -326,7 +333,7 @@ def audit_verdicts(function: Function, disambiguator: PointerDisambiguator,
                 "NoAlias({}, {}) claims ordered indices but an index is not "
                 "a variable".format(_short(p_a), _short(p_b)))
             continue
-        if not _ordered_witness(index_a, index_b, lt_sets):
+        if not _ordered_witness(index_a, index_b, lt_sets, classes=classes):
             report.add(
                 "verdict", "error", function.name, _value_name(index_a),
                 "NoAlias({}, {}) claims indices {} and {} are strictly "

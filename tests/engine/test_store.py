@@ -206,9 +206,18 @@ def test_store_version_aaeval5_to_aaeval6_migration(store_file):
 def test_store_version_aaeval6_to_aaeval7_migration(store_file):
     """The once-per-pair bump: the lt disambiguator's persisted
     ``statistics.queries`` now counts each pair once, so stale ``aaeval-6``
-    entries never serve."""
-    assert STORE_VERSION == "aaeval-7"
+    entries never serve, also under the versions that came after
+    ``aaeval-7``."""
+    assert STORE_VERSION not in ("aaeval-6", "aaeval-7")
     _assert_stale_version_never_serves(store_file("store"), "aaeval-6")
+
+
+def test_store_version_aaeval7_to_aaeval8_migration(store_file):
+    """The σ-refined classification bump: split copies and verdicts can
+    differ from what ``aaeval-7`` persisted, and so can the persisted range
+    counters, so stale ``aaeval-7`` entries never serve."""
+    assert STORE_VERSION == "aaeval-8"
+    _assert_stale_version_never_serves(store_file("store"), "aaeval-7")
 
 
 def test_text_hash_is_stable():

@@ -15,7 +15,10 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import repro
+from repro.frontend import LoweringError, compile_source
 from repro.frontend.lexer import LexerError, Token
 from repro.frontend.parser import ParseError
 from repro.verify.diagnostics import VerificationReport, VerifyError
@@ -76,7 +79,20 @@ def test_every_repro_exception_round_trips_through_pickle():
                     for name, value in vars(error).items()}), cls
 
 
-def _run_eval(tmp_path, workers):
+def test_frontend_errors_carry_their_unit_through_pickle():
+    sources = {LexerError: "int f() { return 1 @ 2; }\n",
+               ParseError: BAD_SOURCE,
+               LoweringError: "int f() { return g(); }\n"}
+    for cls, source in sources.items():
+        with pytest.raises(cls) as caught:
+            compile_source(source, module_name="unit_" + cls.__name__)
+        copy = pickle.loads(pickle.dumps(caught.value))
+        assert type(copy) is cls
+        assert copy.unit == "unit_" + cls.__name__
+        assert str(copy) == str(caught.value)
+
+
+def _run_eval(tmp_path, workers, order=("bad.c", "good.c")):
     repo_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     env = dict(os.environ)
@@ -86,18 +102,21 @@ def _run_eval(tmp_path, workers):
     (tmp_path / "bad.c").write_text(BAD_SOURCE)
     (tmp_path / "good.c").write_text(GOOD_SOURCE)
     return subprocess.run(
-        [sys.executable, "-m", "repro", "eval", "--workers", str(workers),
-         "bad.c", "good.c"],
+        [sys.executable, "-m", "repro", "eval", "--workers", str(workers)]
+        + list(order),
         capture_output=True, text=True, env=env, cwd=str(tmp_path),
         timeout=60)
 
 
 def test_pooled_run_with_parse_error_fails_like_serial(tmp_path):
-    serial = _run_eval(tmp_path, 0)
-    pooled = _run_eval(tmp_path, 2)  # used to hang: bounded by the timeout
-    assert serial.returncode == 2
-    assert pooled.returncode == serial.returncode
-    last_line = serial.stderr.strip().splitlines()[-1]
-    assert last_line.startswith("error: expected an expression at line 1")
-    assert pooled.stderr.strip().splitlines()[-1] == last_line
-    assert "Traceback" not in serial.stderr + pooled.stderr
+    # Either file order, the message names the file that failed.
+    for order in (("bad.c", "good.c"), ("good.c", "bad.c")):
+        serial = _run_eval(tmp_path, 0, order)
+        pooled = _run_eval(tmp_path, 2, order)  # used to hang: bounded by the timeout
+        assert serial.returncode == 2
+        assert pooled.returncode == serial.returncode
+        last_line = serial.stderr.strip().splitlines()[-1]
+        assert last_line == ("error: bad.c: expected an expression at line 1, "
+                             "column 30 (near ';')")
+        assert pooled.stderr.strip().splitlines()[-1] == last_line
+        assert "Traceback" not in serial.stderr + pooled.stderr

@@ -1,9 +1,19 @@
 """Tests for the e-SSA (live-range splitting) transformation."""
 
+from collections import Counter
+
+from repro.api import Session
 from repro.essa import convert_to_essa
-from repro.ir import Copy, verify_function
+from repro.frontend import compile_source
+from repro.ir import Copy, print_module, verify_function
 from repro.ir.interpreter import Interpreter
 from repro.ir.ssa_destruction import remove_copies
+from repro.passes import FunctionAnalysisCache
+from repro.rangeanalysis.analysis import RangeAnalysis
+from repro.synth import build_testsuite_sources, spec_sources
+from repro.synth.csmith import CsmithConfig, RandomProgramGenerator
+from repro.verify.certificate import check_range_certificate
+from repro.verify.diagnostics import VerificationReport
 from tests.helpers import (
     build_counting_loop_module,
     build_diamond_module,
@@ -11,6 +21,7 @@ from tests.helpers import (
     build_straightline_module,
     build_two_index_loop_module,
 )
+from tests.integration.test_adequacy import check_adequacy
 
 
 def sigma_copies(function):
@@ -120,3 +131,97 @@ def test_copies_can_be_removed_to_recover_original_shape():
     removed = remove_copies(function)
     assert removed > 0
     assert Interpreter(module).run("f", [2, 7]) == original_result
+
+
+# ---------------------------------------------------------------------------
+# One range solve per function
+# ---------------------------------------------------------------------------
+
+def _corpus():
+    corpus = list(spec_sources()) + list(build_testsuite_sources(60))
+    for seed in range(40):
+        for depth in (2, 4, 6):
+            generator = RandomProgramGenerator(
+                CsmithConfig(seed=seed, pointer_depth=depth))
+            corpus.append(("csmith_{}_{}".format(seed, depth),
+                           generator.generate_source()))
+    return corpus
+
+
+def test_inherited_intervals_equal_a_fresh_solve_of_the_essa_form():
+    # The conversion solves the σ-form once and gives each split copy its
+    # base's interval; that table must be the fixpoint of the final form.
+    for name, source in _corpus():
+        module = compile_source(source, module_name=name)
+        cache = FunctionAnalysisCache()
+        for function in module.defined_functions():
+            cache.ensure_essa(function)
+            ranges = cache.ranges(function)
+            fresh = RangeAnalysis(function)
+            for inst in function.instructions():
+                assert ranges.range_of(inst) == fresh.range_of(inst), \
+                    (name, function.name, inst.short_name())
+            report = VerificationReport()
+            check_range_certificate(function, ranges, report)
+            assert report.ok, (name, function.name)
+
+
+def test_a_workload_solves_each_function_once(monkeypatch):
+    solves = Counter()
+    original = RangeAnalysis.__init__
+
+    def counting(self, function, *args, **kwargs):
+        solves[function] += 1
+        original(self, function, *args, **kwargs)
+
+    monkeypatch.setattr(RangeAnalysis, "__init__", counting)
+    with Session(workers=0, store_path=None) as session:
+        session.run_workload(spec_sources(),
+                             specs=(("basicaa",), ("lt",), ("basicaa", "lt")),
+                             workers=0, store=False)
+    defined = sum(len(list(compile_source(source, module_name=name)
+                           .defined_functions()))
+                  for name, source in spec_sources())
+    assert len(solves) == defined
+    assert set(solves.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# Classification reads σ-refined ranges
+# ---------------------------------------------------------------------------
+
+#: ``n`` is known negative only through the σ-copy of ``n < 0``.  Solving
+#: the ranges on the σ-form (rather than before any copy exists) classifies
+#: ``x + σ(n)`` as a decrement of ``x``, so ``x`` gets a split copy and
+#: ``v[y]`` / ``v[x]`` become disambiguated.  This is the one intended
+#: difference from classifying on the pre-conversion form, where the pair
+#: stayed MayAlias.
+SIGMA_NEGATIVE_SOURCE = """\
+void f(int* v, int x, int n) { if (n < 0) { int y = x + n; v[y] = 1; v[x] = 2; } }
+int main() { int v[64]; f(v, 40, 0 - 3); f(v, 40, 5); f(v, 10, 0 - 9); return v[37]; }
+"""
+
+
+def test_addition_of_a_sigma_refined_negative_gets_a_split_copy():
+    module = compile_source(SIGMA_NEGATIVE_SOURCE, module_name="sigma_negative")
+    function = module.get_function("f")
+    info = convert_to_essa(function)
+    verify_function(function)
+    [copy] = info.subtraction_copies
+    add = copy.split_subtraction
+    assert add.opcode == "add" and add.rhs.kind == "sigma"
+    assert copy.source is function.arguments[1]  # x
+    assert copy.parent.instructions.index(copy) == \
+        copy.parent.instructions.index(add) + 1
+    assert "copy i64 %x ; split" in print_module(module)
+
+
+def test_sigma_refined_split_verdicts_hold_under_execution():
+    with Session(workers=0, store_path=None) as session:
+        [result] = session.run_workload(
+            [("sigma_negative", SIGMA_NEGATIVE_SOURCE)],
+            specs=(("lt",), ("basicaa", "lt")), store=False)
+    assert result.verdicts("lt")["f"] == "MMN"
+    assert result.verdicts("basicaa+lt")["f"] == "MMN"
+    module = compile_source(SIGMA_NEGATIVE_SOURCE, module_name="sigma_negative")
+    assert check_adequacy(module, "main") == 3
