@@ -146,6 +146,9 @@ def _print_table(rows: Sequence[Dict[str, object]]) -> None:
 
 def _collect_units(args: argparse.Namespace,
                    command: str = "eval") -> List[Tuple[str, str]]:
+    if args.count < 1:
+        raise ConfigError("--count must be at least 1, got {}"
+                          .format(args.count))
     units: List[Tuple[str, str]] = [(_unit_name(path), _read_source(path))
                                     for path in args.sources]
     if args.synth is not None:

@@ -333,17 +333,6 @@ def install_config(config: ReproConfig) -> None:
 # Resolution entry points for the lower layers
 # ---------------------------------------------------------------------------
 
-def resolved_workers() -> int:
-    config = active_config()
-    return config.workers if config is not None else _resolve_workers(UNSET)
-
-
-def resolved_store_path() -> Optional[str]:
-    config = active_config()
-    return (config.store_path if config is not None
-            else _resolve_store_path(UNSET))
-
-
 def resolved_store_max_bytes() -> Optional[int]:
     config = active_config()
     if config is not None:

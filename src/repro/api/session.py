@@ -117,12 +117,12 @@ class CompiledUnit:
     """One compiled module inside a session — the fluent pipeline stage.
 
     ``session.compile(src)`` returns one of these; :meth:`analyze` runs the
-    strict-inequality pipeline (range analysis → e-SSA → constraint solve)
-    through the session cache and returns ``self`` for chaining;
-    :meth:`disambiguate` answers every pointer-pair query.  The e-SSA
-    conversion mutates the module in place (exactly like the original LLVM
-    artifact's pass pipeline), so :meth:`print_ir` shows the pre-conversion
-    form until the first analysis runs.
+    strict-inequality pipeline (e-SSA conversion with its range solve →
+    constraint solve) through the session cache and returns ``self`` for
+    chaining; :meth:`disambiguate` answers every pointer-pair query.  The
+    e-SSA conversion mutates the module in place (exactly like the original
+    LLVM artifact's pass pipeline), so :meth:`print_ir` shows the
+    pre-conversion form until the first analysis runs.
     """
 
     def __init__(self, session: "Session", name: str, source: str,

@@ -3,92 +3,72 @@
 Ties the pipeline together, matching the pass ordering of the original LLVM
 artifact (``RangeAnalysis`` → ``vSSA`` → ``sraa``):
 
-1. compute value ranges (used to classify additions vs. subtractions);
-2. convert the function to e-SSA form (live-range splitting);
-3. recompute ranges on the e-SSA form (σ-copies make them more precise);
-4. generate the constraints of Figure 7;
-5. solve them with the worklist solver.
-
-The analysis can run on a single function or on a whole module; the module
-variant adds the interprocedural pseudo-φ constraints that bind formal
-parameters to the actual arguments of their call sites (Section 4).
+1. convert every defined function to e-SSA form (live-range splitting),
+   which solves its one range analysis as it goes (ranges classify
+   additions vs. subtractions);
+2. generate the constraints of Figure 7 for the whole module, plus the
+   interprocedural pseudo-φ constraints that bind formal parameters to the
+   actual arguments of their call sites (Section 4);
+3. solve them with the worklist solver.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Union
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.core.lessthan.constraints import Constraint
 from repro.core.lessthan.generation import ConstraintGenerator
 from repro.core.lessthan.inequality_graph import InequalityGraph
 from repro.core.lessthan.solver import ConstraintSolver, SolverStatistics
-from repro.essa.transform import convert_to_essa
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.values import Value
 from repro.obs import TRACER
+from repro.passes.analysis_cache import FunctionAnalysisCache
 from repro.rangeanalysis.analysis import RangeAnalysis
 
 
 class LessThanAnalysis:
-    """Computes the strict less-than relation for a function or module.
+    """Computes the strict less-than relation for a module.
 
     Parameters
     ----------
-    subject:
-        A :class:`Function` or a :class:`Module`.
+    module:
+        The :class:`Module` to analyse; its declarations are skipped.
     build_essa:
-        When true (the default), the subject is converted to e-SSA form in
-        place before constraints are generated.  Pass False when the subject
-        is already in e-SSA form (e.g. when chaining analyses).
+        When true (the default), every function is converted to e-SSA form
+        in place before constraints are generated.  Pass False when the
+        module is already in e-SSA form (e.g. when chaining analyses).
     interprocedural:
-        Only meaningful for modules: generate pseudo-φ constraints binding
-        formal parameters to actual arguments.
+        Generate pseudo-φ constraints binding formal parameters to actual
+        arguments; otherwise parameters behave like unknown inputs.
     cache:
-        An optional :class:`repro.passes.analysis_cache.FunctionAnalysisCache`.
-        When provided, the e-SSA conversion and the per-function range
-        analyses are fetched from (and stored into) the cache, so several
-        analyses over the same functions share one computation.
+        The :class:`~repro.passes.analysis_cache.FunctionAnalysisCache` the
+        e-SSA conversions and range analyses are fetched from (and stored
+        into), so several analyses over the same functions share one
+        computation.  A private cache is used when omitted; either way it
+        is kept as :attr:`cache`.
     """
 
-    def __init__(self, subject: Union[Function, Module], build_essa: bool = True,
-                 interprocedural: bool = True, cache: Optional[object] = None) -> None:
-        self.subject = subject
-        self.cache = cache
-        self.functions: List[Function] = (
-            [subject] if isinstance(subject, Function)
-            else [f for f in subject.functions if not f.is_declaration()]
-        )
+    def __init__(self, module: Module, build_essa: bool = True,
+                 interprocedural: bool = True,
+                 cache: Optional[FunctionAnalysisCache] = None) -> None:
+        self.cache = cache if cache is not None else FunctionAnalysisCache()
+        self.functions: List[Function] = [
+            f for f in module.functions if not f.is_declaration()]
         self.ranges: Dict[Function, RangeAnalysis] = {}
-        self.constraints: List[Constraint] = []
-        self.lt_sets: Dict[Value, FrozenSet[Value]] = {}
-        self.statistics = SolverStatistics()
-        self._run(build_essa, interprocedural)
-
-    # -- pipeline ------------------------------------------------------------------
-    def _run(self, build_essa: bool, interprocedural: bool) -> None:
-        # Ranges on the (possibly transformed) functions, reused by the
-        # constraint generator.  A conversion solves them as it goes.
         for function in self.functions:
-            if self.cache is not None:
-                if build_essa:
-                    self.cache.ensure_essa(function)
-                self.ranges[function] = self.cache.ranges(function)
-            else:
-                ranges = convert_to_essa(function).ranges if build_essa else None
-                self.ranges[function] = ranges or RangeAnalysis(function)
-        generator = ConstraintGenerator(self.ranges)
+            if build_essa:
+                self.cache.ensure_essa(function)
+            self.ranges[function] = self.cache.ranges(function)
         with TRACER.span("lt.generate",
                          functions=len(self.functions)) as span:
-            if isinstance(self.subject, Module):
-                self.constraints = generator.generate_for_module(
-                    self.subject, interprocedural=interprocedural)
-            else:
-                self.constraints = generator.generate_for_function(self.subject)
+            self.constraints: List[Constraint] = ConstraintGenerator(
+                self.ranges).generate_for_module(module, interprocedural)
             span.annotate(constraints=len(self.constraints))
         solver = ConstraintSolver(self.constraints)
-        self.lt_sets = solver.solve()
-        self.statistics = solver.statistics
+        self.lt_sets: Dict[Value, FrozenSet[Value]] = solver.solve()
+        self.statistics: SolverStatistics = solver.statistics
 
     # -- queries ---------------------------------------------------------------------
     def lt(self, value: Value) -> FrozenSet[Value]:

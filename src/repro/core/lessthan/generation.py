@@ -1,9 +1,10 @@
 """Constraint generation (Figure 7 of the paper).
 
-The generator walks an e-SSA function and emits one constraint per SSA
-variable.  Constraint generation is linear in the number of variables, which
-is the property the scalability experiment (Figure 11) measures: the number
-of constraints grows linearly with the number of instructions.
+The generator walks the e-SSA functions of a module and emits one
+constraint per SSA variable.  Constraint generation is linear in the number
+of variables, which is the property the scalability experiment (Figure 11)
+measures: the number of constraints grows linearly with the number of
+instructions.
 
 The rules, matching Figure 7 (with the straightforward generalisation to all
 comparison predicates and to pointer arithmetic through ``gep``):
@@ -69,27 +70,14 @@ def _is_variable(value: Value) -> bool:
 
 
 class ConstraintGenerator:
-    """Generates less-than constraints for functions (and whole modules)."""
+    """Generates the less-than constraints of a whole module."""
 
-    def __init__(self, ranges: Optional[Dict[Function, RangeAnalysis]] = None) -> None:
-        # Ranges may be shared with the caller (the analysis driver solves
-        # them once on the e-SSA form and hands them over).
-        self._ranges = ranges or {}
+    def __init__(self, ranges: Dict[Function, RangeAnalysis]) -> None:
+        # One range analysis per defined function, solved on its e-SSA
+        # form: it classifies additions vs. subtractions.
+        self._ranges = ranges
 
-    # -- entry points ------------------------------------------------------------
-    def generate_for_function(self, function: Function) -> List[Constraint]:
-        constraints: List[Constraint] = []
-        if function.is_declaration():
-            return constraints
-        ranges = self._range_analysis(function)
-        for argument in function.arguments:
-            constraints.append(InitConstraint(argument, origin=argument))
-        for inst in function.instructions():
-            if not inst.produces_value():
-                continue
-            constraints.append(self._constraint_for(inst, ranges))
-        return constraints
-
+    # -- entry point -------------------------------------------------------------
     def generate_for_module(self, module: Module, interprocedural: bool = True) -> List[Constraint]:
         """Generate constraints for every function of ``module``.
 
@@ -102,7 +90,7 @@ class ConstraintGenerator:
         for function in module.functions:
             if function.is_declaration():
                 continue
-            ranges = self._range_analysis(function)
+            ranges = self._ranges[function]
             for argument in function.arguments:
                 argument_constraints[argument] = InitConstraint(argument, origin=argument)
             for inst in function.instructions():
@@ -142,11 +130,6 @@ class ConstraintGenerator:
                     formal, values, origin="pseudo-phi")
 
     # -- per-instruction rules ---------------------------------------------------------
-    def _range_analysis(self, function: Function) -> RangeAnalysis:
-        if function not in self._ranges:
-            self._ranges[function] = RangeAnalysis(function)
-        return self._ranges[function]
-
     def _constraint_for(self, inst: Instruction, ranges: RangeAnalysis) -> Constraint:
         if isinstance(inst, Phi):
             return self._phi_rule(inst)

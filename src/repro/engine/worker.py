@@ -242,8 +242,7 @@ def evaluate_module_functions(module: Module,
     statistics = DisambiguationStatistics()
     for member in members.values():
         if isinstance(member, StrictInequalityAliasAnalysis):
-            for disambiguator in member.disambiguators():
-                statistics = statistics.merge(disambiguator.statistics)
+            statistics = statistics.merge(member.disambiguator.statistics)
 
     touched_keys: List[str] = []
     if store is not None and store.readonly:

@@ -1,20 +1,22 @@
-"""Memoization of per-function analysis state across alias queries.
+"""Memoization of per-function and per-module analysis state.
 
 The paper's evaluation (``aa-eval``) asks O(n²) queries per function, and
 every configuration of the harness (``LT``, ``BA + LT``, ``BA + CF`` ...)
-re-runs the same sub-analyses on the same, unchanged functions: one e-SSA
-conversion (which solves the function's one
+re-runs the same sub-analyses on the same, unchanged module: one e-SSA
+conversion per function (which solves the function's one
 :class:`~repro.rangeanalysis.analysis.RangeAnalysis`) and one constraint
-solve per :class:`~repro.core.lessthan.analysis.LessThanAnalysis`.
+solve per module
+:class:`~repro.core.lessthan.analysis.LessThanAnalysis`.
 :class:`FunctionAnalysisCache` memoizes that invariant state so no analysis
-is ever computed twice on an unchanged function:
+is ever computed twice on an unchanged module:
 
-* e-SSA conversion status,
+* e-SSA conversion status per function,
 * the :class:`RangeAnalysis` per function (the conversion's own solve),
-* :class:`LessThanAnalysis` per function and per module (keyed on the
-  interprocedural flag),
-* the :class:`~repro.core.disambiguation.PointerDisambiguator` per analysis,
-  so its per-value tables survive across evaluation rounds.
+* the :class:`LessThanAnalysis` per module (keyed on the interprocedural
+  flag),
+* the :class:`~repro.core.disambiguation.PointerDisambiguator` per module
+  analysis, so its per-value tables survive across evaluation rounds,
+* the engine's evaluation payloads per function and spec label.
 
 Invalidation is explicit: after mutating a function, call
 :meth:`FunctionAnalysisCache.invalidate` with it (module-level entries built
@@ -22,10 +24,10 @@ on top of it are dropped too).  The cache deliberately does *not* try to
 detect mutations — the IR has no version counter — so the contract is the
 same as LLVM's analysis manager: whoever transforms the IR invalidates.
 
-``LessThanAnalysis``, ``StrictInequalityAliasAnalysis``, the PDG builder and
-the benchmark drivers all accept a cache instance; wiring one object through
-a whole evaluation makes repeated module-level ``aa-eval`` hit precomputed
-state everywhere.
+``LessThanAnalysis``, ``StrictInequalityAliasAnalysis`` and the benchmark
+drivers all accept a cache instance; wiring one object through a whole
+evaluation makes repeated module-level ``aa-eval`` hit precomputed state
+everywhere.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ class RefreshResult:
 
 
 class FunctionAnalysisCache:
-    """Memoizes range analysis, e-SSA status and less-than analysis.
+    """Memoizes e-SSA status, range analyses and module less-than analyses.
 
     All tables key on object identity (functions and modules hash by
     identity), matching the rest of the code base.  :meth:`refresh` bridges
@@ -151,9 +153,7 @@ class FunctionAnalysisCache:
     def __init__(self) -> None:
         self._essa: Dict[Function, EssaInfo] = {}
         self._ranges: Dict[Function, RangeAnalysis] = {}
-        self._function_lessthan: Dict[Function, "LessThanAnalysis"] = {}
         self._module_lessthan: Dict[Tuple[Module, bool], "LessThanAnalysis"] = {}
-        self._function_disambiguators: Dict[Function, "PointerDisambiguator"] = {}
         self._module_disambiguators: Dict[Tuple[Module, bool], "PointerDisambiguator"] = {}
         self._evaluations: Dict[Tuple[Function, str], object] = {}
         #: per-function label index over ``_evaluations`` so invalidation
@@ -167,10 +167,11 @@ class FunctionAnalysisCache:
     def ensure_essa(self, function: Function) -> EssaInfo:
         """Convert ``function`` to e-SSA form once; later calls are hits.
 
-        The conversion mutates the IR, so analyses cached for the
-        pre-conversion form are dropped here — this is the one mutation the
-        cache itself performs and can therefore track.  The conversion's
-        range analysis becomes the function's cached ranges.
+        The conversion mutates the IR — the one mutation the cache itself
+        performs and can therefore track — and its range analysis replaces
+        any ranges cached for the pre-conversion form.  Evaluation payloads
+        stay: the engine addresses them by the pre-conversion IR, and they
+        describe the result of the full pipeline.
         """
         info = self._essa.get(function)
         if info is not None:
@@ -184,7 +185,6 @@ class FunctionAnalysisCache:
         else:
             with TRACER.span("essa.ensure", fn=function.name):
                 info = convert_to_essa(function)
-            self._drop_function_entries(function)
             self._ranges[function] = info.ranges
         self._essa[function] = info
         return info
@@ -202,19 +202,6 @@ class FunctionAnalysisCache:
         return analysis
 
     # -- less-than analysis -----------------------------------------------------------
-    def lessthan(self, function: Function) -> "LessThanAnalysis":
-        """The (memoized) per-function less-than analysis (builds e-SSA)."""
-        from repro.core.lessthan.analysis import LessThanAnalysis
-
-        cached = self._function_lessthan.get(function)
-        if cached is not None:
-            self.statistics.record("lessthan", hit=True)
-            return cached
-        self.statistics.record("lessthan", hit=False)
-        analysis = LessThanAnalysis(function, build_essa=True, cache=self)
-        self._function_lessthan[function] = analysis
-        return analysis
-
     def module_lessthan(self, module: Module,
                         interprocedural: bool = True) -> "LessThanAnalysis":
         """The (memoized) whole-module less-than analysis."""
@@ -232,20 +219,6 @@ class FunctionAnalysisCache:
         return analysis
 
     # -- disambiguators ------------------------------------------------------------
-    def function_disambiguator(self, function: Function) -> "PointerDisambiguator":
-        """A shared, table-backed disambiguator over :meth:`lessthan`."""
-        from repro.core.disambiguation import PointerDisambiguator
-
-        cached = self._function_disambiguators.get(function)
-        if cached is not None:
-            self.statistics.record("disambiguator", hit=True)
-            return cached
-        self.statistics.record("disambiguator", hit=False)
-        analysis = self.lessthan(function)
-        disambiguator = PointerDisambiguator(analysis)
-        self._function_disambiguators[function] = disambiguator
-        return disambiguator
-
     def module_disambiguator(self, module: Module,
                              interprocedural: bool = True) -> "PointerDisambiguator":
         """A shared, table-backed disambiguator over :meth:`module_lessthan`."""
@@ -291,15 +264,16 @@ class FunctionAnalysisCache:
         return len(self._evaluations)
 
     # -- invalidation -----------------------------------------------------------------
-    def _drop_function_entries(self, function: Function) -> None:
-        # Live analysis objects only: evaluation payloads are content-addressed
-        # by the engine against the *pre-conversion* IR and describe the result
-        # of the full pipeline, so the cache's own e-SSA conversion (which
-        # routes through here) must not drop them.  Explicit `invalidate`
-        # (an outside IR mutation) drops them below.
+    def _drop_function(self, function: Function) -> None:
+        self._essa.pop(function, None)
         self._ranges.pop(function, None)
-        self._function_lessthan.pop(function, None)
-        self._function_disambiguators.pop(function, None)
+        self._drop_function_evaluations(function)
+
+    def _drop_module(self, module: Module) -> None:
+        for key in [k for k in self._module_lessthan if k[0] is module]:
+            del self._module_lessthan[key]
+        for key in [k for k in self._module_disambiguators if k[0] is module]:
+            del self._module_disambiguators[key]
 
     def _drop_function_evaluations(self, function: Function) -> None:
         # The per-function label index makes this O(entries for *this*
@@ -334,23 +308,16 @@ class FunctionAnalysisCache:
         if function is None:
             self._essa.clear()
             self._ranges.clear()
-            self._function_lessthan.clear()
             self._module_lessthan.clear()
-            self._function_disambiguators.clear()
             self._module_disambiguators.clear()
             self._evaluations.clear()
             self._function_evaluations.clear()
             self._snapshots.clear()
             return
-        self._essa.pop(function, None)
-        self._drop_function_entries(function)
-        self._drop_function_evaluations(function)
+        self._drop_function(function)
         module = function.parent
         if module is not None:
-            for key in [k for k in self._module_lessthan if k[0] is module]:
-                del self._module_lessthan[key]
-            for key in [k for k in self._module_disambiguators if k[0] is module]:
-                del self._module_disambiguators[key]
+            self._drop_module(module)
             graph = callgraph.CallGraph(module)
             if function.name in graph.callees:
                 coupled = (graph.transitive_callers(function.name)
@@ -436,9 +403,7 @@ class FunctionAnalysisCache:
         for name, old_function in previous.functions.items():
             if old_function is functions.get(name) and name not in dirty_set:
                 continue
-            self._essa.pop(old_function, None)
-            self._drop_function_entries(old_function)
-            self._drop_function_evaluations(old_function)
+            self._drop_function(old_function)
         old_modules = {old_function.parent
                        for old_function in previous.functions.values()
                        if old_function.parent is not None
@@ -447,10 +412,7 @@ class FunctionAnalysisCache:
         if dirty or removed:
             stale_modules.add(module)
         for stale in stale_modules:
-            for key in [k for k in self._module_lessthan if k[0] is stale]:
-                del self._module_lessthan[key]
-            for key in [k for k in self._module_disambiguators if k[0] is stale]:
-                del self._module_disambiguators[key]
+            self._drop_module(stale)
         return RefreshResult(dirty=dirty, clean=clean, removed=removed,
                              migrated=migrated)
 

@@ -12,12 +12,9 @@ they touch, mirroring FlowTracker's construction ("an instruction such as
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import List, Optional
 
 from repro.alias.interface import AliasAnalysis
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.passes.analysis_cache import FunctionAnalysisCache
 from repro.alias.results import AliasResult, MemoryLocation
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction, Load, Phi, Store
@@ -32,25 +29,11 @@ def _is_ssa_variable(value: Value) -> bool:
 
 
 class PDGBuilder:
-    """Builds :class:`ProgramDependenceGraph` instances for functions.
+    """Builds :class:`ProgramDependenceGraph` instances for functions,
+    partitioning memory references with ``alias_analysis``."""
 
-    ``alias_analysis`` may be omitted when a
-    :class:`~repro.passes.analysis_cache.FunctionAnalysisCache` is supplied:
-    the builder then partitions memory references with the cached
-    strict-inequality analysis, sharing every sub-analysis with other
-    clients of the cache.
-    """
-
-    def __init__(self, alias_analysis: Optional[AliasAnalysis] = None,
-                 cache: Optional["FunctionAnalysisCache"] = None) -> None:
-        if alias_analysis is None:
-            if cache is None:
-                raise ValueError("PDGBuilder needs an alias analysis or a cache")
-            from repro.core.sraa import StrictInequalityAliasAnalysis
-
-            alias_analysis = StrictInequalityAliasAnalysis(cache=cache)
+    def __init__(self, alias_analysis: AliasAnalysis) -> None:
         self.alias_analysis = alias_analysis
-        self.cache = cache
 
     # -- memory partitioning ------------------------------------------------------
     def memory_references(self, function: Function) -> List[Value]:
@@ -117,20 +100,18 @@ class PDGBuilder:
         return pdg
 
 
-def build_pdg(function: Function, alias_analysis: Optional[AliasAnalysis] = None,
-              cache: Optional["FunctionAnalysisCache"] = None) -> ProgramDependenceGraph:
+def build_pdg(function: Function, alias_analysis: AliasAnalysis) -> ProgramDependenceGraph:
     """Convenience wrapper: build the PDG of ``function`` with ``alias_analysis``."""
-    return PDGBuilder(alias_analysis, cache=cache).build(function)
+    return PDGBuilder(alias_analysis).build(function)
 
 
-def count_memory_nodes(module: Module, alias_analysis: Optional[AliasAnalysis] = None,
-                       cache: Optional["FunctionAnalysisCache"] = None) -> int:
+def count_memory_nodes(module: Module, alias_analysis: AliasAnalysis) -> int:
     """Total memory nodes over every defined function of ``module``.
 
     This is the metric of Figure 12: the more precise the alias analysis,
     the more memory nodes (fewer references are merged together).
     """
-    builder = PDGBuilder(alias_analysis, cache=cache)
+    builder = PDGBuilder(alias_analysis)
     total = 0
     for function in module.defined_functions():
         total += builder.build(function).memory_node_count

@@ -11,7 +11,7 @@ sets):
 4. ``lt``      — the less-than constraint certificate;
 5. ``verdict`` — the NoAlias witness audit.
 
-:func:`verify_alias_analysis` adapts the same suite to a prepared
+:func:`verify_alias_analysis` runs the same suite over a
 :class:`~repro.core.sraa.StrictInequalityAliasAnalysis` (the engine hook's
 entry point), and the module-level :data:`COUNTERS` accumulate run totals
 for the ``[verify]`` section of ``python -m repro stats``.
@@ -23,6 +23,7 @@ from typing import Dict, Optional
 
 from repro.core.disambiguation import PointerDisambiguator
 from repro.core.lessthan.analysis import LessThanAnalysis
+from repro.core.sraa import StrictInequalityAliasAnalysis
 from repro.obs import TRACER
 from repro.verify.certificate import (
     audit_verdicts,
@@ -116,23 +117,10 @@ def verify_analysis(analysis: LessThanAnalysis,
     return report
 
 
-def verify_alias_analysis(sraa: object) -> VerificationReport:
-    """Verify a prepared ``StrictInequalityAliasAnalysis``.
-
-    Covers both preparation shapes: one module-level analysis (the engine's
-    shape) or several per-function analyses (ad-hoc API use).  Returns the
-    merged report; each underlying run is recorded in :data:`COUNTERS`.
-    """
-    analysis = getattr(sraa, "analysis", None)
-    disambiguators = list(sraa.disambiguators())
-    if analysis is not None:
-        return verify_analysis(
-            analysis, disambiguators[0] if disambiguators else None)
-    merged = VerificationReport()
-    for disambiguator in disambiguators:
-        merged = merged.merge(
-            verify_analysis(disambiguator.analysis, disambiguator))
-    return merged
+def verify_alias_analysis(sraa: StrictInequalityAliasAnalysis) -> VerificationReport:
+    """Verify a ``StrictInequalityAliasAnalysis``: its module analysis,
+    audited against the disambiguator whose verdicts it serves."""
+    return verify_analysis(sraa.analysis, sraa.disambiguator)
 
 
 __all__ = [

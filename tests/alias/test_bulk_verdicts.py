@@ -85,7 +85,7 @@ def test_basicaa_codes_match_pairwise_alias(prepared, group):
 def test_lt_codes_and_reasons_match_reference(prepared, group, class_limit):
     truncated = proven = 0
     for module, lt in prepared(group, class_limit):
-        disambiguator = lt.disambiguators()[0]
+        disambiguator = lt.disambiguator
         assert disambiguator.class_limit == class_limit
         lt_sets = lt.analysis.lt_sets
         for function in module.defined_functions():
@@ -109,28 +109,6 @@ def test_lt_codes_and_reasons_match_reference(prepared, group, class_limit):
         assert truncated > 0
 
 
-def test_lt_mixed_function_batch_takes_the_pairwise_path():
-    """Locations from two functions, each with its own disambiguator, are
-    answered pair by pair; each function's block matches its bulk codes."""
-    module = compile_source(KERNEL_SOURCES["ins_sort"] + KERNEL_SOURCES["partition"],
-                            module_name="mixed")
-    lt = StrictInequalityAliasAnalysis(cache=FunctionAnalysisCache())
-    functions = list(module.defined_functions())
-    for function in functions:
-        lt.prepare_function(function)
-    per_function = [collect_memory_locations(function) for function in functions]
-    locations = per_function[0] + per_function[1]
-    codes = lt.verdict_codes(locations)
-    assert codes == _pairwise_codes(lt, locations)
-    assert "N" in codes
-    first = len(per_function[0])
-    leading = "".join(codes[_position(len(locations), i, j)]
-                      for i in range(first) for j in range(i + 1, first))
-    assert leading == lt.verdict_codes(per_function[0])
-    verdicts = list(lt.alias_many(locations))
-    assert "".join(verdict.code for _i, _j, verdict in verdicts) == codes
-
-
 def test_lt_criterion_precedence_and_same_canonical_pointer():
     """Hand-made LT sets: a pair both criteria prove is ``POINTERS_ORDERED``,
     and a pair naming the same canonical pointer is never marked, even when
@@ -145,7 +123,7 @@ def test_lt_criterion_precedence_and_same_canonical_pointer():
     p3 = builder.gep(b, x1, "p3")
     p1copy = builder.copy(p1, "p1copy")
     builder.ret(builder.const(0))
-    analysis = LessThanAnalysis(f, build_essa=False)
+    analysis = LessThanAnalysis(module, build_essa=False)
     analysis.lt_sets = {x2: frozenset({x1}), p2: frozenset({p1}),
                         p1copy: frozenset({p1})}
     pointers = [p1, p2, p3, p1copy]

@@ -85,6 +85,18 @@ def test_eval_without_input_is_an_error(capsys):
     assert "eval needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "check"])
+@pytest.mark.parametrize("synth,count", [("spec", "-3"), ("spec", "0"),
+                                         ("testsuite", "-3"),
+                                         ("testsuite", "0")])
+def test_count_below_one_is_an_error(command, synth, count, capsys):
+    assert main([command, "--synth", synth, "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --count must be at least 1, got {}\n".format(
+        count)
+
+
 def test_print_ir_golden(source_file, capsys):
     assert main(["print-ir", source_file]) == 0
     printed = capsys.readouterr().out

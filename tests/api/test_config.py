@@ -21,10 +21,8 @@ from repro.api.config import (
     install_config,
     resolved_class_limit,
     resolved_store_max_bytes,
-    resolved_store_path,
     resolved_synth_seed,
     resolved_verify,
-    resolved_workers,
 )
 
 ALL_VARS = (
@@ -132,21 +130,21 @@ def test_active_config_wins_over_environment(monkeypatch):
                          store_path="/tmp/cfg.sqlite", store_max_mb=1,
                          synth_seed=3)
     assert active_config() is None
-    assert resolved_workers() == 4  # environment (no active config)
+    assert resolved_verify() == "post"  # environment (no active config)
     with config.activate():
         assert active_config() is config
-        assert resolved_workers() == 0
+        assert active_config().workers == 0
         assert resolved_verify() == "off"
-        assert resolved_store_path() == "/tmp/cfg.sqlite"
+        assert active_config().store_path == "/tmp/cfg.sqlite"
         assert resolved_store_max_bytes() == 1024 * 1024
         assert resolved_class_limit() is None  # 0 = unlimited
         assert resolved_synth_seed() == 3
         # Nested configs shadow the outer one, then restore it.
         with config.replace(workers=7).activate():
-            assert resolved_workers() == 7
-        assert resolved_workers() == 0
+            assert active_config().workers == 7
+        assert active_config() is config
     assert active_config() is None
-    assert resolved_workers() == 4
+    assert resolved_verify() == "post"
 
 
 def test_resolved_class_limit_default():
@@ -154,13 +152,15 @@ def test_resolved_class_limit_default():
 
 
 def test_install_config_is_idempotent():
+    from repro.api import config as config_module
+
     config = ReproConfig(workers=3)
     try:
         install_config(config)
         install_config(config)
-        assert resolved_workers() == 3
+        assert active_config() is config
+        assert config_module._ACTIVE == [config]
     finally:
-        from repro.api import config as config_module
         config_module._ACTIVE.clear()
 
 

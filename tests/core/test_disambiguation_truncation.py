@@ -58,7 +58,7 @@ def test_truncation_is_independent_of_construction_order():
 
 def test_disambiguator_surfaces_truncation_in_statistics():
     f, x, copies = _function_with_copies(["a", "b", "c", "d", "e"])
-    analysis = LessThanAnalysis(f, build_essa=False)
+    analysis = LessThanAnalysis(f.parent, build_essa=False)
     disambiguator = PointerDisambiguator(analysis, class_limit=3)
     disambiguator._class_info(x)
     assert disambiguator.statistics.truncated_classes == 1

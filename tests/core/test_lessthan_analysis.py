@@ -21,7 +21,7 @@ def find(function, name):
 
 def test_straightline_addition_and_subtraction():
     module, function = build_straightline_module()
-    analysis = LessThanAnalysis(function)
+    analysis = LessThanAnalysis(module)
     a, b = function.arguments
     c = find(function, "c")          # c = a + b (unknown signs: no relation)
     d = find(function, "d")          # d = c - 1
@@ -42,7 +42,7 @@ def test_positive_increment_creates_relation():
     y = builder.add(x, builder.const(1), "y")
     z = builder.add(y, builder.const(5), "z")
     builder.ret(z)
-    analysis = LessThanAnalysis(f)
+    analysis = LessThanAnalysis(module)
     assert analysis.is_less_than(x, y)
     assert analysis.is_less_than(x, z)
     assert analysis.is_less_than(y, z)
@@ -59,14 +59,14 @@ def test_zero_or_unknown_increment_creates_no_relation():
     y = builder.add(x, builder.const(0), "y")
     z = builder.add(x, n, "z")
     builder.ret(z)
-    analysis = LessThanAnalysis(f)
+    analysis = LessThanAnalysis(module)
     assert not analysis.is_less_than(x, y)
     assert not analysis.is_less_than(x, z)
 
 
 def test_counting_loop_i_less_than_n_inside_body():
     module, function = build_counting_loop_module()
-    analysis = LessThanAnalysis(function)
+    analysis = LessThanAnalysis(module)
     body = function.block_by_name("body")
     # Inside the body (true branch of i < n), the σ-copy of i is < the σ-copy of n.
     sigma_i = [i for i in body.instructions
@@ -83,7 +83,7 @@ def test_counting_loop_i_less_than_n_inside_body():
 
 def test_two_index_loop_orders_gep_indices_and_pointers():
     module, function = build_two_index_loop_module()
-    analysis = LessThanAnalysis(function)
+    analysis = LessThanAnalysis(module)
     body = function.block_by_name("body")
     geps = [i for i in body.instructions if i.opcode == "gep"]
     p_i, p_j = geps
@@ -96,7 +96,7 @@ def test_two_index_loop_orders_gep_indices_and_pointers():
 
 def test_figure3_key_relations():
     module, function = build_figure3_module()
-    analysis = LessThanAnalysis(function)
+    analysis = LessThanAnalysis(module)
     x0 = function.arguments[0]
     x1 = find(function, "x1")
     x2 = find(function, "x2")
@@ -114,7 +114,7 @@ def test_figure3_key_relations():
 
 def test_diamond_branch_information():
     module, function = build_diamond_module()
-    analysis = LessThanAnalysis(function)
+    analysis = LessThanAnalysis(module)
     then_block = function.block_by_name("then")
     sigma = {(c.sigma_operand_side, c.sigma_on_true_branch): c
              for c in function.instructions()
@@ -160,7 +160,7 @@ def test_interprocedural_pseudo_phi_links_arguments():
 
 def test_constraint_generation_is_linear_and_covers_all_values():
     module, function = build_two_index_loop_module()
-    analysis = LessThanAnalysis(function)
+    analysis = LessThanAnalysis(module)
     # One constraint per argument plus one per value-producing instruction.
     producing = sum(1 for i in function.instructions() if i.produces_value())
     assert analysis.constraint_count() == producing + len(function.arguments)
@@ -170,7 +170,7 @@ def test_constraint_generation_is_linear_and_covers_all_values():
 
 def test_inequality_graph_matches_lt_sets():
     module, function = build_two_index_loop_module()
-    analysis = LessThanAnalysis(function)
+    analysis = LessThanAnalysis(module)
     graph = analysis.inequality_graph()
     assert isinstance(graph, InequalityGraph)
     for greater, smaller_set in analysis.lt_sets.items():
@@ -182,11 +182,11 @@ def test_inequality_graph_matches_lt_sets():
 
 def test_analysis_on_already_converted_function():
     module, function = build_diamond_module()
-    first = LessThanAnalysis(function)
-    # Running the analysis again on the (already e-SSA) function must not
+    first = LessThanAnalysis(module)
+    # Running the analysis again on the (already e-SSA) module must not
     # duplicate copies or change the verdicts.
     count = function.instruction_count()
-    second = LessThanAnalysis(function)
+    second = LessThanAnalysis(module)
     assert function.instruction_count() == count
     a, b = function.arguments
     assert first.ordered(a, b) == second.ordered(a, b)

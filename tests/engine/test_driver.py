@@ -6,8 +6,7 @@ evaluation entry point.
 
 import pytest
 
-from repro.api import Session
-from repro.api.config import resolved_store_path, resolved_workers
+from repro.api import ReproConfig, Session
 from repro.engine import AnalysisStore
 from repro.frontend import compile_source
 from repro.passes import FunctionAnalysisCache
@@ -299,20 +298,20 @@ def test_unit_result_statistics_exposed(session):
 def test_env_defaults(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_STORE", raising=False)
-    assert resolved_workers() == 0
-    assert resolved_store_path() is None
+    assert ReproConfig().workers == 0
+    assert ReproConfig().store_path is None
     monkeypatch.setenv("REPRO_WORKERS", "3")
     monkeypatch.setenv("REPRO_STORE", "/tmp/some-store.sqlite")
-    assert resolved_workers() == 3
-    assert resolved_store_path() == "/tmp/some-store.sqlite"
+    assert ReproConfig().workers == 3
+    assert ReproConfig().store_path == "/tmp/some-store.sqlite"
     # Invalid values fail loudly at the config boundary (no silent fallback).
     from repro.api.config import ConfigError
     monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
     with pytest.raises(ConfigError, match="REPRO_WORKERS"):
-        resolved_workers()
+        ReproConfig()
     monkeypatch.setenv("REPRO_WORKERS", "-2")
     with pytest.raises(ConfigError, match="REPRO_WORKERS"):
-        resolved_workers()
+        ReproConfig()
 
 
 def test_store_budget_env_bounds_growth(tmp_path, monkeypatch):

@@ -102,11 +102,11 @@ def test_pass_manager_pipeline_runs_all_passes():
     module = kernel_module("ins_sort")
     cache = FunctionAnalysisCache()
     function = module.get_function("ins_sort")
-    analysis = cache.lessthan(function)
+    analysis = cache.module_lessthan(module)
     assert isinstance(analysis, LessThanAnalysis)
     assert getattr(function, "essa_form", False)
     # The analysis is cached: a second request returns the same object.
-    again = cache.lessthan(function)
+    again = cache.module_lessthan(module)
     assert again is analysis
     assert cache.statistics.by_kind["lessthan"] == {"hits": 1, "misses": 1}
 

@@ -25,8 +25,8 @@ def test_ranges_and_lessthan_are_memoized_by_identity():
     ranges_a = cache.ranges(function)
     ranges_b = cache.ranges(function)
     assert ranges_a is ranges_b
-    lt_a = cache.lessthan(function)
-    lt_b = cache.lessthan(function)
+    lt_a = cache.module_lessthan(module)
+    lt_b = cache.module_lessthan(module)
     assert lt_a is lt_b
     # The cached LessThanAnalysis pulls its range analysis from the cache.
     assert lt_a.ranges[function] is cache.ranges(function)
@@ -49,8 +49,7 @@ def test_disambiguators_are_shared():
     d1 = cache.module_disambiguator(module)
     d2 = cache.module_disambiguator(module)
     assert d1 is d2
-    per_function = cache.function_disambiguator(function)
-    assert cache.function_disambiguator(function) is per_function
+    assert d1.analysis is cache.module_lessthan(module)
 
 
 def test_sraa_instances_share_cached_state():
@@ -59,24 +58,26 @@ def test_sraa_instances_share_cached_state():
     first = StrictInequalityAliasAnalysis(module, cache=cache)
     second = StrictInequalityAliasAnalysis(module, cache=cache)
     assert first.analysis is second.analysis
-    assert first._module_disambiguator is second._module_disambiguator
+    assert first.disambiguator is second.disambiguator
 
 
 def test_invalidate_function_drops_function_and_module_entries():
     module, function = build_two_index_loop_module()
     cache = FunctionAnalysisCache()
-    per_function = cache.lessthan(function)
     module_level = cache.module_lessthan(module)
+    disambiguator = cache.module_disambiguator(module)
+    ranges = cache.ranges(function)
     cache.invalidate(function)
-    assert cache.lessthan(function) is not per_function
+    assert cache.ranges(function) is not ranges
     assert cache.module_lessthan(module) is not module_level
+    assert cache.module_disambiguator(module) is not disambiguator
     assert cache.statistics.invalidations == 1
 
 
 def test_invalidation_after_mutation_recomputes_fresh_results():
     module, function = build_two_index_loop_module()
     cache = FunctionAnalysisCache()
-    before = cache.lessthan(function)
+    before = cache.module_lessthan(module)
     constraints_before = before.constraint_count()
     # Mutate the IR: a new subtraction in the body adds a less-than
     # constraint (x - 1 < x).
@@ -85,9 +86,9 @@ def test_invalidation_after_mutation_recomputes_fresh_results():
     extra = BinaryOp("sub", i_phi, function.value_by_name("inext").operands[1], "extra")
     body.insert(len(body.instructions) - 1, extra)
     # Without invalidation the cache (by contract) still returns stale state.
-    assert cache.lessthan(function) is before
+    assert cache.module_lessthan(module) is before
     cache.invalidate(function)
-    after = cache.lessthan(function)
+    after = cache.module_lessthan(module)
     assert after is not before
     assert after.constraint_count() > constraints_before
 
@@ -95,7 +96,6 @@ def test_invalidation_after_mutation_recomputes_fresh_results():
 def test_invalidate_all_clears_everything():
     module, function = build_two_index_loop_module()
     cache = FunctionAnalysisCache()
-    cache.lessthan(function)
     cache.module_lessthan(module)
     cache.invalidate()
     assert cache.cached_functions() == 0

@@ -24,7 +24,6 @@ FUZZ_SEEDS = 40
 
 def _verify_module(module):
     sraa = StrictInequalityAliasAnalysis(module)
-    sraa._prepare_module(module)
     return verify_alias_analysis(sraa)
 
 

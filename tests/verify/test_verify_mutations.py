@@ -19,7 +19,6 @@ from repro.verify import verify_alias_analysis
 def _prepared():
     module, function = build_two_index_loop_module()
     sraa = StrictInequalityAliasAnalysis(module)
-    sraa._prepare_module(module)
     return module, function, sraa
 
 
@@ -83,7 +82,7 @@ def test_forged_lt_edge_is_caught_by_the_certificate():
 
 def test_forged_noalias_is_caught_by_the_verdict_audit():
     _module, function, sraa = _prepared()
-    disambiguator = sraa.disambiguators()[0]
+    disambiguator = sraa.disambiguator
     pointers = collect_pointer_values(function)
     victim = pointers[0]
     # Corrupt the memoized class info: pretend the LT union of victim's
