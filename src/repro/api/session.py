@@ -53,6 +53,7 @@ from repro.ir.module import Module
 from repro.ir.printer import print_module
 from repro.obs import TRACER, write_chrome_trace
 from repro.passes.analysis_cache import FunctionAnalysisCache, RefreshResult
+from repro.util.collector import collector_paused
 from repro.verify import COUNTERS as _VERIFY_COUNTERS
 from repro.verify import VerificationReport, verify_analysis
 
@@ -242,6 +243,8 @@ class Session:
         self.config = config
         self.cache = FunctionAnalysisCache()
         self._compiled: List[CompiledUnit] = []
+        #: the module each name's latest update_source call compiled.
+        self._updated: Dict[str, Module] = {}
         self._store: Union[_Unopened, Optional[AnalysisStore]] = _UNOPENED
         # A configured trace path makes this session the tracer's owner: it
         # starts the capture here and writes the Chrome trace on close().
@@ -374,12 +377,24 @@ class Session:
         recomputed (every range solve is cold), and with a session store
         the untouched functions hit their fingerprint-keyed entries warm.
         The first call for a name is the cold baseline (everything dirty).
+
+        The modules compiled here never leave the session, so once ``refresh``
+        has migrated its payloads, the previous call's module for ``name`` is
+        released (:meth:`~repro.ir.module.Module.release`) and reference
+        counting frees it; the latest one lives as long as the session.  The
+        cycle collector is paused for the call.  Modules from :meth:`compile`
+        and modules passed to :meth:`evaluate` are never released.
         """
-        with self.config.activate():
-            module = compile_source(source, module_name=name)
-            refresh = self.cache.refresh(module)
-        result = self.evaluate(module, specs, store=store,
-                               interprocedural=interprocedural)
+        with collector_paused():
+            with self.config.activate():
+                module = compile_source(source, module_name=name)
+                refresh = self.cache.refresh(module)
+            previous = self._updated.get(name)
+            self._updated[name] = module
+            if previous is not None:
+                previous.release()
+            result = self.evaluate(module, specs, store=store,
+                                   interprocedural=interprocedural)
         return UpdateResult(result, refresh)
 
     def evaluate_source(self, name: str, source: str,

@@ -50,6 +50,7 @@ from repro.ir.module import Module
 from repro.ir.printer import print_function, print_module
 from repro.obs import TRACER
 from repro.passes.analysis_cache import FunctionAnalysisCache
+from repro.util.collector import collector_paused
 from repro.verify import VerificationReport, verify_alias_analysis
 
 #: True inside a multiprocessing pool worker (set by :func:`initialize_worker`).
@@ -360,8 +361,14 @@ def run_work_unit(unit: WorkUnit,
     analysis outright.  On a miss the job runs normally — drawing any
     function-level entries that do exist — and the merged payload is handed
     back for the coordinator to persist at both granularities.
+
+    The payload is plain data, so the unit's IR and analyses end with it:
+    the module is released (:meth:`~repro.ir.module.Module.release`) and the
+    unit's private cache emptied, and reference counting frees them.  The
+    cycle collector is paused for the unit, which leaves it nothing to find.
     """
-    with TRACER.span("engine.unit", unit=unit.name, kind=unit.kind):
+    with collector_paused(), \
+            TRACER.span("engine.unit", unit=unit.name, kind=unit.kind):
         return _run_work_unit(unit, store)
 
 
@@ -387,7 +394,12 @@ def _run_work_unit(unit: WorkUnit,
             return payload
     module = compile_source(unit.source, module_name=unit.name)
     cache = FunctionAnalysisCache()
-    payload = JOBS[unit.kind](unit, module, cache, store)
+    try:
+        payload = JOBS[unit.kind](unit, module, cache, store)
+    finally:
+        # The cache and its less-than analysis point at each other.
+        cache.invalidate()
+        module.release()
     if memo_key is not None:
         persisted = {field: payload[field] for field in _PERSISTED_FIELDS
                      if field in payload}

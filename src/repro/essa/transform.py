@@ -77,10 +77,16 @@ def _is_splittable(value: Value) -> bool:
 
 
 def _ensure_dedicated_successor(function: Function, branch: Branch,
-                                successor: BasicBlock, info: EssaInfo) -> BasicBlock:
+                                successor: BasicBlock, info: EssaInfo,
+                                predecessor_counts: Dict[BasicBlock, int]) -> BasicBlock:
     """Return a block on the edge ``branch -> successor`` with that edge as its
-    only incoming edge, splitting the edge when necessary."""
-    if len(successor.predecessors()) == 1:
+    only incoming edge, splitting the edge when necessary.
+
+    ``predecessor_counts`` holds each block's number of distinct
+    predecessors; a split swaps one predecessor of ``successor`` for the new
+    block, so the counts stay exact without being recomputed.
+    """
+    if predecessor_counts[successor] == 1:
         return successor
     # Critical edge (or an edge into a merge point): insert a dedicated block.
     middle = function.append_block(name=function.next_block_name("sigma"))
@@ -140,6 +146,10 @@ def _insert_copies(function: Function, info: EssaInfo) -> None:
     # First make sure every interesting branch target can host σ-copies
     # (single predecessor), then compute dominance once and insert copies in
     # dominator-tree preorder so that nested conditions naturally chain.
+    predecessor_counts: Dict[BasicBlock, int] = {block: 0 for block in function.blocks}
+    for block in function.blocks:
+        for successor in set(block.successors()):
+            predecessor_counts[successor] += 1
     for block in list(function.blocks):
         terminator = block.terminator
         if not isinstance(terminator, Branch):
@@ -151,8 +161,10 @@ def _insert_copies(function: Function, info: EssaInfo) -> None:
             continue
         if not (_is_splittable(condition.lhs) or _is_splittable(condition.rhs)):
             continue
-        _ensure_dedicated_successor(function, terminator, terminator.true_block, info)
-        _ensure_dedicated_successor(function, terminator, terminator.false_block, info)
+        _ensure_dedicated_successor(function, terminator, terminator.true_block, info,
+                                    predecessor_counts)
+        _ensure_dedicated_successor(function, terminator, terminator.false_block, info,
+                                    predecessor_counts)
 
     # Copies leave the CFG alone, so one dominator tree serves both walks.
     domtree = DominatorTree(function)

@@ -328,20 +328,30 @@ class _FunctionLowering:
         self.builder.store(value, address)
 
     def lower_binary(self, expression: ast.BinaryExpr, scope: _Scope) -> Value:
-        if expression.op == ",":
-            self.lower_expression(expression.lhs, scope)
-            return self.lower_expression(expression.rhs, scope)
-        if expression.op in ("&&", "||"):
-            raise LoweringError(
-                "logical operators are only supported in conditions (line {})".format(expression.line))
-        lhs = self.lower_expression(expression.lhs, scope)
-        rhs = self.lower_expression(expression.rhs, scope)
-        if expression.op in _COMPARISONS:
-            return self.builder.icmp(_COMPARISONS[expression.op], lhs, rhs)
-        if expression.op in _ARITHMETIC:
-            return self._arith(_ARITHMETIC[expression.op], lhs, rhs)
-        raise LoweringError("unsupported binary operator {!r} (line {})".format(
-            expression.op, expression.line))
+        # Left-associative chains (``a + b + ... + z``) nest down their left
+        # operands; walk that spine with a loop instead of recursing, so the
+        # chain's length is not bounded by the interpreter's stack.
+        spine: List[ast.BinaryExpr] = []
+        node: ast.Expression = expression
+        while isinstance(node, ast.BinaryExpr):
+            if node.op in ("&&", "||"):
+                raise LoweringError(
+                    "logical operators are only supported in conditions (line {})".format(node.line))
+            spine.append(node)
+            node = node.lhs
+        value = self.lower_expression(node, scope)
+        for node in reversed(spine):
+            rhs = self.lower_expression(node.rhs, scope)
+            if node.op == ",":
+                value = rhs
+            elif node.op in _COMPARISONS:
+                value = self.builder.icmp(_COMPARISONS[node.op], value, rhs)
+            elif node.op in _ARITHMETIC:
+                value = self._arith(_ARITHMETIC[node.op], value, rhs)
+            else:
+                raise LoweringError("unsupported binary operator {!r} (line {})".format(
+                    node.op, node.line))
+        return value
 
     def _arith(self, op: str, lhs: Value, rhs: Value) -> Value:
         # Pointer arithmetic becomes gep; everything else is plain arithmetic.
@@ -435,3 +445,10 @@ def compile_source(source: str, module_name: str = "program",
     except FrontendError as error:
         error.unit = module_name
         raise
+    except RecursionError:
+        # Nesting (parentheses, unary operators, right-associative
+        # assignments, nested statements) deeper than the interpreter's
+        # stack: a rejected source like any other, not a crash.
+        error = FrontendError("nesting too deep to compile")
+        error.unit = module_name
+        raise error from None

@@ -42,23 +42,29 @@ class ControlFlowGraph:
 def reverse_postorder(function: Function) -> List[BasicBlock]:
     """Blocks in reverse postorder of a DFS from the entry block.
 
+    The DFS keeps an explicit stack of (block, successor iterator) frames and
+    visits successors in terminator order, so the order is the one a
+    recursive DFS gives, with no recursion-depth limit on long CFGs and no
+    self-referencing closure left behind for the cycle collector.
     Unreachable blocks are appended at the end in their textual order so that
     analyses still visit every block.
     """
     entry = function.entry_block
     if entry is None:
         return []
-    visited: Set[BasicBlock] = set()
+    visited: Set[BasicBlock] = {entry}
     postorder: List[BasicBlock] = []
-
-    def dfs(block: BasicBlock) -> None:
-        visited.add(block)
-        for succ in block.successors():
+    stack = [(entry, iter(entry.successors()))]
+    while stack:
+        block, successors = stack[-1]
+        for succ in successors:
             if succ not in visited:
-                dfs(succ)
-        postorder.append(block)
-
-    dfs(entry)
+                visited.add(succ)
+                stack.append((succ, iter(succ.successors())))
+                break
+        else:
+            stack.pop()
+            postorder.append(block)
     order = list(reversed(postorder))
     for block in function.blocks:
         if block not in visited:

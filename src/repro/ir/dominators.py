@@ -8,7 +8,7 @@ verifier's SSA checks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.cfg import ControlFlowGraph, reverse_postorder
@@ -26,6 +26,9 @@ class DominatorTree:
         self._rpo_index: Dict[BasicBlock, int] = {b: i for i, b in enumerate(self.rpo)}
         self.idom: Dict[BasicBlock, Optional[BasicBlock]] = {}
         self.children: Dict[BasicBlock, List[BasicBlock]] = {}
+        #: per reachable block, its dominator-tree preorder number and the
+        #: last number in its subtree (built by the first dominance query).
+        self._subtrees: Optional[Dict[BasicBlock, Tuple[int, int]]] = None
         self._compute_idoms()
         self._compute_children()
         self.frontier: Dict[BasicBlock, Set[BasicBlock]] = self._compute_frontier()
@@ -98,15 +101,28 @@ class DominatorTree:
         return self.idom.get(block)
 
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        """True if block ``a`` dominates block ``b`` (reflexive)."""
+        """True if block ``a`` dominates block ``b`` (reflexive).
+
+        Constant time: ``a`` dominates ``b`` exactly when ``b``'s preorder
+        number falls in ``a``'s dominator subtree.
+        """
         if a is b:
             return True
-        runner = self.idom.get(b)
-        while runner is not None:
-            if runner is a:
-                return True
-            runner = self.idom.get(runner)
-        return False
+        if self._subtrees is None:
+            self._subtrees = self._number_subtrees()
+        subtree = self._subtrees.get(a)
+        position = self._subtrees.get(b)
+        if subtree is None or position is None:
+            return False
+        return subtree[0] <= position[0] <= subtree[1]
+
+    def _number_subtrees(self) -> Dict[BasicBlock, Tuple[int, int]]:
+        preorder = list(self.dom_tree_preorder())
+        sizes: Dict[BasicBlock, int] = {}
+        for block in reversed(preorder):
+            sizes[block] = 1 + sum(sizes[child] for child in self.children.get(block, ()))
+        return {block: (number, number + sizes[block] - 1)
+                for number, block in enumerate(preorder)}
 
     def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         return a is not b and self.dominates(a, b)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.ir.function import Function
+from repro.ir.instructions import Branch, Call, Jump, Phi
 from repro.ir.types import Type
 from repro.ir.values import Constant, GlobalVariable
 
@@ -60,6 +61,46 @@ class Module:
         for function in self.functions:
             if not function.is_declaration():
                 yield function
+
+    # -- lifetime ----------------------------------------------------------------
+    def release(self) -> None:
+        """End the module's life: drop every link inside its IR.
+
+        The IR is a web of cycles — instruction ↔ block parent links, value
+        ↔ ``Use`` links, branch targets, φ incoming blocks, call callees — so
+        without this only the cycle collector can free a module.  Once the
+        links are gone reference counting frees every object as soon as its
+        last outside reference goes.  The module is empty afterwards; call
+        this only on a module no one else holds, once everything drawn from
+        it is plain data.
+        """
+        for gv in self.globals:
+            gv.uses = []
+            gv.module = None
+        for function in self.functions:
+            for argument in function.arguments:
+                argument.uses = []
+                argument.function = None
+            for block in function.blocks:
+                for inst in block.instructions:
+                    inst._operands = []
+                    inst.uses = []
+                    inst.parent = None
+                    if isinstance(inst, Branch):
+                        inst.true_block = inst.false_block = None
+                    elif isinstance(inst, Jump):
+                        inst.target = None
+                    elif isinstance(inst, Phi):
+                        inst.incoming_blocks = []
+                    elif isinstance(inst, Call):
+                        inst.callee = None
+                block.instructions = []
+                block.parent = None
+            function.blocks = []
+            function.arguments = []
+            function.parent = None
+        self.functions = []
+        self.globals = []
 
     def __repr__(self) -> str:
         return "<Module {} ({} functions, {} globals)>".format(

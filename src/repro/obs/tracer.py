@@ -29,12 +29,18 @@ so timing collection has exactly one home — and wall times stay out of
 verdict payloads, which is what keeps ``eval --json`` output byte-identical
 between traced and untraced runs.
 
+While enabled, the tracer also hooks :data:`gc.callbacks`: every cycle
+collection becomes a ``gc.collect`` span carrying its ``generation`` and
+the number of objects it ``collected``, so collector time shows in the
+timeline beside the phases it interrupts.
+
 This module imports nothing from the rest of the package (like
 :mod:`repro.api.config`), so any layer may depend on it without cycles.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
@@ -202,7 +208,8 @@ class Tracer:
     coordinator config in their pool initializer.
     """
 
-    __slots__ = ("enabled", "metrics", "_spans", "_stack", "_epoch")
+    __slots__ = ("enabled", "metrics", "_spans", "_stack", "_epoch",
+                 "_gc_start")
 
     def __init__(self) -> None:
         self.enabled = False
@@ -210,6 +217,7 @@ class Tracer:
         self._spans: List[Dict[str, object]] = []
         self._stack: List[Span] = []
         self._epoch: Optional[float] = None
+        self._gc_start = 0.0
 
     # -- recording ---------------------------------------------------------------
     def span(self, name: str, **attrs: object):
@@ -229,16 +237,42 @@ class Tracer:
         if self.enabled:
             self.metrics.add(name, value)
 
+    def _on_collect(self, phase: str, info: Dict[str, int]) -> None:
+        """The :data:`gc.callbacks` hook: one ``gc.collect`` span per
+        collection, billed as a child of the span it interrupted."""
+        if phase == "start":
+            self._gc_start = time.perf_counter()
+            return
+        if not self.enabled:
+            return
+        duration = time.perf_counter() - self._gc_start
+        stack = self._stack
+        if stack:
+            stack[-1]._child_seconds += duration
+        self._spans.append({
+            "name": "gc.collect",
+            "ts": self._gc_start,
+            "dur": duration,
+            "self": duration,
+            "depth": len(stack),
+            "args": {"generation": info["generation"],
+                     "collected": info["collected"]},
+        })
+
     # -- lifecycle ---------------------------------------------------------------
     def enable(self) -> None:
         """Start a fresh capture (clears the buffer and the registry)."""
         if not self.enabled:
             self.reset()
             self.enabled = True
+        if self._on_collect not in gc.callbacks:
+            gc.callbacks.append(self._on_collect)
 
     def disable(self) -> None:
         """Stop recording; the captured buffer stays readable."""
         self.enabled = False
+        if self._on_collect in gc.callbacks:
+            gc.callbacks.remove(self._on_collect)
 
     def reset(self) -> None:
         self._spans = []

@@ -249,3 +249,45 @@ def test_eval_rejects_json_with_csv(source_file, tmp_path, capsys):
     assert main(["eval", source_file, "--json", "--csv", csv_path]) == 2
     assert "mutually exclusive" in capsys.readouterr().err
     assert not os.path.exists(csv_path)
+
+
+def _sequential_branches(count):
+    """One function of ``count`` sequential ``if`` statements: a CFG (and a
+    dominator tree) as deep as the function is long."""
+    body = "".join("  if (x > {0}) {{ x = x - 1; }}\n".format(i)
+                   for i in range(count))
+    return "int f(int x) {{\n{}  return x;\n}}\n".format(body)
+
+
+def _long_sum(terms):
+    """``int y = x + x + ... + x;`` with ``terms`` terms: a left-deep chain."""
+    return "int f(int x) {{\n  int y = {};\n  return y;\n}}\n".format(
+        " + ".join(["x"] * terms))
+
+
+@pytest.mark.parametrize("source", [_sequential_branches(3000), _long_sum(700)],
+                         ids=["3000-branches", "700-term-sum"])
+def test_deep_cfgs_and_long_expressions_evaluate(tmp_path, capsys, source):
+    """Neither a long function nor a long expression is bounded by the
+    interpreter's recursion limit."""
+    path = tmp_path / "deep.c"
+    path.write_text(source, encoding="utf-8")
+    assert main(["eval", str(path), "--json"]) == 0
+    (unit,) = json.loads(capsys.readouterr().out)["units"]
+    assert unit["name"] == "deep"
+
+
+@pytest.mark.parametrize("expression", ["(" * 1500 + "x" + ")" * 1500,
+                                        "- " * 3000 + "x"],
+                         ids=["parentheses", "unary"])
+def test_nesting_too_deep_exits_2(tmp_path, capsys, expression):
+    """Nesting deeper than the stack is a located diagnostic, not a crash."""
+    bad = tmp_path / "nested.c"
+    bad.write_text("int f(int x) {{ int y = {}; return y; }}\n".format(
+        expression), encoding="utf-8")
+    for argv in (["eval", str(bad)], ["check", str(bad)],
+                 ["stats", str(bad)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested.c" in err, argv
+        assert "nesting too deep" in err, argv

@@ -136,3 +136,55 @@ def test_instruction_level_dominance():
     # dominate the end of the incoming block, not the phi itself.
     incoming_index = phi.incoming_blocks.index(body)
     assert domtree.value_dominates_use(inc, phi, incoming_index)
+
+
+def _recursive_reverse_postorder(function):
+    """The reference: the textbook recursive DFS."""
+    visited, postorder = set(), []
+
+    def dfs(block):
+        visited.add(block)
+        for succ in block.successors():
+            if succ not in visited:
+                dfs(succ)
+        postorder.append(block)
+
+    dfs(function.entry_block)
+    return (list(reversed(postorder))
+            + [block for block in function.blocks if block not in visited])
+
+
+def _idom_walk_dominates(domtree, a, b):
+    """The reference: walk ``b``'s immediate-dominator chain looking for ``a``."""
+    runner = b
+    while runner is not None:
+        if runner is a:
+            return True
+        runner = domtree.idom.get(runner)
+    return False
+
+
+def _random_functions():
+    from repro.synth.csmith import generate_random_module
+
+    for seed in range(12):
+        module = generate_random_module(seed)
+        for function in module.defined_functions():
+            yield function
+
+
+def test_iterative_reverse_postorder_matches_the_recursive_dfs():
+    for function in _random_functions():
+        assert reverse_postorder(function) == _recursive_reverse_postorder(function)
+
+
+def test_constant_time_dominance_matches_the_idom_walk():
+    module, function = build_diamond_module()
+    dead = function.append_block(name="dead")
+    IRBuilder(dead).ret(None)  # unreachable: dominates and is dominated by nothing
+    functions = [function] + list(_random_functions())
+    for function in functions:
+        domtree = DominatorTree(function)
+        for a in function.blocks:
+            for b in function.blocks:
+                assert domtree.dominates(a, b) == _idom_walk_dominates(domtree, a, b)

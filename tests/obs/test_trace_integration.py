@@ -48,6 +48,13 @@ def _complete_events(payload):
     return [e for e in payload["traceEvents"] if e["ph"] == "X"]
 
 
+def _pipeline_events(payload):
+    """Complete events minus ``gc.collect``: the collector runs whenever the
+    allocation counts say so, in whichever process and lane, so its spans
+    are no pipeline phase and differ from run to run."""
+    return [e for e in _complete_events(payload) if e["name"] != "gc.collect"]
+
+
 def _lane_names(payload):
     return {e["args"]["name"] for e in payload["traceEvents"]
             if e["ph"] == "M"}
@@ -104,7 +111,7 @@ def test_pool_run_attributes_spans_to_worker_lanes(tmp_path):
     assert worker_lanes  # every analysis span came from a worker process
     worker_tids = {e["tid"] for e in payload["traceEvents"]
                    if e["ph"] == "M" and e["args"]["name"] in worker_lanes}
-    analysis_events = [e for e in _complete_events(payload)
+    analysis_events = [e for e in _pipeline_events(payload)
                        if e["name"] != "engine.unit"]
     assert analysis_events
     assert {e["tid"] for e in analysis_events} <= worker_tids
@@ -124,8 +131,8 @@ def test_pool_span_merge_is_deterministic_across_runs(tmp_path):
     # the merged *content* — which phases ran, how often — must not.
     first = _traced_pool_run(tmp_path / "first.json")
     second = _traced_pool_run(tmp_path / "second.json")
-    count_a = Counter(e["name"] for e in _complete_events(first))
-    count_b = Counter(e["name"] for e in _complete_events(second))
+    count_a = Counter(e["name"] for e in _pipeline_events(first))
+    count_b = Counter(e["name"] for e in _pipeline_events(second))
     assert count_a == count_b
 
 
@@ -139,9 +146,9 @@ def test_pool_and_serial_runs_record_the_same_phases(tmp_path):
     # verify.* spans are asymmetric by design under REPRO_VERIFY=post (the
     # post mode checks in-process solves only, not pool workers); compare
     # the pipeline phases both execution shapes must share.
-    assert (Counter(e["name"] for e in _complete_events(pooled)
+    assert (Counter(e["name"] for e in _pipeline_events(pooled)
                     if not e["name"].startswith("verify."))
-            == Counter(e["name"] for e in _complete_events(serial)
+            == Counter(e["name"] for e in _pipeline_events(serial)
                        if not e["name"].startswith("verify.")))
 
 
@@ -228,3 +235,21 @@ def test_stats_timings_prints_phase_table(source_file, capsys):
 def test_stats_without_timings_omits_the_table(source_file, capsys):
     assert main(["stats", source_file]) == 0
     assert "[timings]" not in capsys.readouterr().out
+
+
+def test_no_collection_runs_inside_an_engine_unit():
+    """Units run with the collector paused: a traced spec16 pass shows
+    collections only between units, never inside one."""
+    from repro.synth import spec_sources
+
+    TRACER.enable()
+    with Session(ReproConfig(workers=0)) as session:
+        session.run_workload(spec_sources(), store=False)
+    spans = TRACER.spans()
+    units = [(s["ts"], s["ts"] + s["dur"]) for s in spans
+             if s["name"] == "engine.unit"]
+    assert len(units) == 16
+    for span in spans:
+        if span["name"] == "gc.collect":
+            assert not any(start <= span["ts"] <= end
+                           for start, end in units), span

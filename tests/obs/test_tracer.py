@@ -1,5 +1,7 @@
-"""Tracer semantics: span nesting, the disabled no-op, shard absorption."""
+"""Tracer semantics: span nesting, the disabled no-op, shard absorption,
+the collector hook."""
 
+import gc
 import pickle
 
 import pytest
@@ -17,6 +19,18 @@ def _reset_global_tracer():
     yield
     TRACER.disable()
     TRACER.reset()
+
+
+@pytest.fixture(autouse=True)
+def _no_automatic_collections():
+    """An enabled tracer records every collection as a ``gc.collect`` span;
+    one landing inside a capture would add a span to the exact span lists
+    these tests assert, so only explicit ``gc.collect()`` calls run."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +172,45 @@ def test_capture_context_restores_disabled_state(tracer):
             pass
     assert not tracer.enabled
     assert len(tracer.spans()) == 1
+
+
+# ---------------------------------------------------------------------------
+# The collector hook
+# ---------------------------------------------------------------------------
+
+def test_collections_are_recorded_as_gc_collect_spans(tracer):
+    tracer.enable()
+    with tracer.span("outer"):
+        gc.collect()
+    collect = [r for r in tracer.spans() if r["name"] == "gc.collect"]
+    outer = [r for r in tracer.spans() if r["name"] == "outer"]
+    assert len(collect) == 1 and len(outer) == 1
+    (record,), (parent,) = collect, outer
+    assert record["args"]["generation"] == 2
+    assert isinstance(record["args"]["collected"], int)
+    assert record["depth"] == 1 and record["self"] == record["dur"]
+    assert parent["ts"] <= record["ts"] <= parent["ts"] + parent["dur"]
+    # The collection is billed as the interrupted span's child.
+    assert parent["self"] <= parent["dur"] - record["dur"] + 1e-9
+
+
+def test_disable_removes_the_collector_hook(tracer):
+    tracer.enable()
+    assert tracer._on_collect in gc.callbacks
+    tracer.enable()
+    assert gc.callbacks.count(tracer._on_collect) == 1
+    tracer.disable()
+    assert tracer._on_collect not in gc.callbacks
+    gc.collect()
+    assert tracer.spans() == []
+
+
+def test_collections_inside_suppress_are_not_recorded(tracer):
+    tracer.enable()
+    with tracer.suppress():
+        gc.collect()
+    assert tracer.spans() == []
+    tracer.disable()
 
 
 # ---------------------------------------------------------------------------
