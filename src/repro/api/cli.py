@@ -406,10 +406,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print("  {:24s} {}/{} ({:.2%})".format(
                 kind, counters["hits"], lookups, rate))
         print("[fingerprints]")
-        from repro.ir.callgraph import module_fingerprints
+        from repro.ir.callgraph import CallGraph
 
-        prints = module_fingerprints(unit.module)
-        graph = prints.graph
+        graph = CallGraph(unit.module)
         components = graph.components()
         recursive = sum(
             1 for component in components
@@ -420,20 +419,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             sum(len(callees) for callees in graph.callees.values())))
         print("  {:24s} {}".format("call_graph_sccs", len(components)))
         print("  {:24s} {}".format("recursive_sccs", recursive))
-        # Warm-hit rates of fingerprint-keyed store lookups and of refresh
-        # classifications accumulate under the same by_kind counters printed
-        # above whenever this session served churn (Session.update_source);
-        # a one-shot stats run reports them empty.
-        for kind in ("fingerprint", "refresh"):
-            counters = cache_stats.by_kind.get(kind)
-            if counters:
-                lookups = counters["hits"] + counters["misses"]
-                rate = counters["hits"] / lookups if lookups else 0.0
-                print("  {:24s} {}/{} ({:.2%})".format(
-                    kind + "_hit_rate", counters["hits"], lookups, rate))
-            else:
-                print("  {:24s} 0/0 (no churn in this run)".format(
-                    kind + "_hit_rate"))
         verify_stats = statistics.get("verify", {})
         print("[verify]            mode={}".format(session.config.verify))
         if verify_stats.get("runs"):

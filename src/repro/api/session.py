@@ -5,8 +5,8 @@ hand: a validated :class:`~repro.api.config.ReproConfig`, exactly one
 :class:`~repro.passes.analysis_cache.FunctionAnalysisCache` (so repeated
 work over the same modules hits memoized analyses), exactly one
 :class:`~repro.engine.store.AnalysisStore` handle (opened lazily from the
-config, shared across every call, closed once with the session), and the
-execution engine's coordinator.
+config, shared across every workload call, closed once with the session),
+and the execution engine's coordinator.
 
 The three call shapes::
 
@@ -15,7 +15,7 @@ The three call shapes::
     # fluent, single-module pipeline
     report = Session().compile(source).analyze().disambiguate()
 
-    # aa-eval over one module, in-process, sharing the session cache/store
+    # aa-eval over one module, in-process, sharing the session cache
     result = session.evaluate(module, specs=(("basicaa",), ("lt",)))
 
     # a whole workload, fanned out over worker processes per the config
@@ -209,9 +209,8 @@ class UpdateResult:
     """What :meth:`Session.update_source` produced for one edit.
 
     ``result`` is the full :class:`UnitResult` — verdicts bit-identical to a
-    cold evaluation of the same source; ``refresh`` records what the
-    fingerprint diff actually recomputed (dirty/clean function names,
-    migrated payload count).
+    cold evaluation of the same source; ``refresh`` names the functions the
+    edit dirtied, left clean or removed.
     """
 
     def __init__(self, result: UnitResult, refresh: RefreshResult) -> None:
@@ -219,9 +218,8 @@ class UpdateResult:
         self.refresh = refresh
 
     def __repr__(self) -> str:
-        return "<UpdateResult dirty={} clean={} migrated={}>".format(
-            len(self.refresh.dirty), len(self.refresh.clean),
-            self.refresh.migrated)
+        return "<UpdateResult dirty={} clean={}>".format(
+            len(self.refresh.dirty), len(self.refresh.clean))
 
 
 class Session:
@@ -333,57 +331,41 @@ class Session:
     def evaluate(self, module: Module,
                  specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
                  *, cache: Optional[FunctionAnalysisCache] = None,
-                 store: object = None,
                  interprocedural: bool = True) -> UnitResult:
         """``aa-eval`` an already compiled module in-process.
 
-        Shares the session cache (pass ``cache=`` to substitute one) and the
-        session store.  Store keys content-address the *pre-conversion* IR,
-        so a module already converted to e-SSA outside the engine is
-        evaluated without persistence rather than growing a second,
-        incompatible key family.
+        Shares the session cache (pass ``cache=`` to substitute one), so the
+        module's analyses are solved once; the query loops run on every
+        call.  The store is never touched: it memoizes units by source text,
+        and a compiled module has none.
         """
         with self.config.activate():
-            store_obj, owned = self._resolve_store_arg(store)
-            if store_obj is not None and any(
-                    getattr(function, "essa_form", False)
-                    for function in module.defined_functions()):
-                if owned:
-                    store_obj.close()
-                store_obj, owned = None, False
-            try:
-                payload = _driver.worker_module.evaluate_module_functions(
-                    module, specs,
-                    cache if cache is not None else self.cache, store_obj,
-                    interprocedural=interprocedural)
-                _driver._write_back(store_obj, payload)
-            finally:
-                if owned and store_obj is not None:
-                    store_obj.close()
+            payload = _driver.worker_module.evaluate_module_functions(
+                module, specs, cache if cache is not None else self.cache,
+                interprocedural=interprocedural)
             return UnitResult(payload)
 
     def update_source(self, name: str, source: str,
                       specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
-                      *, store: object = None,
-                      interprocedural: bool = True) -> "UpdateResult":
-        """Re-evaluate module ``name`` after an edit, incrementally.
+                      *, interprocedural: bool = True) -> "UpdateResult":
+        """Re-evaluate module ``name`` after an edit.
 
-        The churn entry point: recompiles ``source``, diffs call-graph-aware
-        fingerprints against the previous ``update_source``/baseline call
-        for the same name (:meth:`FunctionAnalysisCache.refresh`), migrates
-        every still-valid evaluation payload onto the new compile, then
-        evaluates in-process exactly like :meth:`evaluate` — so verdicts
-        are bit-identical to a cold solve, only the edit's blast radius is
-        recomputed (every range solve is cold), and with a session store
-        the untouched functions hit their fingerprint-keyed entries warm.
-        The first call for a name is the cold baseline (everything dirty).
+        The churn entry point: recompiles ``source``, diffs each function's
+        own-IR hash against the previous ``update_source`` call for the same
+        name (:meth:`FunctionAnalysisCache.refresh`, which also purges that
+        compile's analyses), then evaluates in-process exactly like
+        :meth:`evaluate`.  Under the paper's interprocedural less-than
+        analysis every function's facts can depend on every caller, so the
+        module is solved cold and verdicts are bit-identical to a cold
+        evaluation of the same source.  The first call for a name reports
+        every function dirty.  The store is never touched.
 
-        The modules compiled here never leave the session, so once ``refresh``
-        has migrated its payloads, the previous call's module for ``name`` is
-        released (:meth:`~repro.ir.module.Module.release`) and reference
-        counting frees it; the latest one lives as long as the session.  The
-        cycle collector is paused for the call.  Modules from :meth:`compile`
-        and modules passed to :meth:`evaluate` are never released.
+        The modules compiled here never leave the session, so the previous
+        call's module for ``name`` is released
+        (:meth:`~repro.ir.module.Module.release`) and reference counting
+        frees it; the latest one lives as long as the session.  The cycle
+        collector is paused for the call.  Modules from :meth:`compile` and
+        modules passed to :meth:`evaluate` are never released.
         """
         with collector_paused():
             with self.config.activate():
@@ -393,7 +375,7 @@ class Session:
             self._updated[name] = module
             if previous is not None:
                 previous.release()
-            result = self.evaluate(module, specs, store=store,
+            result = self.evaluate(module, specs,
                                    interprocedural=interprocedural)
         return UpdateResult(result, refresh)
 

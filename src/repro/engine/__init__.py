@@ -10,9 +10,9 @@ package runs one work unit per program, serially or over a worker pool:
 * :mod:`repro.engine.worker` — the per-process job runner (compile the
   unit's source deterministically, evaluate every function, return
   picklable verdict/statistics payloads);
-* :mod:`repro.engine.store` — the persistent sqlite :class:`AnalysisStore`
-  content-addressed by IR text hashes with versioned invalidation, so
-  repeated runs skip analysis entirely;
+* :mod:`repro.engine.store` — the persistent sqlite :class:`AnalysisStore`,
+  a memo of whole units keyed by source text with versioned invalidation,
+  so repeated runs skip compilation and analysis entirely;
 * :mod:`repro.engine.driver` — the coordinator internals behind
   :class:`repro.api.session.Session`, the package's only evaluation entry
   point; configuration resolves through
@@ -28,7 +28,6 @@ this can be asserted, not assumed.
 from repro.engine.store import (
     AnalysisStore,
     STORE_VERSION,
-    function_key,
     text_hash,
 )
 from repro.engine.workunit import DEFAULT_SPECS, WorkUnit, spec_label
@@ -42,7 +41,6 @@ from repro.engine.driver import UnitResult
 __all__ = [
     "AnalysisStore",
     "STORE_VERSION",
-    "function_key",
     "text_hash",
     "DEFAULT_SPECS",
     "WorkUnit",

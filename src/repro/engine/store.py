@@ -1,15 +1,13 @@
 """The persistent analysis store of the execution engine.
 
-``aa-eval`` results are a pure function of the compiled IR: the frontend,
-mem2reg and the e-SSA conversion are deterministic, so the same source text
-always produces bit-identical IR and bit-identical verdicts.  The
-:class:`AnalysisStore` exploits that to persist per-function evaluation
-payloads *across processes and across runs*: entries are keyed by a content
-hash of the function's (pre-conversion) IR text — plus a call-graph-aware
-fingerprint of exactly the module slice the analysis can observe (see
-:mod:`repro.ir.callgraph`), so editing one function leaves every unrelated
-function's entries warm — and a warm store lets repeated benchmark runs
-skip the analysis pipeline entirely.
+``aa-eval`` results are a pure function of the source text and the run's
+settings: the frontend, mem2reg and the e-SSA conversion are deterministic,
+so the same source always produces bit-identical IR and bit-identical
+verdicts.  The :class:`AnalysisStore` exploits that to memoize whole work
+units *across processes and across runs*: each entry is one unit's merged
+payload, keyed by :func:`unit_key` over the unit's kind, name, source text,
+spec labels, interprocedural mode and equivalence-class limit.  A warm
+store lets repeated benchmark runs skip compilation and analysis entirely.
 
 The store is one sqlite file — safe concurrent readers, a single writer
 (the coordinator); schema::
@@ -76,28 +74,10 @@ from repro.api.config import ConfigError, resolved_store_max_bytes
 #:     split copy and sharper verdicts), and persisted range counters no
 #:     longer count split-copy evaluations.  ``aaeval-7`` stores are cleared
 #:     as above.
-STORE_VERSION = "aaeval-8"
-
-
-def function_key(label: str, function_text: str, fingerprint: str = "") -> str:
-    """Content-address one ``(analysis label, function)`` evaluation.
-
-    ``fingerprint`` ties the entry to exactly the slice of the module the
-    analysis can observe (see :mod:`repro.ir.callgraph`): the reachable-region
-    fingerprint for interprocedural less-than specs (facts flow caller →
-    callee, so only the function and its transitive callers matter), the
-    dependency fingerprint for intraprocedural specs, or the whole module's
-    :func:`text_hash` for module-global analyses (Andersen/Steensgaard unify
-    state across every function).  Editing a function now misses only the
-    entries whose fingerprint actually covers it.
-    """
-    digest = hashlib.sha256()
-    digest.update(label.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(function_text.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(fingerprint.encode("utf-8"))
-    return digest.hexdigest()
+#: v9: function-level entries are gone (the store holds whole units only),
+#:     and unit keys fold the equivalence-class limit, which changes
+#:     verdicts.  ``aaeval-8`` stores are cleared as above.
+STORE_VERSION = "aaeval-9"
 
 
 def text_hash(text: str) -> str:
@@ -105,25 +85,22 @@ def text_hash(text: str) -> str:
 
 
 def unit_key(kind: str, name: str, source: str, labels: Sequence[str],
-             interprocedural: bool) -> str:
+             interprocedural: bool, class_limit: Optional[int]) -> str:
     """Content-address a whole work unit's payload by its *source text*.
 
-    The frontend is deterministic, so the source uniquely determines the IR
-    and hence every verdict.  Unit-level entries sit on top of the
-    function-level ones as a memo of the merged payload: a fully warm unit
-    is answered before compilation even starts, which is what lets repeated
-    benchmark runs skip the analysis pipeline entirely.  Function-level
-    entries (keyed by IR text via :func:`function_key`) remain the ground
-    truth and are what partial warm runs draw from.
+    The frontend is deterministic, so the source uniquely determines the IR;
+    the labels, the interprocedural mode and the resolved equivalence-class
+    limit (``None`` = unlimited) determine every verdict on top of it.  A
+    hit answers the unit before compilation even starts.
     """
     digest = hashlib.sha256()
-    # Each label is digested separately (NUL-terminated, like function_key)
-    # rather than pre-joined with a printable separator: a joined string
-    # cannot distinguish ["a|b"] from ["a", "b"] once a label contains the
-    # separator character.
+    # Each part is digested NUL-terminated rather than pre-joined with a
+    # printable separator: a joined string cannot distinguish ["a|b"] from
+    # ["a", "b"] once a label contains the separator character.
     parts: List[str] = [kind, name, source]
     parts.extend(labels)
     parts.append("ip" if interprocedural else "fn")
+    parts.append("limit={}".format(class_limit or 0))
     for part in parts:
         digest.update(part.encode("utf-8"))
         digest.update(b"\x00")

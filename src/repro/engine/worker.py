@@ -6,21 +6,15 @@ over every defined function and returns a plain-dict payload built from
 picklable primitives only — verdict counters, per-pair verdict code strings,
 statistics dicts — which the coordinator collects.
 
-The ``aaeval`` job implements the engine's caching discipline:
+The engine's caching discipline is one memo per unit:
 
-1. hash every function's printed IR (*before* the e-SSA conversion mutates
-   it) together with a call-graph-aware fingerprint of the module slice the
-   spec can observe (:mod:`repro.ir.callgraph`): the reachable-region
-   fingerprint for interprocedural less-than specs, the dependency
-   fingerprint for function-scoped specs, the whole module's hash only for
-   module-global analyses (Andersen/Steensgaard),
-2. warm-load any persisted payloads from the analysis store into the
-   :class:`~repro.passes.analysis_cache.FunctionAnalysisCache`,
-3. for cache misses only: convert the module to e-SSA form and evaluate with
-   the requested analysis configurations (so a fully warm run never builds a
-   range analysis, never solves constraints and never issues a query),
-4. ship freshly computed payloads back to the coordinator, which alone
-   writes to the store.
+1. with a store, look the ``aaeval`` unit up whole by
+   :func:`~repro.engine.store.unit_key` (source text, labels, mode and
+   class limit); a hit is the payload, and nothing is compiled,
+2. on a miss, compile the source, convert the module to e-SSA form and
+   evaluate every requested analysis configuration over every function,
+3. ship the merged payload back to the coordinator, which alone writes it
+   to the store.
 
 Every evaluation path — serial, pooled, store-warmed — follows the same
 pipeline convention (evaluate on the e-SSA-converted module), so per-pair
@@ -31,9 +25,14 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.api.config import ReproConfig, install_config, resolved_verify
+from repro.api.config import (
+    ReproConfig,
+    install_config,
+    resolved_class_limit,
+    resolved_verify,
+)
 from repro.alias.aaeval import AliasEvaluation, evaluate_function_verdicts
 from repro.alias.basicaa import BasicAliasAnalysis
 from repro.alias.andersen import AndersenAliasAnalysis
@@ -42,12 +41,13 @@ from repro.alias.steensgaard import SteensgaardAliasAnalysis
 from repro.alias.tbaa import TypeBasedAliasAnalysis
 from repro.core.disambiguation import DisambiguationStatistics
 from repro.core.sraa import StrictInequalityAliasAnalysis
-from repro.engine.store import AnalysisStore, function_key, text_hash, unit_key
-from repro.engine.workunit import WorkUnit, spec_fingerprint_scope, spec_label
+from repro.engine.store import AnalysisStore, unit_key
+from repro.engine.workunit import WorkUnit, spec_label
 from repro.frontend import compile_source
-from repro.ir.callgraph import ModuleFingerprints, module_fingerprints
+# Not called here: perfbench/spans.py wraps this name in this module.
+from repro.ir.callgraph import module_fingerprints  # noqa: F401
 from repro.ir.module import Module
-from repro.ir.printer import print_function, print_module
+from repro.ir.printer import print_module
 from repro.obs import TRACER
 from repro.passes.analysis_cache import FunctionAnalysisCache
 from repro.util.collector import collector_paused
@@ -104,34 +104,9 @@ def build_analysis(member: str, module: Module, cache: FunctionAnalysisCache,
     raise KeyError("unknown analysis spec member {!r}".format(member))
 
 
-def module_content_text(module: Module) -> str:
-    """The module's printed IR minus its name line.
-
-    ``print_module`` leads with a ``; module <name>`` comment; hashing must
-    ignore it so that two units with identical content but different program
-    names share function-level store entries.
-    """
-    text = print_module(module)
-    if text.startswith("; module "):
-        _header, _sep, rest = text.partition("\n")
-        return rest
-    return text
-
-
-def scope_fingerprint(scope: str, function_name: str, module_hash: str,
-                      prints: ModuleFingerprints) -> str:
-    """The fingerprint :func:`function_key` folds for one (scope, function)."""
-    if scope == "module":
-        return module_hash
-    if scope == "region":
-        return prints.region[function_name]
-    return prints.fingerprint[function_name]
-
-
 def evaluate_module_functions(module: Module,
                               specs: Sequence[Sequence[str]] = (("lt",),),
                               cache: Optional[FunctionAnalysisCache] = None,
-                              store: Optional[AnalysisStore] = None,
                               interprocedural: bool = True,
                               name: Optional[str] = None) -> Dict[str, object]:
     """Evaluate ``specs`` over every defined function of ``module``.
@@ -143,64 +118,13 @@ def evaluate_module_functions(module: Module,
     Each analysis is evaluated once per function: every distinct spec member
     answers all pairs once (:func:`evaluate_function_verdicts`), a spec's
     codes are the :func:`chain_codes` merge of its members' streams, and its
-    counts are tallied from those codes.  A single-member spec whose record
-    hit the cache or the store lends its codes to the chains containing it.
+    counts are tallied from those codes.  ``cache`` supplies the analyses;
+    the query loops run on every call.
     """
     cache = cache if cache is not None else FunctionAnalysisCache()
     functions = list(module.defined_functions())
-    labels = [spec_label(spec) for spec in specs]
-    # Interprocedural and intraprocedural LT runs produce different facts for
-    # the same IR, so the mode must be part of every memoization key — both
-    # the persistent one (function_key below) and the in-process cache's.
-    # User-facing payload labels stay undecorated.
-    mode_suffix = "" if interprocedural else "#intra"
-
-    # Content addresses, computed before any conversion mutates the IR.
-    keys: Dict[Tuple[str, str], str] = {}
-    touched_before = 0
-    if store is not None:
-        # The counters are cumulative on the store object (which serial runs
-        # share across units), so report this unit's delta.
-        hits_before, misses_before = store.hits, store.misses
-        # Read-only stores record hit keys (the LRU touch protocol); the
-        # coordinator applies this unit's delta via ``touch_many``.
-        # Writable stores touch directly inside ``get``.
-        touched_before = len(store.touched_keys)
-        module_hash = text_hash(module_content_text(module))
-        prints = module_fingerprints(module)
-        scopes = {label: spec_fingerprint_scope(spec, interprocedural)
-                  for spec, label in zip(specs, labels)}
-        for function in functions:
-            function_text = print_function(function)
-            for label in labels:
-                fingerprint = scope_fingerprint(
-                    scopes[label], function.name, module_hash, prints)
-                key = function_key(label + mode_suffix, function_text, fingerprint)
-                keys[(function.name, label)] = key
-                payload = store.get(key)
-                # Per-kind hit accounting: the "fingerprint" row of the
-                # cache statistics is the warm-hit rate of fingerprint-keyed
-                # store lookups — what the churn benchmark gates on.
-                cache.statistics.record("fingerprint", payload is not None)
-                if payload is not None:
-                    cache.put_evaluation(function, label + mode_suffix, payload)
-        store_hits = store.hits - hits_before
-        store_misses = store.misses - misses_before
-    else:
-        module_hash = ""
-        store_hits = store_misses = 0
-
-    records = {(function.name, label): cache.get_evaluation(
-                   function, label + mode_suffix)
-               for function in functions for label in labels}
-    # Member verdict streams per (function name, member).  A single-member
-    # spec whose record hit the cache or the store lends its codes.
+    # Member verdict streams per (function name, member).
     streams: Dict[Tuple[str, str], str] = {}
-    for spec, label in zip(specs, labels):
-        for function in functions:
-            record = records[(function.name, label)]
-            if record is not None and len(spec) == 1:
-                streams[(function.name, label)] = record["codes"]
     members: Dict[str, AliasAnalysis] = {}
 
     def member_codes(function, member: str) -> str:
@@ -210,7 +134,7 @@ def evaluate_module_functions(module: Module,
                 # Pipeline convention: every path evaluates the
                 # e-SSA-converted module (RangeAnalysis -> vSSA -> queries,
                 # like the original artifact), so verdicts do not depend on
-                # which specs run or hit.
+                # which specs run.
                 for defined in module.defined_functions():
                     cache.ensure_essa(defined)
             if member not in members:
@@ -221,38 +145,26 @@ def evaluate_module_functions(module: Module,
             streams[(function.name, member)] = codes
         return codes
 
-    new_entries: List[Tuple[str, object]] = []
     label_payloads: Dict[str, Dict[str, object]] = {}
-    for spec, label in zip(specs, labels):
+    for spec in specs:
         merged = AliasEvaluation()
         verdicts: Dict[str, str] = {}
         for function in functions:
-            record = records[(function.name, label)]
-            if record is None:
-                codes = chain_codes([member_codes(function, member)
-                                     for member in spec])
-                record = {"counts": AliasEvaluation.from_codes(codes).as_dict(),
-                          "codes": codes}
-                cache.put_evaluation(function, label + mode_suffix, record)
-                if store is not None:
-                    new_entries.append((keys[(function.name, label)], record))
-            merged = merged.merge(AliasEvaluation.from_dict(record["counts"]))
-            verdicts[function.name] = record["codes"]
-        label_payloads[label] = {"counts": merged.as_dict(), "verdicts": verdicts}
+            codes = chain_codes([member_codes(function, member)
+                                 for member in spec])
+            merged = merged.merge(AliasEvaluation.from_codes(codes))
+            verdicts[function.name] = codes
+        label_payloads[spec_label(spec)] = {"counts": merged.as_dict(),
+                                            "verdicts": verdicts}
 
     statistics = DisambiguationStatistics()
     for member in members.values():
         if isinstance(member, StrictInequalityAliasAnalysis):
             statistics = statistics.merge(member.disambiguator.statistics)
 
-    touched_keys: List[str] = []
-    if store is not None and store.readonly:
-        touched_keys = list(store.touched_keys[touched_before:])
-
     # Self-check hook (REPRO_VERIFY): after the statistics snapshot — the
     # audit restores the disambiguator counters it touches, so verified and
-    # unverified runs produce byte-identical payloads — and only when this
-    # call actually solved something (warm runs re-check nothing).
+    # unverified runs produce byte-identical payloads.
     verify_report = None
     verify_mode = resolved_verify()
     if (verify_mode != "off" and members
@@ -267,13 +179,8 @@ def evaluate_module_functions(module: Module,
         "name": name if name is not None else module.name,
         "functions": [function.name for function in functions],
         "instructions": module.instruction_count(),
-        "module_hash": module_hash,
         "labels": label_payloads,
         "statistics": statistics.as_dict(),
-        "store_hits": store_hits,
-        "store_misses": store_misses,
-        "new_entries": new_entries,
-        "touched_keys": touched_keys,
         "pid": os.getpid(),
     }
     if verify_report is not None and _IN_POOL_WORKER:
@@ -299,16 +206,15 @@ def _verify_prepared_analyses(
 # Jobs
 # ---------------------------------------------------------------------------
 
-def _job_aaeval(unit: WorkUnit, module: Module, cache: FunctionAnalysisCache,
-                store: Optional[AnalysisStore]) -> Dict[str, object]:
+def _job_aaeval(unit: WorkUnit, module: Module,
+                cache: FunctionAnalysisCache) -> Dict[str, object]:
     return evaluate_module_functions(
-        module, unit.specs, cache, store,
+        module, unit.specs, cache,
         interprocedural=unit.interprocedural, name=unit.name)
 
 
 def _job_lessthan_stats(unit: WorkUnit, module: Module,
-                        cache: FunctionAnalysisCache,
-                        _store: Optional[AnalysisStore]) -> Dict[str, object]:
+                        cache: FunctionAnalysisCache) -> Dict[str, object]:
     """Constraint-generation/solving metrics (the Figure 11 measurement)."""
     analysis = cache.module_lessthan(module, unit.interprocedural)
     statistics = analysis.statistics
@@ -325,8 +231,7 @@ def _job_lessthan_stats(unit: WorkUnit, module: Module,
 
 
 def _job_print_ir(unit: WorkUnit, module: Module,
-                  _cache: FunctionAnalysisCache,
-                  _store: Optional[AnalysisStore]) -> Dict[str, object]:
+                  _cache: FunctionAnalysisCache) -> Dict[str, object]:
     """The compiled module's printed IR (cross-process determinism checks)."""
     return {
         "kind": "print-ir",
@@ -349,7 +254,7 @@ CACHEABLE_KINDS = frozenset(["aaeval"])
 #: payload fields that describe the evaluation itself (persisted); the rest
 #: (pid, store counters, write-back entries) describe one particular run.
 _PERSISTED_FIELDS = ("kind", "name", "functions", "instructions",
-                     "module_hash", "labels", "statistics")
+                     "labels", "statistics")
 
 
 def run_work_unit(unit: WorkUnit,
@@ -358,9 +263,8 @@ def run_work_unit(unit: WorkUnit,
 
     With a store, ``aaeval`` units are first looked up whole by source-text
     hash (:func:`~repro.engine.store.unit_key`): a hit skips compilation and
-    analysis outright.  On a miss the job runs normally — drawing any
-    function-level entries that do exist — and the merged payload is handed
-    back for the coordinator to persist at both granularities.
+    analysis outright.  On a miss the job runs cold and its payload is
+    handed back for the coordinator to persist.
 
     The payload is plain data, so the unit's IR and analyses end with it:
     the module is released (:meth:`~repro.ir.module.Module.release`) and the
@@ -379,13 +283,12 @@ def _run_work_unit(unit: WorkUnit,
     memo_key = None
     if store is not None and unit.kind in CACHEABLE_KINDS:
         memo_key = unit_key(unit.kind, unit.name, unit.source, unit.labels(),
-                            unit.interprocedural)
+                            unit.interprocedural, resolved_class_limit())
         cached = store.get(memo_key)
         if cached is not None:
             payload = dict(cached)
-            payload["store_hits"] = 1  # the one unit-level lookup that hit
+            payload["store_hits"] = 1
             payload["store_misses"] = 0
-            payload["new_entries"] = []
             # LRU touch: a read-only (worker-side) store ships the hit key
             # back for the coordinator to promote; a writable store already
             # touched it inside ``get``.
@@ -395,15 +298,16 @@ def _run_work_unit(unit: WorkUnit,
     module = compile_source(unit.source, module_name=unit.name)
     cache = FunctionAnalysisCache()
     try:
-        payload = JOBS[unit.kind](unit, module, cache, store)
+        payload = JOBS[unit.kind](unit, module, cache)
     finally:
         # The cache and its less-than analysis point at each other.
         cache.invalidate()
         module.release()
     if memo_key is not None:
-        persisted = {field: payload[field] for field in _PERSISTED_FIELDS
-                     if field in payload}
-        payload.setdefault("new_entries", []).append((memo_key, persisted))
+        persisted = {field: payload[field] for field in _PERSISTED_FIELDS}
+        payload["store_hits"] = 0
+        payload["store_misses"] = 1
+        payload["new_entries"] = [(memo_key, persisted)]
     return payload
 
 

@@ -27,44 +27,6 @@ def spec_label(spec: Sequence[str]) -> str:
     return "+".join(spec)
 
 
-#: analyses whose facts unify state across *every* function (globals flow
-#: through one shared points-to graph), so no call-graph slice bounds what
-#: an edit can change — their entries must stay keyed by the module hash.
-MODULE_GLOBAL_MEMBERS = frozenset(["andersen", "steensgaard"])
-
-
-def spec_fingerprint_scope(spec: Sequence[str], interprocedural: bool) -> str:
-    """Which module slice ``spec``'s per-function facts can depend on.
-
-    ``"module"`` — any member is module-global (Andersen/Steensgaard).
-    ``"region"`` — the interprocedural less-than analysis: pseudo-φ
-    constraints flow facts caller → callee, so a function's facts are a pure
-    function of itself plus its transitive callers.
-    ``"dependency"`` — everything else (basicaa/tbaa/intraprocedural lt)
-    reads at most the function and its callees.
-
-    The store folds the matching fingerprint from
-    :class:`repro.ir.callgraph.ModuleFingerprints` into
-    :func:`repro.engine.store.function_key`, and
-    :meth:`repro.passes.analysis_cache.FunctionAnalysisCache.refresh` uses
-    the same rule to decide which in-process payloads survive an edit.
-    """
-    if any(member in MODULE_GLOBAL_MEMBERS for member in spec):
-        return "module"
-    if interprocedural and "lt" in spec:
-        return "region"
-    return "dependency"
-
-
-def label_fingerprint_scope(cache_label: str) -> str:
-    """:func:`spec_fingerprint_scope` for an engine cache label — a
-    :func:`spec_label` optionally suffixed ``#intra`` (the intraprocedural
-    marker the engine appends to memoization keys)."""
-    interprocedural = not cache_label.endswith("#intra")
-    base = cache_label if interprocedural else cache_label[:-len("#intra")]
-    return spec_fingerprint_scope(base.split("+"), interprocedural)
-
-
 @dataclass(frozen=True)
 class WorkUnit:
     """One self-contained, picklable unit of evaluation work."""

@@ -1,37 +1,20 @@
-"""Module call graphs and call-graph-aware dependency fingerprints.
-
-Every cache layer of the engine used to invalidate at *module* granularity:
-editing any function changed the module text hash, so every function-level
-store entry missed.  This module computes what an edit actually dirties:
+"""Module call graphs and per-function content hashes.
 
 * :class:`CallGraph` — the direct-call graph over a module's defined
   functions (``Call`` instructions name their callee statically), condensed
   into SCCs with the shared Tarjan machinery so recursion — self or mutual —
-  is handled exactly.
+  is handled exactly.  ``repro stats`` reports its shape.
 
-* :class:`ModuleFingerprints` — three content hashes per function:
+* :class:`ModuleFingerprints` — the *own hash* of every function: SHA-256
+  of its printed IR.  It changes iff the function's own body (or signature)
+  changes; call sites embed the callee *name*, so re-pointing a call
+  changes the caller's own hash too.
+  :meth:`repro.passes.analysis_cache.FunctionAnalysisCache.refresh` diffs
+  these against the previous compile of the same module name to report
+  which functions an edit dirtied.
 
-  - ``own_hash``: SHA-256 of the function's printed IR.  Changes iff the
-    function's own body (or signature) changes; call sites embed the callee
-    *name*, so re-pointing a call changes the caller's own hash too.
-  - ``fingerprint`` (the *dependency fingerprint*): own hash folded with the
-    fingerprints of every callee, fixpointed SCC-aware — all members of a
-    recursive component share one component digest, so the fold terminates
-    and is deterministic.  Editing function ``A`` changes the fingerprints
-    of exactly ``A`` and its transitive *callers* (their dependency cone
-    contains ``A``); unrelated functions keep their fingerprints.
-  - ``region_fingerprint`` (the *reachable-region fingerprint*): the fold of
-    the own hashes of every function whose facts can flow *into* this one
-    under the interprocedural less-than analysis.  Pseudo-φ constraints bind
-    a formal parameter to the actual arguments of its call sites, so facts
-    flow caller → callee: the region of ``F`` is ``{F}`` plus its transitive
-    callers.  Editing a leaf invalidates only that leaf's region; everything
-    else keeps its region fingerprint and hits warm.
-
-All three hashes are derived from printed IR text, which the deterministic
-frontend reproduces bit-identically across processes and runs — the property
-that makes them usable as persistent store keys
-(:func:`repro.engine.store.function_key`).
+Own hashes are derived from printed IR text, which the deterministic
+frontend reproduces bit-identically across processes and runs.
 """
 
 from __future__ import annotations
@@ -51,22 +34,13 @@ def function_own_hash(function: Function) -> str:
     return hashlib.sha256(print_function(function).encode("utf-8")).hexdigest()
 
 
-def _fold(parts: List[str]) -> str:
-    """Fold a list of hex digests into one, NUL-separated (unambiguous)."""
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
 class CallGraph:
     """The direct-call graph over ``module``'s defined functions.
 
     Nodes are function *names* (names are unique within a module and survive
     recompilation, unlike object identities).  Calls to declared-but-undefined
-    functions contribute no edge — the callee has no body to fingerprint, and
-    its name is already part of the caller's own hash via the printed call.
+    functions contribute no edge — the callee has no body, and its name is
+    already part of the caller's own hash via the printed call.
     """
 
     def __init__(self, module: Module) -> None:
@@ -100,28 +74,9 @@ class CallGraph:
 
         Tarjan emits the condensation in reverse topological order along the
         ``callees`` edge direction, i.e. every component after all components
-        it calls into — exactly the order a bottom-up fingerprint fold needs.
+        it calls into.
         """
         return strongly_connected_components(self.nodes, self.callees)
-
-    def transitive_callers(self, name: str) -> Set[str]:
-        """``{name}`` plus every function from which ``name`` is reachable."""
-        return self._closure(name, self.callers)
-
-    def transitive_callees(self, name: str) -> Set[str]:
-        """``{name}`` plus every function reachable from ``name``."""
-        return self._closure(name, self.callees)
-
-    def _closure(self, name: str, edges: Dict[str, List[str]]) -> Set[str]:
-        closure: Set[str] = {name}
-        stack = [name]
-        while stack:
-            current = stack.pop()
-            for neighbour in edges.get(current, ()):
-                if neighbour not in closure:
-                    closure.add(neighbour)
-                    stack.append(neighbour)
-        return closure
 
     def __repr__(self) -> str:
         edges = sum(len(callees) for callees in self.callees.values())
@@ -129,58 +84,14 @@ class CallGraph:
 
 
 class ModuleFingerprints:
-    """Per-function content hashes of one module snapshot (see module doc)."""
+    """The own hash of every defined function of one module snapshot."""
 
-    __slots__ = ("graph", "own", "fingerprint", "region")
+    __slots__ = ("own",)
 
     def __init__(self, module: Module) -> None:
-        self.graph = CallGraph(module)
         self.own: Dict[str, str] = {
             function.name: function_own_hash(function)
             for function in module.defined_functions()}
-        self.fingerprint: Dict[str, str] = {}
-        self.region: Dict[str, str] = {}
-        self._fold_fingerprints()
-        self._fold_regions()
-
-    def _fold_fingerprints(self) -> None:
-        # Bottom-up over the condensation: when a component is processed,
-        # every external callee already carries its final fingerprint, so one
-        # pass reaches the fixpoint.  Members of a cyclic component share one
-        # component digest (their mutual recursion makes them one unit of
-        # change), personalised by each member's own hash so two members with
-        # different bodies still fingerprint differently.
-        for component in self.graph.components():
-            members = set(component)
-            external: Set[str] = set()
-            for name in component:
-                for callee in self.graph.callees.get(name, ()):
-                    if callee not in members:
-                        external.add(self.fingerprint[callee])
-            component_digest = _fold(
-                sorted(self.own[name] for name in component)
-                + sorted(external))
-            for name in component:
-                self.fingerprint[name] = _fold([self.own[name], component_digest])
-
-    def _fold_regions(self) -> None:
-        # The region folds *own* hashes, not dependency fingerprints: a
-        # caller's facts are generated from its own instructions only (its
-        # callees' bodies reach it through their own regions, not through the
-        # caller's constraints), so folding caller fingerprints here would
-        # re-couple every function to its siblings via a shared root caller.
-        for name in self.graph.nodes:
-            region = self.graph.transitive_callers(name)
-            self.region[name] = _fold(sorted(self.own[member] for member in region))
-
-    def names(self) -> List[str]:
-        return list(self.graph.nodes)
-
-    def dirty_since(self, previous: "ModuleFingerprints") -> List[str]:
-        """Function names whose *own* content changed (or appeared) since
-        ``previous`` — the seed of an edit's blast radius."""
-        return [name for name in self.graph.nodes
-                if self.own[name] != previous.own.get(name)]
 
     def __repr__(self) -> str:
         return "<ModuleFingerprints {} functions>".format(len(self.own))

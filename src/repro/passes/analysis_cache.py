@@ -15,8 +15,10 @@ is ever computed twice on an unchanged module:
 * the :class:`LessThanAnalysis` per module (keyed on the interprocedural
   flag),
 * the :class:`~repro.core.disambiguation.PointerDisambiguator` per module
-  analysis, so its per-value tables survive across evaluation rounds,
-* the engine's evaluation payloads per function and spec label.
+  analysis, so its per-value tables survive across evaluation rounds.
+
+Verdicts are not memoized here: the query loop re-runs on every
+evaluation, over the memoized analyses.
 
 Invalidation is explicit: after mutating a function, call
 :meth:`FunctionAnalysisCache.invalidate` with it (module-level entries built
@@ -32,7 +34,7 @@ everywhere.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.essa.transform import EssaInfo, convert_to_essa
 from repro.ir import callgraph
@@ -46,8 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.lessthan.analysis import LessThanAnalysis
 
 # ``repro.core.sraa`` and ``repro.engine.worker`` import this module, so the
-# ``repro.core`` and ``repro.engine`` modules it uses are imported lazily
-# inside the methods below to keep the import graph acyclic.
+# ``repro.core`` modules it uses are imported lazily inside the methods below
+# to keep the import graph acyclic.
 
 
 class CacheStatistics:
@@ -55,7 +57,7 @@ class CacheStatistics:
 
     ``hits``/``misses`` aggregate every lookup; :meth:`record` additionally
     keeps per-kind counters (``essa``, ``ranges``, ``lessthan``,
-    ``evaluation``, ...) so the stats surface can show *which* table a cold
+    ``disambiguator``) so the stats surface can show *which* table a cold
     run is missing in.
     """
 
@@ -96,26 +98,16 @@ class CacheStatistics:
             self.hits, self.misses, self.invalidations)
 
 
-def _module_content_hash(module: Module) -> str:
-    """The module's content hash under the engine's addressing convention
-    (printed IR minus the name line, so renamed-but-identical modules match)."""
-    from repro.engine.store import text_hash
-    from repro.engine.worker import module_content_text
-
-    return text_hash(module_content_text(module))
-
-
 class _ModuleSnapshot:
-    """One refresh baseline: the fingerprints and function objects of one
+    """One refresh baseline: the own hashes and function objects of one
     compile of a module (keyed by module name across recompiles)."""
 
-    __slots__ = ("prints", "functions", "module_hash")
+    __slots__ = ("own", "functions")
 
-    def __init__(self, prints: callgraph.ModuleFingerprints,
-                 functions: Dict[str, Function], module_hash: str) -> None:
-        self.prints = prints
+    def __init__(self, own: Dict[str, str],
+                 functions: Dict[str, Function]) -> None:
+        self.own = own
         self.functions = functions
-        self.module_hash = module_hash
 
 
 class RefreshResult:
@@ -124,30 +116,29 @@ class RefreshResult:
     __slots__ = ("dirty", "clean", "removed", "migrated")
 
     def __init__(self, dirty: List[str], clean: List[str],
-                 removed: List[str], migrated: int) -> None:
-        #: function names whose own IR changed (or that are new) — their
-        #: cached state was dropped and must be recomputed.
+                 removed: List[str]) -> None:
+        #: function names whose own IR changed (or that are new).
         self.dirty = dirty
         #: function names whose own IR is unchanged.
         self.clean = clean
         #: function names present in the previous snapshot only.
         self.removed = removed
-        #: evaluation payloads carried over to the new function objects.
-        self.migrated = migrated
+        #: always 0: nothing carries over between compiles.  Kept because
+        #: perfbench reads it.
+        self.migrated = 0
 
     def __repr__(self) -> str:
-        return "<RefreshResult dirty={} clean={} removed={} migrated={}>".format(
-            len(self.dirty), len(self.clean), len(self.removed), self.migrated)
+        return "<RefreshResult dirty={} clean={} removed={}>".format(
+            len(self.dirty), len(self.clean), len(self.removed))
 
 
 class FunctionAnalysisCache:
     """Memoizes e-SSA status, range analyses and module less-than analyses.
 
     All tables key on object identity (functions and modules hash by
-    identity), matching the rest of the code base.  :meth:`refresh` bridges
-    identities across recompiles: it diffs call-graph-aware fingerprints
-    (:mod:`repro.ir.callgraph`) against the previous snapshot of the same
-    module name and migrates still-valid state onto the new objects.
+    identity), matching the rest of the code base.  :meth:`refresh` tracks
+    recompiles of one module name: it reports which functions an edit
+    dirtied and purges the previous compile's state.
     """
 
     def __init__(self) -> None:
@@ -155,10 +146,6 @@ class FunctionAnalysisCache:
         self._ranges: Dict[Function, RangeAnalysis] = {}
         self._module_lessthan: Dict[Tuple[Module, bool], "LessThanAnalysis"] = {}
         self._module_disambiguators: Dict[Tuple[Module, bool], "PointerDisambiguator"] = {}
-        self._evaluations: Dict[Tuple[Function, str], object] = {}
-        #: per-function label index over ``_evaluations`` so invalidation
-        #: touches only that function's entries instead of scanning them all.
-        self._function_evaluations: Dict[Function, Set[str]] = {}
         #: refresh baselines by module name.
         self._snapshots: Dict[str, _ModuleSnapshot] = {}
         self.statistics = CacheStatistics()
@@ -169,9 +156,7 @@ class FunctionAnalysisCache:
 
         The conversion mutates the IR — the one mutation the cache itself
         performs and can therefore track — and its range analysis replaces
-        any ranges cached for the pre-conversion form.  Evaluation payloads
-        stay: the engine addresses them by the pre-conversion IR, and they
-        describe the result of the full pipeline.
+        any ranges cached for the pre-conversion form.
         """
         info = self._essa.get(function)
         if info is not None:
@@ -235,39 +220,10 @@ class FunctionAnalysisCache:
         self._module_disambiguators[key] = disambiguator
         return disambiguator
 
-    # -- evaluation payloads -------------------------------------------------------
-    def get_evaluation(self, function: Function, label: str) -> Optional[object]:
-        """The memoized evaluation payload of ``(function, label)``, if any.
-
-        Payloads are opaque, picklable objects (the execution engine stores
-        verdict counters plus the per-pair verdict stream).  They live beside
-        the live analysis objects so that a payload warm-loaded from a
-        persistent :class:`~repro.engine.store.AnalysisStore` short-circuits
-        the whole analysis pipeline: a hit here means neither range analysis,
-        e-SSA conversion, the constraint solve nor the O(n²) query loop runs
-        for that function.
-        """
-        cached = self._evaluations.get((function, label))
-        self.statistics.record("evaluation", hit=cached is not None)
-        return cached
-
-    def put_evaluation(self, function: Function, label: str, payload: object) -> None:
-        """Record the evaluation payload of ``(function, label)``.
-
-        Called both by the engine after computing a function fresh and when
-        warm-loading persisted results from an analysis store.
-        """
-        self._evaluations[(function, label)] = payload
-        self._function_evaluations.setdefault(function, set()).add(label)
-
-    def evaluation_count(self) -> int:
-        return len(self._evaluations)
-
     # -- invalidation -----------------------------------------------------------------
     def _drop_function(self, function: Function) -> None:
         self._essa.pop(function, None)
         self._ranges.pop(function, None)
-        self._drop_function_evaluations(function)
 
     def _drop_module(self, module: Module) -> None:
         for key in [k for k in self._module_lessthan if k[0] is module]:
@@ -275,34 +231,13 @@ class FunctionAnalysisCache:
         for key in [k for k in self._module_disambiguators if k[0] is module]:
             del self._module_disambiguators[key]
 
-    def _drop_function_evaluations(self, function: Function) -> None:
-        # The per-function label index makes this O(entries for *this*
-        # function); the old full-table scan cost O(all entries) per
-        # invalidation, quadratic over a churn session.
-        for label in self._function_evaluations.pop(function, ()):
-            self._evaluations.pop((function, label), None)
-
-    def _drop_one_evaluation(self, function: Function, label: str) -> None:
-        self._evaluations.pop((function, label), None)
-        labels = self._function_evaluations.get(function)
-        if labels is not None:
-            labels.discard(label)
-            if not labels:
-                del self._function_evaluations[function]
-
     def invalidate(self, function: Optional[Function] = None) -> None:
         """Drop cached state for ``function`` (or everything, when ``None``).
 
         Module-level analyses covering the function's module are dropped too,
         since their constraints embed the function's instructions.  Sibling
-        functions are invalidated *per call-graph reachability*, not
-        wholesale: an edit's interprocedural facts can only reach the edited
-        function's transitive callees (facts flow caller → callee) and its
-        dependency fingerprint only covers its transitive callers, so
-        evaluation payloads of functions outside both closures survive.  The
-        reachability is read from the post-mutation call graph; an edit that
-        *removes* call edges should invalidate both endpoints (or everything)
-        explicitly.
+        functions keep their e-SSA status and ranges: both depend on the
+        function's own IR only.
         """
         self.statistics.invalidations += 1
         if function is None:
@@ -310,111 +245,56 @@ class FunctionAnalysisCache:
             self._ranges.clear()
             self._module_lessthan.clear()
             self._module_disambiguators.clear()
-            self._evaluations.clear()
-            self._function_evaluations.clear()
             self._snapshots.clear()
             return
         self._drop_function(function)
-        module = function.parent
-        if module is not None:
-            self._drop_module(module)
-            graph = callgraph.CallGraph(module)
-            if function.name in graph.callees:
-                coupled = (graph.transitive_callers(function.name)
-                           | graph.transitive_callees(function.name))
-                coupled.discard(function.name)
-                for other in module.defined_functions():
-                    if other is not function and other.name in coupled:
-                        self._drop_function_evaluations(other)
+        if function.parent is not None:
+            self._drop_module(function.parent)
 
-    # -- incremental refresh -----------------------------------------------------------
+    # -- recompiles --------------------------------------------------------------------
     def refresh(self, module: Module) -> RefreshResult:
         """Diff ``module`` against the previous snapshot of the same module
-        name and invalidate exactly the edit's blast radius.
+        name and purge that compile's state.
 
         The first call per module name records a baseline (every function
         reported dirty).  Later calls classify each function by its own-IR
-        hash, then for every *clean* function migrate each evaluation payload
-        whose fingerprint scope (see
-        :func:`repro.engine.workunit.label_fingerprint_scope`) is unchanged
-        onto the new compile's function object — region-scoped entries
-        survive edits outside ``{function} ∪ transitive callers``,
-        dependency-scoped entries survive edits outside the callee closure,
-        module-scoped entries only a byte-identical module.  Stale state of
-        the previous compile's objects is purged, so the cache holds one
-        analysis per function of the current compile.
+        hash (:mod:`repro.ir.callgraph`) as dirty, clean or removed, then
+        drop the previous compile's per-function and per-module analyses, so
+        the cache holds state for the current compile only.  Refreshing the
+        same compile in place keeps the state of its clean functions.
 
         Snapshots hash whatever form the functions are currently in, so call
-        ``refresh`` at a consistent pipeline point (before e-SSA conversion,
-        like the engine's content addressing).
+        ``refresh`` at a consistent pipeline point (before e-SSA conversion).
         """
-        from repro.engine.workunit import label_fingerprint_scope
-
         # Looked up on the module at call time, so a wrapper installed on
         # ``callgraph.module_fingerprints`` (a tracing probe) sees this call.
-        prints = callgraph.module_fingerprints(module)
+        own = callgraph.module_fingerprints(module).own
         functions = {function.name: function
                      for function in module.defined_functions()}
-        module_hash = _module_content_hash(module)
-        snapshot = _ModuleSnapshot(prints, functions, module_hash)
         previous = self._snapshots.get(module.name)
-        self._snapshots[module.name] = snapshot
+        self._snapshots[module.name] = _ModuleSnapshot(own, functions)
         if previous is None:
-            return RefreshResult(dirty=sorted(functions), clean=[],
-                                 removed=[], migrated=0)
+            return RefreshResult(dirty=sorted(functions), clean=[], removed=[])
 
         dirty = [name for name in sorted(functions)
-                 if prints.own[name] != previous.prints.own.get(name)]
+                 if own[name] != previous.own.get(name)]
         dirty_set = set(dirty)
         clean = [name for name in sorted(functions) if name not in dirty_set]
         removed = [name for name in sorted(previous.functions)
                    if name not in functions]
-        for name in sorted(functions):
-            self.statistics.record("refresh", hit=name not in dirty_set)
-
-        migrated = 0
-        for name in clean:
-            old_function = previous.functions.get(name)
-            if old_function is None:
-                continue
-            for label in sorted(self._function_evaluations.get(old_function, ())):
-                scope = label_fingerprint_scope(label)
-                if scope == "module":
-                    valid = previous.module_hash == module_hash
-                elif scope == "region":
-                    valid = (previous.prints.region.get(name)
-                             == prints.region[name])
-                else:
-                    valid = (previous.prints.fingerprint.get(name)
-                             == prints.fingerprint[name])
-                if not valid:
-                    if old_function is functions[name]:
-                        # In-place refresh: the stale payload sits on the
-                        # *current* object and must go.
-                        self._drop_one_evaluation(old_function, label)
-                    continue
-                payload = self._evaluations.get((old_function, label))
-                if payload is not None and old_function is not functions[name]:
-                    self.put_evaluation(functions[name], label, payload)
-                    migrated += 1
-
-        # Purge the previous compile's (now unreachable) objects, and stale
-        # state when refreshing the same compile in place.
         for name, old_function in previous.functions.items():
             if old_function is functions.get(name) and name not in dirty_set:
                 continue
             self._drop_function(old_function)
-        old_modules = {old_function.parent
-                       for old_function in previous.functions.values()
-                       if old_function.parent is not None
-                       and old_function.parent is not module}
-        stale_modules = set(old_modules)
+        stale_modules = {old_function.parent
+                         for old_function in previous.functions.values()
+                         if old_function.parent is not None
+                         and old_function.parent is not module}
         if dirty or removed:
             stale_modules.add(module)
         for stale in stale_modules:
             self._drop_module(stale)
-        return RefreshResult(dirty=dirty, clean=clean, removed=removed,
-                             migrated=migrated)
+        return RefreshResult(dirty=dirty, clean=clean, removed=removed)
 
     # -- introspection ---------------------------------------------------------------
     def cached_functions(self) -> int:

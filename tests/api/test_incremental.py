@@ -1,10 +1,10 @@
 """``Session.update_source``: the incremental edit-compile-analyze loop.
 
-The contract under test is *determinism first*: whatever the refresh layer
-migrates, the verdict stream of an incremental update must be bit-identical
-to a cold solve of the same source — serially and against a sharded
-(``REPRO_WORKERS=2``) cold run — and the incremental state must not pin
-earlier compiles.
+The contract under test is *determinism first*: the verdict stream of an
+update must be bit-identical to a cold solve of the same source — serially
+and against a sharded (``REPRO_WORKERS=2``) cold run — the refresh must name
+exactly the edited functions, and the session state must not pin earlier
+compiles.
 """
 
 import gc
@@ -132,18 +132,43 @@ def test_update_source_does_not_chain_earlier_analyses():
                         analysis.function.name))
 
 
-def test_update_source_hits_the_store_warm(tmp_path):
+def test_update_source_never_touches_the_store(tmp_path):
     store_path = str(tmp_path / "store.sqlite")
     with Session(store_path=store_path) as session:
-        session.update_source("m", BASE, (("lt",),))
-        before = dict(session.cache.statistics.by_kind["fingerprint"])
-        update = session.update_source("m", EDITED, (("lt",),))
-        after = session.cache.statistics.by_kind["fingerprint"]
-    # lt is region-scoped: the three untouched functions (b, c, lone) hit
-    # their fingerprint-keyed entries; only the edited leaf misses.
-    assert after["hits"] - before["hits"] == 3
-    assert after["misses"] - before["misses"] == 1
-    assert update.refresh.migrated >= 3
+        store = session.store
+        session.update_source("m", BASE, SPECS)
+        update = session.update_source("m", EDITED, SPECS)
+        assert (store.hits, store.misses, len(store)) == (0, 0, 0)
+        assert (update.result.store_hits, update.result.store_misses) == (0, 0)
+
+
+def test_update_source_hashes_each_function_once(monkeypatch):
+    import repro.ir.callgraph as callgraph
+    import repro.ir.printer as printer
+
+    fingerprint_calls = []
+    printed = []
+    module_fingerprints = callgraph.module_fingerprints
+    print_function = printer.print_function
+
+    def counting_fingerprints(module):
+        fingerprint_calls.append(module.name)
+        return module_fingerprints(module)
+
+    def counting_print(function):
+        printed.append(function.name)
+        return print_function(function)
+
+    monkeypatch.setattr(callgraph, "module_fingerprints", counting_fingerprints)
+    monkeypatch.setattr(callgraph, "print_function", counting_print)
+    monkeypatch.setattr(printer, "print_function", counting_print)
+    with Session() as session:
+        session.update_source("m", BASE, SPECS)
+        fingerprint_calls.clear()
+        printed.clear()
+        session.update_source("m", EDITED, SPECS)
+    assert fingerprint_calls == ["m"]
+    assert sorted(printed) == ["a", "b", "c", "lone"]
 
 
 def test_update_result_repr_mentions_blast_radius():

@@ -53,7 +53,6 @@ def test_two_subprocesses_agree_on_verdicts(session):
     first, second = results
     assert first.payload["pid"] != second.payload["pid"]
     assert first.payload["labels"] == second.payload["labels"]
-    assert first.payload["module_hash"] == second.payload["module_hash"]
     # And the serial in-process evaluation agrees with both.
     serial = session.run_workload([("csmith_v", source)], specs=SPECS,
                                   workers=0)[0]

@@ -8,7 +8,6 @@ import pytest
 from repro.engine.store import (
     STORE_VERSION,
     AnalysisStore,
-    function_key,
     text_hash,
     unit_key,
 )
@@ -139,29 +138,23 @@ def test_backend_selection_by_environment(tmp_path, monkeypatch):
         assert reader.get("k") == PAYLOAD
 
 
-def test_function_key_sensitivity():
-    base = function_key("lt", "define i32 @f()", "mhash")
-    assert function_key("basicaa", "define i32 @f()", "mhash") != base
-    assert function_key("lt", "define i32 @g()", "mhash") != base
-    assert function_key("lt", "define i32 @f()", "other") != base
-    assert function_key("lt", "define i32 @f()", "mhash") == base
-
-
 def test_unit_key_sensitivity():
-    base = unit_key("aaeval", "p", "int main() {}", ["lt"], True)
-    assert unit_key("aaeval", "p", "int main() {}", ["lt"], False) != base
-    assert unit_key("aaeval", "p", "int main() { return 0; }", ["lt"], True) != base
-    assert unit_key("aaeval", "p", "int main() {}", ["lt", "basicaa"], True) != base
-    assert unit_key("aaeval", "p", "int main() {}", ["lt"], True) == base
+    base = unit_key("aaeval", "p", "int main() {}", ["lt"], True, 64)
+    assert unit_key("aaeval", "p", "int main() {}", ["lt"], False, 64) != base
+    assert unit_key("aaeval", "p", "int main() { return 0; }", ["lt"], True, 64) != base
+    assert unit_key("aaeval", "p", "int main() {}", ["lt", "basicaa"], True, 64) != base
+    assert unit_key("aaeval", "p", "int main() {}", ["lt"], True, 1) != base
+    assert unit_key("aaeval", "p", "int main() {}", ["lt"], True, None) != base
+    assert unit_key("aaeval", "p", "int main() {}", ["lt"], True, 64) == base
 
 
 def test_unit_key_label_separator_unambiguous():
     """Labels are digested NUL-terminated, so no label text can collide
     with a differently-split label list (the old ``"|".join`` could)."""
-    assert (unit_key("aaeval", "p", "src", ["a|b"], True)
-            != unit_key("aaeval", "p", "src", ["a", "b"], True))
-    assert (unit_key("aaeval", "p", "src", ["a", "b|c"], True)
-            != unit_key("aaeval", "p", "src", ["a|b", "c"], True))
+    assert (unit_key("aaeval", "p", "src", ["a|b"], True, 64)
+            != unit_key("aaeval", "p", "src", ["a", "b"], True, 64))
+    assert (unit_key("aaeval", "p", "src", ["a", "b|c"], True, 64)
+            != unit_key("aaeval", "p", "src", ["a|b", "c"], True, 64))
 
 
 def _assert_stale_version_never_serves(path, old_version):
@@ -184,9 +177,9 @@ def _assert_stale_version_never_serves(path, old_version):
     with AnalysisStore(path) as upgraded:
         assert upgraded.get("stale-module-hash-key") is None
         assert len(upgraded) == 0
-        upgraded.put("fingerprint-key", PAYLOAD)
+        upgraded.put("fresh-key", PAYLOAD)
     with AnalysisStore(path) as reopened:
-        assert reopened.get("fingerprint-key") == PAYLOAD
+        assert reopened.get("fresh-key") == PAYLOAD
 
 
 def test_store_version_aaeval4_to_aaeval5_migration(store_file):
@@ -215,9 +208,19 @@ def test_store_version_aaeval6_to_aaeval7_migration(store_file):
 def test_store_version_aaeval7_to_aaeval8_migration(store_file):
     """The σ-refined classification bump: split copies and verdicts can
     differ from what ``aaeval-7`` persisted, and so can the persisted range
-    counters, so stale ``aaeval-7`` entries never serve."""
-    assert STORE_VERSION == "aaeval-8"
+    counters, so stale ``aaeval-7`` entries never serve, also under the
+    versions that came after ``aaeval-8``."""
+    assert STORE_VERSION not in ("aaeval-7", "aaeval-8")
     _assert_stale_version_never_serves(store_file("store"), "aaeval-7")
+
+
+def test_store_version_aaeval8_to_aaeval9_migration(store_file):
+    """The whole-units-only bump: ``aaeval-8`` stores hold function-level
+    entries and unit keys without the class limit (so a unit warmed at one
+    limit answered a run at another), so stale ``aaeval-8`` entries never
+    serve."""
+    assert STORE_VERSION == "aaeval-9"
+    _assert_stale_version_never_serves(store_file("store"), "aaeval-8")
 
 
 def test_text_hash_is_stable():

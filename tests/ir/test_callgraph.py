@@ -1,4 +1,4 @@
-"""Call graph and dependency/region fingerprints (``repro.ir.callgraph``)."""
+"""Call graph and per-function own hashes (``repro.ir.callgraph``)."""
 
 import subprocess
 import sys
@@ -6,7 +6,6 @@ import sys
 from repro.frontend import compile_source
 from repro.ir.callgraph import (
     CallGraph,
-    ModuleFingerprints,
     function_own_hash,
     module_fingerprints,
 )
@@ -17,8 +16,6 @@ int b(int x) { int y = a(x); if (y < 20) { y = y + 2; } return y; }
 int c(int x) { int z = b(x); if (z < 30) { z = z + 3; } return z; }
 int lone(int x) { return x + 7; }
 """
-
-CHAIN_EDIT_A = CHAIN.replace("x = x + 1", "x = x + 5")
 
 MUTUAL = """
 int odd(int n) {
@@ -46,9 +43,6 @@ def test_call_graph_edges_and_closures():
     assert graph.callees["a"] == []
     assert graph.callers["a"] == ["b"]
     assert graph.callers["lone"] == []
-    assert graph.transitive_callers("a") == {"a", "b", "c"}
-    assert graph.transitive_callees("c") == {"a", "b", "c"}
-    assert graph.transitive_callees("a") == {"a"}
 
 
 def test_components_are_callee_first():
@@ -75,14 +69,31 @@ def test_undefined_callees_contribute_no_edges():
     assert graph.callees["f"] == []
 
 
-# -- stability ---------------------------------------------------------------------
+def test_self_recursion_is_a_cyclic_component():
+    source = """
+int fact(int n) {
+  if (n < 2) { return 1; }
+  return n * fact(n - 1);
+}
+"""
+    graph = CallGraph(compile_source(source, module_name="m"))
+    assert graph.callees["fact"] == ["fact"]
+    assert graph.components() == [["fact"]]
+
+
+# -- own hashes ----------------------------------------------------------------------
+
+def test_own_hash_tracks_printed_ir():
+    module = compile_source(CHAIN, module_name="m")
+    function = module.get_function("a")
+    assert function_own_hash(function) == \
+        module_fingerprints(module).own["a"]
+
 
 def test_fingerprints_stable_across_compiles():
     first, second = _prints(CHAIN), _prints(CHAIN)
     assert first.own == second.own
-    assert first.fingerprint == second.fingerprint
-    assert first.region == second.region
-    assert first.dirty_since(second) == []
+    assert sorted(first.own) == ["a", "b", "c", "lone"]
 
 
 def test_fingerprints_stable_across_processes():
@@ -97,9 +108,8 @@ def test_fingerprints_stable_across_processes():
         "from repro.frontend import compile_source\n"
         "from repro.ir.callgraph import module_fingerprints\n"
         "prints = module_fingerprints(compile_source({src!r}, module_name='m'))\n"
-        "for name in prints.names():\n"
-        "    print(name, prints.own[name], prints.fingerprint[name],"
-        " prints.region[name])\n"
+        "for name in sorted(prints.own):\n"
+        "    print(name, prints.own[name])\n"
     ).format(path=src_dir, src=CHAIN)
     outputs = {
         subprocess.run([sys.executable, "-c", script],
@@ -109,75 +119,6 @@ def test_fingerprints_stable_across_processes():
     local = _prints(CHAIN)
     lines = {line.split()[0]: line.split()[1:]
              for line in outputs.pop().strip().splitlines()}
-    for name in local.names():
-        assert lines[name] == [
-            local.own[name], local.fingerprint[name], local.region[name]]
-
-
-# -- blast radius ------------------------------------------------------------------
-
-def test_editing_a_leaf_dirties_exactly_its_callers_fingerprints():
-    before, after = _prints(CHAIN), _prints(CHAIN_EDIT_A)
-    assert after.dirty_since(before) == ["a"]
-    changed = {name for name in after.names()
-               if after.fingerprint[name] != before.fingerprint[name]}
-    # Dependency fingerprints: the edited function plus transitive callers.
-    assert changed == {"a", "b", "c"}
-    # Region fingerprints flow the other way: the edited function plus its
-    # transitive callees (facts flow caller -> callee).
-    regions = {name for name in after.names()
-               if after.region[name] != before.region[name]}
-    assert regions == {"a"}
-    assert after.own["lone"] == before.own["lone"]
-    assert after.fingerprint["lone"] == before.fingerprint["lone"]
-
-
-def test_editing_a_root_dirties_callee_regions_only():
-    edited = CHAIN.replace("z + 3", "z + 9")
-    before, after = _prints(CHAIN), _prints(edited)
-    assert after.dirty_since(before) == ["c"]
-    changed = {name for name in after.names()
-               if after.fingerprint[name] != before.fingerprint[name]}
-    assert changed == {"c"}
-    regions = {name for name in after.names()
-               if after.region[name] != before.region[name]}
-    assert regions == {"a", "b", "c"}
-
-
-def test_recursive_component_members_share_the_edit():
-    edited = MUTUAL.replace("return 1;", "return 2;")
-    before, after = _prints(MUTUAL), _prints(edited)
-    assert after.dirty_since(before) == ["even"]
-    changed = {name for name in after.names()
-               if after.fingerprint[name] != before.fingerprint[name]}
-    # even and odd are one SCC: editing either re-fingerprints both, and
-    # their caller's dependency cone contains them.
-    assert changed == {"even", "odd", "driver"}
-    # Members with different bodies still fingerprint differently.
-    assert after.fingerprint["even"] != after.fingerprint["odd"]
-
-
-def test_self_recursion_is_a_cyclic_component():
-    source = """
-int fact(int n) {
-  if (n < 2) { return 1; }
-  return n * fact(n - 1);
-}
-"""
-    graph = CallGraph(compile_source(source, module_name="m"))
-    assert graph.callees["fact"] == ["fact"]
-    prints = _prints(source)
-    assert prints.fingerprint["fact"] != prints.own["fact"]
-
-
-def test_own_hash_tracks_printed_ir():
-    module = compile_source(CHAIN, module_name="m")
-    function = module.get_function("a")
-    assert function_own_hash(function) == \
-        module_fingerprints(module).own["a"]
-
-
-def test_dirty_since_reports_new_functions():
-    extended = CHAIN + "\nint extra(int x) { return a(x); }\n"
-    before, after = _prints(CHAIN), _prints(extended)
-    assert after.dirty_since(before) == ["extra"]
+    assert sorted(lines) == sorted(local.own)
+    for name in local.own:
+        assert lines[name] == [local.own[name]]

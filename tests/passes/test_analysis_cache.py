@@ -112,40 +112,7 @@ def test_cache_statistics_dict():
     assert 0.0 <= payload["hit_ratio"] <= 1.0
 
 
-def test_evaluation_payloads_round_trip():
-    module, function = build_two_index_loop_module()
-    cache = FunctionAnalysisCache()
-    assert cache.get_evaluation(function, "lt") is None
-    payload = {"counts": {"no_alias": 1}, "codes": "N"}
-    cache.put_evaluation(function, "lt", payload)
-    assert cache.get_evaluation(function, "lt") is payload
-    assert cache.get_evaluation(function, "basicaa") is None
-    assert cache.evaluation_count() == 1
-
-
-def test_evaluation_payloads_survive_essa_conversion():
-    # Payloads are content-addressed against pre-conversion IR by the engine
-    # and describe the post-pipeline result, so the cache's own conversion
-    # must not drop them.
-    module, function = build_two_index_loop_module()
-    cache = FunctionAnalysisCache()
-    cache.put_evaluation(function, "lt", {"codes": "N"})
-    cache.ensure_essa(function)
-    assert cache.get_evaluation(function, "lt") == {"codes": "N"}
-
-
-def test_invalidate_drops_evaluation_payloads():
-    module, function = build_two_index_loop_module()
-    cache = FunctionAnalysisCache()
-    cache.put_evaluation(function, "lt", {"codes": "N"})
-    cache.invalidate(function)
-    assert cache.get_evaluation(function, "lt") is None
-    cache.put_evaluation(function, "basicaa", {"codes": "M"})
-    cache.invalidate()
-    assert cache.evaluation_count() == 0
-
-
-# -- call-graph-scoped invalidation and refresh ------------------------------------
+# -- invalidation and refresh ---------------------------------------------------------
 
 CHAIN = """
 int a(int x) { if (x < 10) { x = x + 1; } return x; }
@@ -162,32 +129,18 @@ def _compile_chain(source=CHAIN):
     return module, {f.name: f for f in module.defined_functions()}
 
 
-def test_invalidate_scopes_sibling_payloads_by_reachability():
+def test_invalidate_keeps_sibling_function_state():
     module, functions = _compile_chain()
     cache = FunctionAnalysisCache()
-    for name in functions:
-        cache.put_evaluation(functions[name], "lt", {"codes": name})
+    module_level = cache.module_lessthan(module)  # converts to e-SSA first
+    ranges = {name: cache.ranges(function) for name, function in functions.items()}
     cache.invalidate(functions["b"])
-    # b's transitive callers (c) and callees (a) are coupled to the edit...
-    assert cache.get_evaluation(functions["b"], "lt") is None
-    assert cache.get_evaluation(functions["a"], "lt") is None
-    assert cache.get_evaluation(functions["c"], "lt") is None
-    # ...but an unreachable sibling keeps its payload.
-    assert cache.get_evaluation(functions["lone"], "lt") == {"codes": "lone"}
-
-
-def test_drop_one_evaluation_keeps_other_labels():
-    module, functions = _compile_chain()
-    cache = FunctionAnalysisCache()
-    cache.put_evaluation(functions["a"], "lt", {"codes": "N"})
-    cache.put_evaluation(functions["a"], "basicaa", {"codes": "M"})
-    cache._drop_one_evaluation(functions["a"], "lt")
-    assert cache.get_evaluation(functions["a"], "lt") is None
-    assert cache.get_evaluation(functions["a"], "basicaa") == {"codes": "M"}
-    # The per-function index stays consistent: a full drop removes the rest.
-    cache._drop_function_evaluations(functions["a"])
-    assert cache.evaluation_count() == 0
-    assert functions["a"] not in cache._function_evaluations
+    # The module solve embeds b's constraints and goes; the other functions'
+    # ranges depend on their own IR only and stay.
+    assert cache.module_lessthan(module) is not module_level
+    assert cache.ranges(functions["b"]) is not ranges["b"]
+    for name in ("a", "c", "lone"):
+        assert cache.ranges(functions[name]) is ranges[name]
 
 
 def test_refresh_baseline_reports_everything_dirty():
@@ -198,75 +151,55 @@ def test_refresh_baseline_reports_everything_dirty():
     assert result.clean == [] and result.removed == [] and result.migrated == 0
 
 
-def test_refresh_migrates_clean_payloads_across_recompiles():
+def test_refresh_classifies_and_purges_the_previous_compile():
     module, functions = _compile_chain()
     cache = FunctionAnalysisCache()
     cache.refresh(module)
-    for name in functions:
-        cache.put_evaluation(functions[name], "lt", {"codes": name})
+    cache.module_lessthan(module)
+    assert cache.cached_functions() == len(functions)
     edited, new_functions = _compile_chain(
         CHAIN.replace("x = x + 1", "x = x + 5"))
     result = cache.refresh(edited)
     assert result.dirty == ["a"]
-    assert sorted(result.clean) == ["b", "c", "lone"]
-    # lt is region-scoped (function + transitive callers); editing the leaf
-    # a leaves the regions of b, c and lone unchanged, so all three migrate.
-    assert result.migrated == 3
-    for name in ("b", "c", "lone"):
-        assert cache.get_evaluation(new_functions[name], "lt") == {"codes": name}
-    assert cache.get_evaluation(new_functions["a"], "lt") is None
+    assert result.clean == ["b", "c", "lone"]
+    assert result.removed == [] and result.migrated == 0
+    # Nothing of the previous compile survives, clean functions included.
+    assert cache.cached_functions() == 0
+    assert not cache._module_lessthan
+    assert set(cache._snapshots["chain"].functions.values()) \
+        == set(new_functions.values())
 
 
-def test_refresh_region_scope_blocks_caller_edits():
-    # Editing the root c changes the regions of its transitive callees
-    # (facts flow caller -> callee), so their region-scoped payloads must
-    # NOT migrate even though their own IR is unchanged.
-    module, functions = _compile_chain()
+def test_refresh_reports_new_functions_dirty():
+    module, _functions = _compile_chain()
     cache = FunctionAnalysisCache()
     cache.refresh(module)
-    for name in functions:
-        cache.put_evaluation(functions[name], "lt", {"codes": name})
-    edited, new_functions = _compile_chain(CHAIN.replace("z + 3", "z + 9"))
-    result = cache.refresh(edited)
-    assert result.dirty == ["c"]
-    assert result.migrated == 1  # lone only
-    assert cache.get_evaluation(new_functions["lone"], "lt") == {"codes": "lone"}
-    for name in ("a", "b"):
-        assert cache.get_evaluation(new_functions[name], "lt") is None
-
-
-def test_refresh_module_scope_requires_identical_module():
-    module, functions = _compile_chain()
-    cache = FunctionAnalysisCache()
-    cache.refresh(module)
-    for name in functions:
-        cache.put_evaluation(functions[name], "andersen", {"codes": name})
-    # Byte-identical recompile: module-scoped payloads migrate.
-    same, same_functions = _compile_chain()
-    assert cache.refresh(same).migrated == len(functions)
-    # Any edit: module-scoped payloads die everywhere.
-    edited, new_functions = _compile_chain(
-        CHAIN.replace("x = x + 1", "x = x + 5"))
-    for name in same_functions:
-        cache.put_evaluation(same_functions[name], "andersen", {"codes": name})
-    result = cache.refresh(edited)
-    assert result.migrated == 0
-    for name in new_functions:
-        assert cache.get_evaluation(new_functions[name], "andersen") is None
+    extended, _ = _compile_chain(CHAIN + "\nint extra(int x) { return a(x); }\n")
+    result = cache.refresh(extended)
+    assert result.dirty == ["extra"]
+    assert result.clean == ["a", "b", "c", "lone"]
 
 
 def test_refresh_in_place_drops_only_dirty_state():
     module, functions = _compile_chain()
     cache = FunctionAnalysisCache()
     cache.refresh(module)
-    for name in functions:
-        cache.put_evaluation(functions[name], "lt", {"codes": name})
-    # Refreshing the *same* compile in place: everything clean, payloads
-    # stay on their (current) objects without double-migration.
+    ranges = {name: cache.ranges(function) for name, function in functions.items()}
+    # Refreshing the *same* compile in place: everything clean, and the
+    # state of the current objects stays.
     result = cache.refresh(module)
     assert result.dirty == [] and result.migrated == 0
-    for name in functions:
-        assert cache.get_evaluation(functions[name], "lt") == {"codes": name}
+    for name, function in functions.items():
+        assert cache.ranges(function) is ranges[name]
+    # The e-SSA conversion rewrites a, b and c in place (lone has no
+    # branch); a refresh drops exactly their state and the module solve.
+    module_level = cache.module_lessthan(module)
+    converted = {name: cache.ranges(function) for name, function in functions.items()}
+    result = cache.refresh(module)
+    assert result.dirty == ["a", "b", "c"] and result.clean == ["lone"]
+    assert cache.module_lessthan(module) is not module_level
+    assert cache.ranges(functions["lone"]) is converted["lone"]
+    assert cache.ranges(functions["a"]) is not converted["a"]
 
 
 def test_refresh_reports_removed_functions():
