@@ -52,7 +52,7 @@ def test_figure11_constraints_linear_in_instructions(benchmark):
     largest_module = compile_source(largest_source, module_name=largest.name)
     # Convert once (untimed) so the timed analysis below runs on the same
     # e-SSA form the per-program measurements saw.
-    LessThanAnalysis(largest_module, build_essa=True, interprocedural=True)
+    LessThanAnalysis(largest_module, build_essa=True)
     benchmark(lambda: LessThanAnalysis(largest_module, build_essa=False))
 
     instructions = [row["instructions"] for row in rows]

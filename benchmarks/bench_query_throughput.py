@@ -40,7 +40,7 @@ MIN_SPEEDUP = env_float("REPRO_MIN_SPEEDUP", 5.0)
 def _seed_evaluate_module(module):
     """The seed path: a fresh analysis per evaluation and the
     recompute-per-query reference (equivalence-class walks per pair)."""
-    analysis = LessThanAnalysis(module, build_essa=True, interprocedural=True)
+    analysis = LessThanAnalysis(module, build_essa=True)
     limit = resolved_class_limit()
     evaluation = AliasEvaluation()
     for function in module.defined_functions():
@@ -82,7 +82,7 @@ def _measure_program(program):
     # Convert to e-SSA once, untimed: the conversion mutates the IR and is
     # therefore paid once by whichever path runs first; keeping it out of the
     # timed region makes the comparison about query/analysis cost only.
-    LessThanAnalysis(module, build_essa=True, interprocedural=True)
+    LessThanAnalysis(module, build_essa=True)
 
     seed_seconds, seed_eval = _time_repeats(
         lambda: _seed_evaluate_module(module), REPEATS)

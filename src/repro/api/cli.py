@@ -27,6 +27,7 @@ to the in-process API (asserted by ``tests/api/test_cli.py``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -178,8 +179,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         # Inside the activation so --seed reaches the synthetic generators.
         units = _collect_units(args)
     with Session(config) as session:
-        results = session.run_workload(
-            units, specs=specs, interprocedural=not args.intraprocedural)
+        results = session.run_workload(units, specs=specs)
     if config.trace:
         # Session.close() wrote the timeline; note it on stderr so --json
         # stdout stays byte-identical to an untraced run.
@@ -248,13 +248,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     config = _config_from_arguments(args)
     with config.activate():
         units = _collect_units(args, command="check")
-    interprocedural = not args.intraprocedural
     unit_reports = []
     with Session(config) as session:
         for name, source in units:
             compiled = session.compile(source, name=name)
-            compiled.analyze(interprocedural)
-            unit_reports.append((name, compiled.verify(interprocedural)))
+            compiled.analyze()
+            unit_reports.append((name, compiled.verify()))
 
     if args.json:
         payload = {
@@ -342,22 +341,20 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     source = _read_source(args.source)
     name = _unit_name(args.source)
-    interprocedural = not args.intraprocedural
     config = _config_from_arguments(args)
-    # --timings needs spans even without a --trace file: start a capture
-    # for the duration of the command.
-    capture_here = args.timings and not config.trace
-    if capture_here:
-        TRACER.enable()
-    with Session(config) as session:
+    # --timings needs spans even without a --trace file: capture for the
+    # duration of the command, and stop even when the command fails.
+    capture = (TRACER.capture() if args.timings and not config.trace
+               else contextlib.nullcontext())
+    with capture, Session(config) as session:
         unit = session.compile(source, name=name)
-        report = unit.analyze(interprocedural).disambiguate(interprocedural)
+        report = unit.analyze().disambiguate()
         if session.config.verify != "off":
             # stats analyzes through the session cache, not the engine, so
             # the post-solve hook never fires here; honor the knob directly.
-            unit.verify(interprocedural).raise_if_failed(
+            unit.verify().raise_if_failed(
                 "REPRO_VERIFY={}".format(session.config.verify))
-        lt_statistics = unit.lessthan(interprocedural).statistics
+        lt_statistics = unit.lessthan().statistics
         range_totals: Dict[str, int] = {}
         with session.config.activate():
             for function in unit.module.defined_functions():
@@ -453,8 +450,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                         print("  {:24s} {}".format(key, value))
         if args.timings:
             _print_timings()
-    if capture_here:
-        TRACER.disable()
     return 0
 
 
@@ -514,8 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser.add_argument("--specs", default=DEFAULT_SPEC_STRING,
                              help="comma-separated analysis configurations "
                                   "(default {!r})".format(DEFAULT_SPEC_STRING))
-    eval_parser.add_argument("--intraprocedural", action="store_true",
-                             help="disable interprocedural pseudo-phi constraints")
     eval_parser.add_argument("--json", action="store_true",
                              help="emit JSON (counts + per-pair verdict codes)")
     eval_parser.add_argument("--csv", default=None, metavar="PATH",
@@ -533,9 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="also check a synthetic workload collection")
     check_parser.add_argument("--count", type=int, default=8, metavar="N",
                               help="synthetic program count (default 8)")
-    check_parser.add_argument("--intraprocedural", action="store_true",
-                              help="disable interprocedural pseudo-phi "
-                                   "constraints")
     check_parser.add_argument("--json", action="store_true",
                               help="emit the full diagnostic report as JSON")
     _add_config_arguments(check_parser)
@@ -553,8 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats_parser = subparsers.add_parser(
         "stats", help="solver/disambiguation/cache statistics for one source")
     stats_parser.add_argument("source", help="mini-C source file ('-' = stdin)")
-    stats_parser.add_argument("--intraprocedural", action="store_true",
-                              help="disable interprocedural pseudo-phi constraints")
     stats_parser.add_argument("--timings", action="store_true",
                               help="per-phase timing table (total/self time, "
                                    "call counts, p50/p99, per-lane skew)")

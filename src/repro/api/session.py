@@ -134,29 +134,26 @@ class CompiledUnit:
         self.module = module
 
     # -- pipeline ----------------------------------------------------------------
-    def analyze(self, interprocedural: bool = True) -> "CompiledUnit":
+    def analyze(self) -> "CompiledUnit":
         """Run (or hit) the less-than analysis; returns ``self`` to chain."""
-        with self.session.config.activate():
-            self.session.cache.module_lessthan(self.module, interprocedural)
+        self.lessthan()
         return self
 
-    def lessthan(self, interprocedural: bool = True) -> LessThanAnalysis:
+    def lessthan(self) -> LessThanAnalysis:
         """The (memoized) module-level less-than analysis."""
         with self.session.config.activate():
-            return self.session.cache.module_lessthan(self.module,
-                                                      interprocedural)
+            return self.session.cache.module_lessthan(self.module)
 
-    def disambiguator(self, interprocedural: bool = True) -> PointerDisambiguator:
+    def disambiguator(self) -> PointerDisambiguator:
         """The session-cached disambiguator over :meth:`lessthan`."""
         with self.session.config.activate():
-            return self.session.cache.module_disambiguator(self.module,
-                                                           interprocedural)
+            return self.session.cache.module_disambiguator(self.module)
 
-    def disambiguate(self, interprocedural: bool = True) -> DisambiguationReport:
+    def disambiguate(self) -> DisambiguationReport:
         """Query every unordered pointer pair of every defined function."""
         with self.session.config.activate():
             disambiguator = self.session.cache.module_disambiguator(
-                self.module, interprocedural)
+                self.module)
             pairs: List[PairVerdict] = []
             for function in self.module.defined_functions():
                 pointers = collect_pointer_values(function)
@@ -178,7 +175,7 @@ class CompiledUnit:
         """``aa-eval`` this module in-process through the session."""
         return self.session.evaluate(self.module, specs=specs, **kwargs)
 
-    def verify(self, interprocedural: bool = True) -> "VerificationReport":
+    def verify(self) -> "VerificationReport":
         """Run the self-check suite over this module's solved pipeline.
 
         Analyzes first if the unit has not been analyzed yet (the checkers
@@ -189,10 +186,9 @@ class CompiledUnit:
         ``.raise_if_failed()``.
         """
         with self.session.config.activate():
-            analysis = self.session.cache.module_lessthan(self.module,
-                                                          interprocedural)
+            analysis = self.session.cache.module_lessthan(self.module)
             disambiguator = self.session.cache.module_disambiguator(
-                self.module, interprocedural)
+                self.module)
             return verify_analysis(analysis, disambiguator)
 
     # -- views -------------------------------------------------------------------
@@ -312,7 +308,7 @@ class Session:
         self._compiled.append(unit)
         return unit
 
-    def verify(self, interprocedural: bool = True) -> VerificationReport:
+    def verify(self) -> VerificationReport:
         """Self-check every module this session has compiled.
 
         Runs the full suite (IR lint, σ lint, interval and LT fixpoint
@@ -324,14 +320,13 @@ class Session:
         """
         merged = VerificationReport()
         for unit in self._compiled:
-            merged = merged.merge(unit.verify(interprocedural))
+            merged = merged.merge(unit.verify())
         return merged
 
     # -- evaluation ----------------------------------------------------------------
     def evaluate(self, module: Module,
                  specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
-                 *, cache: Optional[FunctionAnalysisCache] = None,
-                 interprocedural: bool = True) -> UnitResult:
+                 *, cache: Optional[FunctionAnalysisCache] = None) -> UnitResult:
         """``aa-eval`` an already compiled module in-process.
 
         Shares the session cache (pass ``cache=`` to substitute one), so the
@@ -341,13 +336,12 @@ class Session:
         """
         with self.config.activate():
             payload = _driver.worker_module.evaluate_module_functions(
-                module, specs, cache if cache is not None else self.cache,
-                interprocedural=interprocedural)
+                module, specs, cache if cache is not None else self.cache)
             return UnitResult(payload)
 
     def update_source(self, name: str, source: str,
                       specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
-                      *, interprocedural: bool = True) -> "UpdateResult":
+                      ) -> "UpdateResult":
         """Re-evaluate module ``name`` after an edit.
 
         The churn entry point: recompiles ``source``, diffs each function's
@@ -375,24 +369,21 @@ class Session:
             self._updated[name] = module
             if previous is not None:
                 previous.release()
-            result = self.evaluate(module, specs,
-                                   interprocedural=interprocedural)
+            result = self.evaluate(module, specs)
         return UpdateResult(result, refresh)
 
     def evaluate_source(self, name: str, source: str,
                         specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
-                        *, store: object = None,
-                        interprocedural: bool = True) -> UnitResult:
+                        *, store: object = None) -> UnitResult:
         """``aa-eval`` one module from source: :meth:`run_workload` over the
         single unit ``(name, source)``."""
-        return self.run_workload([(name, source)], specs=specs, store=store,
-                                 interprocedural=interprocedural)[0]
+        return self.run_workload([(name, source)], specs=specs,
+                                 store=store)[0]
 
     def run_workload(self, units: Sequence[UnitLike], kind: str = "aaeval",
                      specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
                      *, workers: Optional[int] = None,
                      store: object = None,
-                     interprocedural: bool = True,
                      max_tasks_per_child: Optional[int] = None,
                      on_result=None) -> List[UnitResult]:
         """Evaluate one work unit per program, possibly over a worker pool.
@@ -403,7 +394,7 @@ class Session:
         ``on_result`` observes each :class:`UnitResult` as it lands.
         """
         with self.config.activate():
-            work = _driver._normalize_units(units, kind, specs, interprocedural)
+            work = _driver._normalize_units(units, kind, specs)
             worker_count = self._worker_count(workers)
             store_obj, owned = self._resolve_store_arg(store)
             on_payload = None

@@ -8,7 +8,8 @@ artifact (``RangeAnalysis`` → ``vSSA`` → ``sraa``):
    additions vs. subtractions);
 2. generate the constraints of Figure 7 for the whole module, plus the
    interprocedural pseudo-φ constraints that bind formal parameters to the
-   actual arguments of their call sites (Section 4);
+   actual arguments of their call sites (Section 4); a formal without call
+   sites behaves like an unknown input;
 3. solve them with the worklist solver.
 """
 
@@ -39,9 +40,6 @@ class LessThanAnalysis:
         When true (the default), every function is converted to e-SSA form
         in place before constraints are generated.  Pass False when the
         module is already in e-SSA form (e.g. when chaining analyses).
-    interprocedural:
-        Generate pseudo-φ constraints binding formal parameters to actual
-        arguments; otherwise parameters behave like unknown inputs.
     cache:
         The :class:`~repro.passes.analysis_cache.FunctionAnalysisCache` the
         e-SSA conversions and range analyses are fetched from (and stored
@@ -51,7 +49,6 @@ class LessThanAnalysis:
     """
 
     def __init__(self, module: Module, build_essa: bool = True,
-                 interprocedural: bool = True,
                  cache: Optional[FunctionAnalysisCache] = None) -> None:
         self.cache = cache if cache is not None else FunctionAnalysisCache()
         self.functions: List[Function] = [
@@ -64,7 +61,7 @@ class LessThanAnalysis:
         with TRACER.span("lt.generate",
                          functions=len(self.functions)) as span:
             self.constraints: List[Constraint] = ConstraintGenerator(
-                self.ranges).generate_for_module(module, interprocedural)
+                self.ranges).generate_for_module(module)
             span.annotate(constraints=len(self.constraints))
         solver = ConstraintSolver(self.constraints)
         self.lt_sets: Dict[Value, FrozenSet[Value]] = solver.solve()

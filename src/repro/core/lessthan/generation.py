@@ -17,6 +17,10 @@ comparison predicates and to pointer arithmetic through ``gep``):
                                     ``LT(x1t) = LT(x1)``,
                                     ``LT(x2f) = LT(x2)``,
                                     ``LT(x1f) = LT(x1) ∪ LT(x2f)``
+
+Each formal parameter gets the pseudo-φ of Section 4,
+``LT(p) = LT(a1) ∩ ... ∩ LT(an)`` over the actual arguments of its call
+sites; with no call site, or a constant actual, ``LT(p) = ∅``.
 """
 
 from __future__ import annotations
@@ -78,12 +82,12 @@ class ConstraintGenerator:
         self._ranges = ranges
 
     # -- entry point -------------------------------------------------------------
-    def generate_for_module(self, module: Module, interprocedural: bool = True) -> List[Constraint]:
+    def generate_for_module(self, module: Module) -> List[Constraint]:
         """Generate constraints for every function of ``module``.
 
-        With ``interprocedural`` set, formal parameters are constrained by a
-        pseudo-φ over the actual arguments of every call site, as described
-        in Section 4 of the paper; otherwise they behave like unknown inputs.
+        Formal parameters are constrained by a pseudo-φ over the actual
+        arguments of every call site, as described in Section 4 of the
+        paper; a formal without call sites behaves like an unknown input.
         """
         constraints: List[Constraint] = []
         argument_constraints: Dict[Argument, Constraint] = {}
@@ -97,8 +101,7 @@ class ConstraintGenerator:
                 if not inst.produces_value():
                     continue
                 constraints.append(self._constraint_for(inst, ranges))
-        if interprocedural:
-            self._add_pseudo_phis(module, argument_constraints)
+        self._add_pseudo_phis(module, argument_constraints)
         constraints.extend(argument_constraints.values())
         return constraints
 

@@ -36,12 +36,12 @@ class StrictInequalityAliasAnalysis(AliasAnalysis):
 
     name = "lt"
 
-    def __init__(self, module: Module, interprocedural: bool = True,
+    def __init__(self, module: Module,
                  cache: Optional[FunctionAnalysisCache] = None) -> None:
         if cache is None:
             cache = FunctionAnalysisCache()
-        self.analysis = cache.module_lessthan(module, interprocedural)
-        self.disambiguator = cache.module_disambiguator(module, interprocedural)
+        self.analysis = cache.module_lessthan(module)
+        self.disambiguator = cache.module_disambiguator(module)
 
     def alias(self, loc_a: MemoryLocation, loc_b: MemoryLocation) -> AliasResult:
         if self.disambiguator.no_alias(loc_a.pointer, loc_b.pointer):

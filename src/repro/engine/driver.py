@@ -106,8 +106,7 @@ UnitLike = Union[WorkUnit, Tuple[str, str], object]
 
 
 def _normalize_units(units: Sequence[UnitLike], kind: str,
-                     specs: Sequence[Sequence[str]],
-                     interprocedural: bool) -> List[WorkUnit]:
+                     specs: Sequence[Sequence[str]]) -> List[WorkUnit]:
     spec_tuple = tuple(tuple(spec) for spec in specs)
     normalized: List[WorkUnit] = []
     for unit in units:
@@ -115,12 +114,11 @@ def _normalize_units(units: Sequence[UnitLike], kind: str,
             normalized.append(unit)
         elif isinstance(unit, tuple) and len(unit) == 2:
             name, source = unit
-            normalized.append(WorkUnit(kind, name, source, spec_tuple,
-                                       interprocedural))
+            normalized.append(WorkUnit(kind, name, source, spec_tuple))
         elif hasattr(unit, "name") and hasattr(unit, "source"):
             # WorkloadProgram and friends.
             normalized.append(WorkUnit(kind, unit.name, unit.source,
-                                       spec_tuple, interprocedural))
+                                       spec_tuple))
         else:
             raise TypeError("cannot build a WorkUnit from {!r}".format(unit))
     return normalized

@@ -6,8 +6,8 @@ so the same source always produces bit-identical IR and bit-identical
 verdicts.  The :class:`AnalysisStore` exploits that to memoize whole work
 units *across processes and across runs*: each entry is one unit's merged
 payload, keyed by :func:`unit_key` over the unit's kind, name, source text,
-spec labels, interprocedural mode and equivalence-class limit.  A warm
-store lets repeated benchmark runs skip compilation and analysis entirely.
+spec labels and equivalence-class limit.  A warm store lets repeated
+benchmark runs skip compilation and analysis entirely.
 
 The store is one sqlite file — safe concurrent readers, a single writer
 (the coordinator); schema::
@@ -55,7 +55,7 @@ from repro.api.config import ConfigError, resolved_store_max_bytes
 
 #: bump when the analysis pipeline's semantics or the key derivation change
 #: in a way that makes previously persisted entries stale or unreachable.
-#: v2: function-level keys encode the interprocedural mode.
+#: v2: function-level keys encode the less-than mode (a switch since removed).
 #: v3: entries carry generation and size columns (growth management).
 #: v4: persisted statistics payloads carry solver (SolverInfo) counters.
 #: v5: function-level keys fold a call-graph-aware *fingerprint* (dependency
@@ -85,13 +85,13 @@ def text_hash(text: str) -> str:
 
 
 def unit_key(kind: str, name: str, source: str, labels: Sequence[str],
-             interprocedural: bool, class_limit: Optional[int]) -> str:
+             class_limit: Optional[int]) -> str:
     """Content-address a whole work unit's payload by its *source text*.
 
     The frontend is deterministic, so the source uniquely determines the IR;
-    the labels, the interprocedural mode and the resolved equivalence-class
-    limit (``None`` = unlimited) determine every verdict on top of it.  A
-    hit answers the unit before compilation even starts.
+    the labels and the resolved equivalence-class limit (``None`` =
+    unlimited) determine every verdict on top of it.  A hit answers the unit
+    before compilation even starts.
     """
     digest = hashlib.sha256()
     # Each part is digested NUL-terminated rather than pre-joined with a
@@ -99,7 +99,8 @@ def unit_key(kind: str, name: str, source: str, labels: Sequence[str],
     # ["a", "b"] once a label contains the separator character.
     parts: List[str] = [kind, name, source]
     parts.extend(labels)
-    parts.append("ip" if interprocedural else "fn")
+    # The one value of a removed mode switch: folding it keeps aaeval-9 keys.
+    parts.append("ip")
     parts.append("limit={}".format(class_limit or 0))
     for part in parts:
         digest.update(part.encode("utf-8"))

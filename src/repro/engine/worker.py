@@ -9,8 +9,8 @@ statistics dicts — which the coordinator collects.
 The engine's caching discipline is one memo per unit:
 
 1. with a store, look the ``aaeval`` unit up whole by
-   :func:`~repro.engine.store.unit_key` (source text, labels, mode and
-   class limit); a hit is the payload, and nothing is compiled,
+   :func:`~repro.engine.store.unit_key` (source text, labels and class
+   limit); a hit is the payload, and nothing is compiled,
 2. on a miss, compile the source, convert the module to e-SSA form and
    evaluate every requested analysis configuration over every function,
 3. ship the merged payload back to the coordinator, which alone writes it
@@ -87,14 +87,13 @@ def initialize_worker(src_path: Optional[str],
             TRACER.enable()
 
 
-def build_analysis(member: str, module: Module, cache: FunctionAnalysisCache,
-                   interprocedural: bool = True) -> AliasAnalysis:
+def build_analysis(member: str, module: Module,
+                   cache: FunctionAnalysisCache) -> AliasAnalysis:
     """Instantiate one analysis spec member (``basicaa``, ``lt``, ...)."""
     if member == "basicaa":
         return BasicAliasAnalysis()
     if member == "lt":
-        return StrictInequalityAliasAnalysis(module, interprocedural=interprocedural,
-                                             cache=cache)
+        return StrictInequalityAliasAnalysis(module, cache=cache)
     if member == "andersen":
         return AndersenAliasAnalysis(module)
     if member == "steensgaard":
@@ -107,7 +106,6 @@ def build_analysis(member: str, module: Module, cache: FunctionAnalysisCache,
 def evaluate_module_functions(module: Module,
                               specs: Sequence[Sequence[str]] = (("lt",),),
                               cache: Optional[FunctionAnalysisCache] = None,
-                              interprocedural: bool = True,
                               name: Optional[str] = None) -> Dict[str, object]:
     """Evaluate ``specs`` over every defined function of ``module``.
 
@@ -119,13 +117,16 @@ def evaluate_module_functions(module: Module,
     answers all pairs once (:func:`evaluate_function_verdicts`), a spec's
     codes are the :func:`chain_codes` merge of its members' streams, and its
     counts are tallied from those codes.  ``cache`` supplies the analyses;
-    the query loops run on every call.
+    the query loops run on every call, and the payload's ``queries`` counts
+    this call's queries only.
     """
     cache = cache if cache is not None else FunctionAnalysisCache()
     functions = list(module.defined_functions())
     # Member verdict streams per (function name, member).
     streams: Dict[Tuple[str, str], str] = {}
     members: Dict[str, AliasAnalysis] = {}
+    # A cached disambiguator's counters carry earlier calls' queries.
+    queries_before: Dict[str, int] = {}
 
     def member_codes(function, member: str) -> str:
         codes = streams.get((function.name, member))
@@ -138,8 +139,11 @@ def evaluate_module_functions(module: Module,
                 for defined in module.defined_functions():
                     cache.ensure_essa(defined)
             if member not in members:
-                members[member] = build_analysis(member, module, cache,
-                                                 interprocedural)
+                analysis = build_analysis(member, module, cache)
+                members[member] = analysis
+                if isinstance(analysis, StrictInequalityAliasAnalysis):
+                    queries_before[member] = (
+                        analysis.disambiguator.statistics.queries)
             _evaluation, codes = evaluate_function_verdicts(
                 function, members[member])
             streams[(function.name, member)] = codes
@@ -158,9 +162,10 @@ def evaluate_module_functions(module: Module,
                                             "verdicts": verdicts}
 
     statistics = DisambiguationStatistics()
-    for member in members.values():
-        if isinstance(member, StrictInequalityAliasAnalysis):
-            statistics = statistics.merge(member.disambiguator.statistics)
+    for member, analysis in members.items():
+        if isinstance(analysis, StrictInequalityAliasAnalysis):
+            statistics = statistics.merge(analysis.disambiguator.statistics)
+            statistics.queries -= queries_before[member]
 
     # Self-check hook (REPRO_VERIFY): after the statistics snapshot — the
     # audit restores the disambiguator counters it touches, so verified and
@@ -208,15 +213,14 @@ def _verify_prepared_analyses(
 
 def _job_aaeval(unit: WorkUnit, module: Module,
                 cache: FunctionAnalysisCache) -> Dict[str, object]:
-    return evaluate_module_functions(
-        module, unit.specs, cache,
-        interprocedural=unit.interprocedural, name=unit.name)
+    return evaluate_module_functions(module, unit.specs, cache,
+                                     name=unit.name)
 
 
 def _job_lessthan_stats(unit: WorkUnit, module: Module,
                         cache: FunctionAnalysisCache) -> Dict[str, object]:
     """Constraint-generation/solving metrics (the Figure 11 measurement)."""
-    analysis = cache.module_lessthan(module, unit.interprocedural)
+    analysis = cache.module_lessthan(module)
     statistics = analysis.statistics
     return {
         "kind": "lessthan-stats",
@@ -283,7 +287,7 @@ def _run_work_unit(unit: WorkUnit,
     memo_key = None
     if store is not None and unit.kind in CACHEABLE_KINDS:
         memo_key = unit_key(unit.kind, unit.name, unit.source, unit.labels(),
-                            unit.interprocedural, resolved_class_limit())
+                            resolved_class_limit())
         cached = store.get(memo_key)
         if cached is not None:
             payload = dict(cached)

@@ -39,8 +39,6 @@ class WorkUnit:
     source: str
     #: analysis configurations to evaluate (``aaeval`` jobs).
     specs: Tuple[Tuple[str, ...], ...] = DEFAULT_SPECS
-    #: whether less-than analyses run interprocedurally.
-    interprocedural: bool = True
 
     def labels(self) -> List[str]:
         return [spec_label(spec) for spec in self.specs]

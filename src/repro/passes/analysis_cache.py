@@ -12,10 +12,9 @@ is ever computed twice on an unchanged module:
 
 * e-SSA conversion status per function,
 * the :class:`RangeAnalysis` per function (the conversion's own solve),
-* the :class:`LessThanAnalysis` per module (keyed on the interprocedural
-  flag),
-* the :class:`~repro.core.disambiguation.PointerDisambiguator` per module
-  analysis, so its per-value tables survive across evaluation rounds.
+* the :class:`LessThanAnalysis` per module,
+* the :class:`~repro.core.disambiguation.PointerDisambiguator` per module,
+  so its per-value tables survive across evaluation rounds.
 
 Verdicts are not memoized here: the query loop re-runs on every
 evaluation, over the memoized analyses.
@@ -34,7 +33,7 @@ everywhere.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.essa.transform import EssaInfo, convert_to_essa
 from repro.ir import callgraph
@@ -144,8 +143,8 @@ class FunctionAnalysisCache:
     def __init__(self) -> None:
         self._essa: Dict[Function, EssaInfo] = {}
         self._ranges: Dict[Function, RangeAnalysis] = {}
-        self._module_lessthan: Dict[Tuple[Module, bool], "LessThanAnalysis"] = {}
-        self._module_disambiguators: Dict[Tuple[Module, bool], "PointerDisambiguator"] = {}
+        self._module_lessthan: Dict[Module, "LessThanAnalysis"] = {}
+        self._module_disambiguators: Dict[Module, "PointerDisambiguator"] = {}
         #: refresh baselines by module name.
         self._snapshots: Dict[str, _ModuleSnapshot] = {}
         self.statistics = CacheStatistics()
@@ -187,37 +186,31 @@ class FunctionAnalysisCache:
         return analysis
 
     # -- less-than analysis -----------------------------------------------------------
-    def module_lessthan(self, module: Module,
-                        interprocedural: bool = True) -> "LessThanAnalysis":
+    def module_lessthan(self, module: Module) -> "LessThanAnalysis":
         """The (memoized) whole-module less-than analysis."""
         from repro.core.lessthan.analysis import LessThanAnalysis
 
-        key = (module, interprocedural)
-        cached = self._module_lessthan.get(key)
+        cached = self._module_lessthan.get(module)
         if cached is not None:
             self.statistics.record("lessthan", hit=True)
             return cached
         self.statistics.record("lessthan", hit=False)
-        analysis = LessThanAnalysis(module, build_essa=True,
-                                    interprocedural=interprocedural, cache=self)
-        self._module_lessthan[key] = analysis
+        analysis = LessThanAnalysis(module, build_essa=True, cache=self)
+        self._module_lessthan[module] = analysis
         return analysis
 
     # -- disambiguators ------------------------------------------------------------
-    def module_disambiguator(self, module: Module,
-                             interprocedural: bool = True) -> "PointerDisambiguator":
+    def module_disambiguator(self, module: Module) -> "PointerDisambiguator":
         """A shared, table-backed disambiguator over :meth:`module_lessthan`."""
         from repro.core.disambiguation import PointerDisambiguator
 
-        key = (module, interprocedural)
-        cached = self._module_disambiguators.get(key)
+        cached = self._module_disambiguators.get(module)
         if cached is not None:
             self.statistics.record("disambiguator", hit=True)
             return cached
         self.statistics.record("disambiguator", hit=False)
-        analysis = self.module_lessthan(module, interprocedural)
-        disambiguator = PointerDisambiguator(analysis)
-        self._module_disambiguators[key] = disambiguator
+        disambiguator = PointerDisambiguator(self.module_lessthan(module))
+        self._module_disambiguators[module] = disambiguator
         return disambiguator
 
     # -- invalidation -----------------------------------------------------------------
@@ -226,10 +219,8 @@ class FunctionAnalysisCache:
         self._ranges.pop(function, None)
 
     def _drop_module(self, module: Module) -> None:
-        for key in [k for k in self._module_lessthan if k[0] is module]:
-            del self._module_lessthan[key]
-        for key in [k for k in self._module_disambiguators if k[0] is module]:
-            del self._module_disambiguators[key]
+        self._module_lessthan.pop(module, None)
+        self._module_disambiguators.pop(module, None)
 
     def invalidate(self, function: Optional[Function] = None) -> None:
         """Drop cached state for ``function`` (or everything, when ``None``).

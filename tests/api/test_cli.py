@@ -244,6 +244,23 @@ def test_source_that_does_not_compile_exits_2(source_file, tmp_path, capsys,
     assert "Traceback" not in completed.stderr
 
 
+def test_failing_stats_timings_stops_the_tracer(tmp_path, capsys):
+    """``stats --timings`` captures spans for the command only: a command
+    that fails leaves the process-global tracer off and its gc hook
+    unregistered."""
+    import gc
+
+    from repro.obs import TRACER
+
+    bad = tmp_path / "bad.c"
+    bad.write_text("int f(int x) { return x +; }\n", encoding="utf-8")
+    assert not TRACER.enabled
+    assert main(["stats", "--timings", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not TRACER.enabled
+    assert TRACER._on_collect not in gc.callbacks
+
+
 def test_eval_rejects_json_with_csv(source_file, tmp_path, capsys):
     csv_path = str(tmp_path / "out.csv")
     assert main(["eval", source_file, "--json", "--csv", csv_path]) == 2

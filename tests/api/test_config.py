@@ -184,7 +184,8 @@ def test_env_helpers(monkeypatch):
 
 
 def test_knob_surface_is_seven_fields():
-    """One store backend and no benchmark-size switch: neither is a knob."""
+    """One store backend, no benchmark-size switch and one less-than mode:
+    none of them is a knob."""
     from repro.api.cli import build_parser
 
     assert [field.name for field in dataclasses.fields(ReproConfig)] == [
@@ -193,3 +194,7 @@ def test_knob_surface_is_seven_fields():
     with pytest.raises(SystemExit) as raised:
         build_parser().parse_args(["eval", "--store-backend", "sqlite"])
     assert raised.value.code == 2
+    for command in (["eval"], ["check"], ["stats", "f.c"]):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(command + ["--intraprocedural"])
+        assert raised.value.code == 2

@@ -65,8 +65,7 @@ def test_cached_and_uncached_lt_sets_are_identical():
     for cached_program, seed_program in _workload_pair():
         cache = FunctionAnalysisCache()
         cached = cache.module_lessthan(cached_program.module)
-        seed = LessThanAnalysis(seed_program.module, build_essa=True,
-                                interprocedural=True)
+        seed = LessThanAnalysis(seed_program.module, build_essa=True)
         assert _lt_sets_by_name(cached) == _lt_sets_by_name(seed), \
             cached_program.name
 
@@ -75,8 +74,7 @@ def test_cached_and_uncached_disambiguation_reasons_are_identical():
     for cached_program, seed_program in _workload_pair():
         cache = FunctionAnalysisCache()
         cached_disambiguator = cache.module_disambiguator(cached_program.module)
-        seed_analysis = LessThanAnalysis(seed_program.module, build_essa=True,
-                                         interprocedural=True)
+        seed_analysis = LessThanAnalysis(seed_program.module, build_essa=True)
         limit = cached_disambiguator.class_limit
         cached_reasons = _reasons_by_name(cached_program.module,
                                           cached_disambiguator.disambiguate)

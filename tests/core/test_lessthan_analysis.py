@@ -144,18 +144,18 @@ def test_interprocedural_pseudo_phi_links_arguments():
     bigger = builder.add(x, builder.const(10), "bigger")
     builder.call(callee, [x, bigger], "res")
     builder.ret(x)
-    analysis = LessThanAnalysis(module, interprocedural=True)
+    analysis = LessThanAnalysis(module)
     # The pseudo-phi binds the callee formal `hi` to the actual arguments of
     # its call sites, so the caller-side fact x < bigger becomes x < hi.
     assert analysis.is_less_than(x, hi)
     assert not analysis.is_less_than(x, lo)
-    # Without the pseudo-phis the formal stays unconstrained.
+    # A formal without call sites has no pseudo-phi and stays unconstrained.
     fresh_module = Module("fresh")
     g = fresh_module.create_function("g", INT, [INT], ["y"])
     gentry = g.append_block(name="entry")
     IRBuilder(gentry).ret(g.arguments[0])
-    intra = LessThanAnalysis(fresh_module, interprocedural=False)
-    assert intra.lt(g.arguments[0]) == frozenset()
+    uncalled = LessThanAnalysis(fresh_module)
+    assert uncalled.lt(g.arguments[0]) == frozenset()
 
 
 def test_constraint_generation_is_linear_and_covers_all_values():

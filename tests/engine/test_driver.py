@@ -176,47 +176,19 @@ def test_evaluate_module_skips_store_for_converted_modules(tmp_path):
         assert result.evaluation("lt").as_dict() == first.evaluation("lt").as_dict()
 
 
-def test_interprocedural_modes_do_not_share_entries(session, tmp_path):
-    """Intra- and interprocedural LT produce different facts for the same
-    IR; neither the store nor the cache may serve one mode's payloads to
-    the other."""
-    store_path = str(tmp_path / "store.sqlite")
-    session.run_workload([("prog_a", SOURCE)], specs=(("lt",),), workers=0,
-                         store=store_path, interprocedural=False)
-    cross = session.run_workload([("prog_a", SOURCE)], specs=(("lt",),),
-                                 workers=0, store=store_path,
-                                 interprocedural=True)[0]
-    assert cross.store_hits == 0  # every key family is mode-specific
-    reference = session.run_workload([("prog_a", SOURCE)], specs=(("lt",),),
-                                     workers=0, store=False,
-                                     interprocedural=True)[0]
-    assert cross.payload["labels"] == reference.payload["labels"]
-    # One in-process cache used under both modes keeps them apart too.
-    module = compile_source(SOURCE, module_name="prog_a")
-    cache = FunctionAnalysisCache()
-    intra = session.evaluate(module, specs=(("lt",),), cache=cache,
-                             interprocedural=False)
-    inter = session.evaluate(module, specs=(("lt",),), cache=cache,
-                             interprocedural=True)
-    fresh = session.evaluate(compile_source(SOURCE, module_name="prog_a"),
-                             specs=(("lt",),), cache=FunctionAnalysisCache(),
-                             interprocedural=True)
-    assert inter.evaluation("lt").as_dict() == fresh.evaluation("lt").as_dict()
-    assert intra.verdicts("lt") is not None  # both modes evaluated
-
-
 def test_memoize_evaluations_off_reruns_queries(session):
     """Verdicts are not memoized: a repeat call over the same cache re-runs
-    the query loop over the cached analyses and agrees with the first."""
+    the query loop over the cached analyses and agrees with the first, and
+    each call reports the queries it asked itself."""
     module = compile_source(SOURCE, module_name="prog")
     cache = FunctionAnalysisCache()
     first = session.evaluate(module, specs=(("lt",),), cache=cache)
     queries = first.statistics.queries
     assert queries > 0
     second = session.evaluate(module, specs=(("lt",),), cache=cache)
-    # The query loop ran again (the cached disambiguator's counters
-    # accumulate across calls).
-    assert second.statistics.queries > queries
+    # The query loop ran again and asked the same pairs; the cached
+    # disambiguator's earlier queries are not counted twice.
+    assert second.statistics.queries == queries
     assert second.verdicts("lt") == first.verdicts("lt")
     assert second.evaluation("lt").as_dict() == first.evaluation("lt").as_dict()
 

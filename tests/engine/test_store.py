@@ -139,22 +139,29 @@ def test_backend_selection_by_environment(tmp_path, monkeypatch):
 
 
 def test_unit_key_sensitivity():
-    base = unit_key("aaeval", "p", "int main() {}", ["lt"], True, 64)
-    assert unit_key("aaeval", "p", "int main() {}", ["lt"], False, 64) != base
-    assert unit_key("aaeval", "p", "int main() { return 0; }", ["lt"], True, 64) != base
-    assert unit_key("aaeval", "p", "int main() {}", ["lt", "basicaa"], True, 64) != base
-    assert unit_key("aaeval", "p", "int main() {}", ["lt"], True, 1) != base
-    assert unit_key("aaeval", "p", "int main() {}", ["lt"], True, None) != base
-    assert unit_key("aaeval", "p", "int main() {}", ["lt"], True, 64) == base
+    base = unit_key("aaeval", "p", "int main() {}", ["lt"], 64)
+    assert unit_key("aaeval", "p", "int main() { return 0; }", ["lt"], 64) != base
+    assert unit_key("aaeval", "p", "int main() {}", ["lt", "basicaa"], 64) != base
+    assert unit_key("aaeval", "p", "int main() {}", ["lt"], 1) != base
+    assert unit_key("aaeval", "p", "int main() {}", ["lt"], None) != base
+    assert unit_key("aaeval", "p", "int main() {}", ["lt"], 64) == base
+
+
+def test_unit_key_is_pinned():
+    """Keys are part of the store format: an ``aaeval-9`` store must stay
+    warm for every release that keeps the version string."""
+    assert STORE_VERSION == "aaeval-9"
+    assert unit_key("aaeval", "p", "int main() {}", ["lt"], 64) == (
+        "unit-4be21b6604b84b7510a6485d5d7c0ae667d5a9d4d8f724cfef5df35df3ccb3b7")
 
 
 def test_unit_key_label_separator_unambiguous():
     """Labels are digested NUL-terminated, so no label text can collide
     with a differently-split label list (the old ``"|".join`` could)."""
-    assert (unit_key("aaeval", "p", "src", ["a|b"], True, 64)
-            != unit_key("aaeval", "p", "src", ["a", "b"], True, 64))
-    assert (unit_key("aaeval", "p", "src", ["a", "b|c"], True, 64)
-            != unit_key("aaeval", "p", "src", ["a|b", "c"], True, 64))
+    assert (unit_key("aaeval", "p", "src", ["a|b"], 64)
+            != unit_key("aaeval", "p", "src", ["a", "b"], 64))
+    assert (unit_key("aaeval", "p", "src", ["a", "b|c"], 64)
+            != unit_key("aaeval", "p", "src", ["a|b", "c"], 64))
 
 
 def _assert_stale_version_never_serves(path, old_version):

@@ -47,7 +47,7 @@ def check_adequacy(module, entry: str, args=()) -> int:
     Returns the number of (pair, program point) checks performed, so callers
     can assert the test actually exercised something.
     """
-    analysis = LessThanAnalysis(module, build_essa=True, interprocedural=True)
+    analysis = LessThanAnalysis(module, build_essa=True)
     liveness: Dict[object, LivenessInfo] = {}
     interpreter = Interpreter(module, max_steps=400000, record_trace=True)
     concrete_args = list(args)
@@ -106,7 +106,7 @@ def test_adequacy_on_pointer_walk(values):
 
 def check_adequacy_with_array(module, entry, values):
     """Variant of :func:`check_adequacy` for kernels taking (array, length)."""
-    analysis = LessThanAnalysis(module, build_essa=True, interprocedural=True)
+    analysis = LessThanAnalysis(module, build_essa=True)
     interpreter = Interpreter(module, max_steps=400000, record_trace=True)
     array = interpreter.allocate_array(list(values) if values else [0])
     interpreter.run(entry, [array, len(values)])

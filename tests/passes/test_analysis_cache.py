@@ -32,17 +32,6 @@ def test_ranges_and_lessthan_are_memoized_by_identity():
     assert lt_a.ranges[function] is cache.ranges(function)
 
 
-def test_module_lessthan_keyed_on_interprocedural_flag():
-    module, function = build_two_index_loop_module()
-    cache = FunctionAnalysisCache()
-    intra = cache.module_lessthan(module, interprocedural=False)
-    inter = cache.module_lessthan(module, interprocedural=True)
-    assert intra is not inter
-    assert cache.module_lessthan(module, interprocedural=True) is inter
-    # Both share the same per-function range analysis.
-    assert intra.ranges[function] is inter.ranges[function]
-
-
 def test_disambiguators_are_shared():
     module, function = build_two_index_loop_module()
     cache = FunctionAnalysisCache()

@@ -44,6 +44,8 @@ def test_solver_selectors_are_gone():
     with pytest.raises(TypeError):
         LessThanAnalysis(module, solver_strategy="constraint")
     with pytest.raises(TypeError):
+        LessThanAnalysis(module, interprocedural=False)
+    with pytest.raises(TypeError):
         RangeAnalysis(function, previous=None)
 
 
