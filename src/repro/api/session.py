@@ -154,6 +154,9 @@ class CompiledUnit:
         with self.session.config.activate():
             disambiguator = self.session.cache.module_disambiguator(
                 self.module)
+            # The session-cached disambiguator's query counter carries the
+            # queries of earlier calls; the report counts this call's only.
+            queries_before = disambiguator.statistics.queries
             pairs: List[PairVerdict] = []
             for function in self.module.defined_functions():
                 pointers = collect_pointer_values(function)
@@ -168,6 +171,7 @@ class CompiledUnit:
             # the state at the time it was produced.
             statistics = DisambiguationStatistics.from_dict(
                 disambiguator.statistics.as_dict())
+            statistics.queries -= queries_before
             return DisambiguationReport(pairs, statistics)
 
     def evaluate(self, specs: Sequence[Sequence[str]] = DEFAULT_SPECS,

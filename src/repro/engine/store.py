@@ -77,7 +77,11 @@ from repro.api.config import ConfigError, resolved_store_max_bytes
 #: v9: function-level entries are gone (the store holds whole units only),
 #:     and unit keys fold the equivalence-class limit, which changes
 #:     verdicts.  ``aaeval-8`` stores are cleared as above.
-STORE_VERSION = "aaeval-9"
+#: v10: the range analysis tracks integers only and finalizes values
+#:     outside loops in one walk, so the persisted range counters
+#:     (``statistics.solver`` evaluations, SCCs, pops) shrink; verdicts are
+#:     unchanged.  ``aaeval-9`` stores are cleared as above.
+STORE_VERSION = "aaeval-10"
 
 
 def text_hash(text: str) -> str:
@@ -99,7 +103,8 @@ def unit_key(kind: str, name: str, source: str, labels: Sequence[str],
     # ["a", "b"] once a label contains the separator character.
     parts: List[str] = [kind, name, source]
     parts.extend(labels)
-    # The one value of a removed mode switch: folding it keeps aaeval-9 keys.
+    # The one value of a removed mode switch: folding it keeps the key
+    # derivation of the stores written before the switch went away.
     parts.append("ip")
     parts.append("limit={}".format(class_limit or 0))
     for part in parts:

@@ -19,8 +19,9 @@ The transformation has two parts:
 The σ-copies go in first; they need no ranges.  The function's one
 :class:`~repro.rangeanalysis.analysis.RangeAnalysis` is solved on that
 σ-form, so additions are classified on σ-refined ranges, the ones the
-constraint generator reads.  Each split copy inherits its base's interval
-(a copy's transfer function is the identity), so nothing is re-solved.
+constraint generator reads.  Each integer split copy inherits its base's
+interval (a copy's transfer function is the identity), so nothing is
+re-solved; a pointer split copy stays untracked, like every pointer.
 
 Both kinds of copies are ordinary :class:`repro.ir.instructions.Copy`
 instructions; they are semantically transparent (removing them restores the
@@ -205,8 +206,10 @@ def _insert_copies(function: Function, info: EssaInfo) -> None:
                 copy = Copy(base, "", kind="split")
                 copy.split_subtraction = inst
                 block.insert_after(inst, copy)
-                # Identity transfer: the base's interval is the copy's fixpoint.
-                ranges.ranges[copy] = ranges.range_of(base)
+                # Identity transfer: the base's interval is the copy's
+                # fixpoint.  Pointers stay untracked.
+                if not base.is_pointer():
+                    ranges.ranges[copy] = ranges.range_of(base)
                 info.subtraction_copies.append(copy)
                 order.append(copy)
                 _rename_dominated_uses(domtree, base, copy)

@@ -8,20 +8,21 @@ that the instruction can be treated as an addition, a subtraction, or ignored
 (Section 3.2, "The Support of Range Analysis on Integer Intervals").
 
 This package provides a self-contained implementation: an interval domain
-with widening/narrowing, a dependency graph over SSA values with strongly
-connected component ordering, and the analysis driver.
+with widening/narrowing and the analysis driver, which tracks integer values
+only.  One reverse-postorder walk over the blocks finalizes every value
+outside loops; Tarjan's algorithm and widening/narrowing run only on the
+residue that waits on a φ back edge, a weak topological ordering in the
+sense of Bourdoncle ("Efficient chaotic iteration strategies with
+widenings", 1993).
 """
 
 from repro.rangeanalysis.interval import Interval, NEG_INF, POS_INF
-from repro.rangeanalysis.graph import DependencyGraph, strongly_connected_components
 from repro.rangeanalysis.analysis import RangeAnalysis, RangeStatistics
 
 __all__ = [
     "Interval",
     "NEG_INF",
     "POS_INF",
-    "DependencyGraph",
-    "strongly_connected_components",
     "RangeAnalysis",
     "RangeStatistics",
 ]

@@ -1,18 +1,29 @@
 """The range-analysis driver.
 
-For every SSA value of integer type the analysis computes an
-:class:`~repro.rangeanalysis.interval.Interval` that over-approximates the
-values the variable may hold at run time.  The algorithm follows the
-three-phase structure of Rodrigues et al.'s implementation (the one the
-paper's artifact uses):
+The paper reads intervals for one job (Section 3.2): deciding whether the
+offset of an addition, subtraction or ``gep`` is strictly positive or
+strictly negative.  So the analysis computes an
+:class:`~repro.rangeanalysis.interval.Interval` only for integer values: the
+non-pointer arguments and the non-pointer results of arithmetic,
+φ-functions, copies and loads (loads are sources with unknown ranges).  A
+pointer gets no entry and reads as top, like any untracked value.
 
-1. build the data-dependence graph of the function and split it into
-   strongly connected components;
-2. solve the components in topological order — acyclic components are
-   evaluated directly, cyclic components are iterated with *widening* until
-   stable;
-3. run a *narrowing* pass over cyclic components to recover precision lost
-   to widening (in particular bounds coming from loop exit conditions).
+The schedule is a weak topological ordering in the sense of Bourdoncle
+("Efficient chaotic iteration strategies with widenings", 1993), built in
+two steps:
+
+1. one walk over the blocks in reverse postorder evaluates a value once,
+   and marks it final, when all its tracked inputs are final.  A σ-copy's
+   inputs include the operands of its branch condition.  In SSA a
+   definition dominates its uses, so every value is final here except the
+   *residue*: the values that wait on a φ back-edge operand, plus
+   everything that depends on them;
+2. Tarjan's algorithm (:mod:`repro.util.scc`) splits the residue's def-use
+   subgraph into strongly connected components, solved in topological
+   order.  An acyclic residue value is evaluated once; a cyclic component
+   (a loop) is iterated with *widening* until stable, then *narrowed* to
+   recover precision lost to widening (in particular bounds coming from
+   loop exit conditions).
 
 When the function is in e-SSA form (after
 :func:`repro.essa.transform.convert_to_essa`), σ-copies carry the branch
@@ -21,13 +32,12 @@ ranges, which is how ``for (i = 0; i < N; i++)`` yields ``i ∈ [0, N-1]`` on
 the true branch.  The conversion solves the function's one analysis itself
 (see :mod:`repro.essa.transform`).
 
-A cyclic component is solved by a sparse def-use worklist seeded from the
-:class:`~repro.rangeanalysis.graph.DependencyGraph`.  Only users of values
-whose interval actually changed are re-evaluated; per-value widening-point
-tracking records where widening fired (the back-edge φ/σ nodes in
-practice).  The worklist is ordered by ``(sweep, member index)`` so it
-replays full Gauss-Seidel sweeps over the component exactly, skipping only
-evaluations that are provably no-ops — the resulting intervals are
+A cyclic component is solved by a sparse def-use worklist.  Only users of
+values whose interval actually changed are re-evaluated; per-value
+widening-point tracking records where widening fired (the back-edge φ/σ
+nodes in practice).  The worklist is ordered by ``(sweep, member index)``
+so it replays full Gauss-Seidel sweeps over the component exactly, skipping
+only evaluations that are provably no-ops — the resulting intervals are
 **bit-identical** to those of the dense sweeps, which
 :class:`repro.verify.reference.DenseRangeAnalysis` keeps as the independent
 reference for differential tests and ``benchmarks/bench_solver_hotpath.py``.
@@ -35,22 +45,17 @@ reference for differential tests and ``benchmarks/bench_solver_hotpath.py``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.ir.cfg import reverse_postorder
 from repro.ir.function import Function
-from repro.ir.instructions import (
-    BinaryOp,
-    Copy,
-    GetElementPtr,
-    ICmp,
-    Load,
-    Phi,
-)
-from repro.ir.values import Argument, ConstantInt, Undef, Value
+from repro.ir.instructions import BinaryOp, Copy, ICmp, Instruction, Load, Phi
+from repro.ir.types import PointerType
+from repro.ir.values import Argument, ConstantInt, Value
 from repro.obs import TRACER
-from repro.rangeanalysis.graph import DependencyGraph, SCCComponent
 from repro.rangeanalysis.interval import Interval
-from repro.util.worklist import SolverInfo, SweepWorklist
+from repro.util.scc import strongly_connected_components
+from repro.util.worklist import SolverInfo
 
 
 class RangeStatistics:
@@ -107,6 +112,42 @@ class RangeStatistics:
             self.evaluations, self.widenings, self.narrowings)
 
 
+class SCCComponent:
+    """One cyclic component of the residue, pre-sliced for the solvers.
+
+    ``members`` is the component in its canonical (Tarjan) order — the
+    order the dense reference sweeps visit; ``users`` holds, per member
+    index, the sorted member indices of its intra-component dependants (the
+    def-use slice the sparse solver schedules from).
+    """
+
+    __slots__ = ("members", "users")
+
+    def __init__(self, members: List[Value], users: List[List[int]]) -> None:
+        self.members = members
+        self.users = users
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __repr__(self) -> str:
+        return "<SCCComponent size={}>".format(len(self.members))
+
+
+def _inputs(inst: Instruction) -> Sequence[Value]:
+    """The operands ``inst``'s transfer function reads.
+
+    σ-copies are refined with the branch condition they encode, so they
+    also read the condition's operands.
+    """
+    operands = inst.operands
+    if type(inst) is Copy:
+        condition = getattr(inst, "sigma_condition", None)
+        if condition is not None:
+            return operands + condition.operands
+    return operands
+
+
 class RangeAnalysis:
     """Computes and stores value ranges for a single function."""
 
@@ -135,11 +176,7 @@ class RangeAnalysis:
     # -- public API ---------------------------------------------------------------
     def range_of(self, value: Value) -> Interval:
         """The interval of ``value`` (top for untracked values, exact for constants)."""
-        if isinstance(value, ConstantInt):
-            return Interval.constant(value.value)
-        if isinstance(value, Undef):
-            return Interval.top()
-        return self.ranges.get(value, Interval.top())
+        return self.ranges.get(value) or _untracked_range(value)
 
     def is_strictly_positive(self, value: Value) -> bool:
         return self.range_of(value).is_strictly_positive()
@@ -149,137 +186,159 @@ class RangeAnalysis:
 
     # -- solving ---------------------------------------------------------------------
     def _run(self) -> None:
-        if self.function.is_declaration():
+        function = self.function
+        if function.is_declaration():
             return
-        schedule = DependencyGraph(self.function).condense()
-        for node in schedule.graph.nodes:
-            self.ranges[node] = Interval.bottom()
-        for component in schedule:
-            self.statistics.components += 1
-            if component.cyclic:
-                self.statistics.cyclic_components += 1
-                self._solve_cyclic(component)
-            else:
-                # Topological order makes a single evaluation final here; no
-                # widening, no worklist.
-                self._solve_acyclic(component.members[0])
-        self.statistics.widening_points = len(self.widening_points)
+        ranges = self.ranges
+        for argument in function.arguments:
+            if not isinstance(argument.type, PointerType):
+                ranges[argument] = self.argument_ranges.get(argument, Interval.top())
+        # One reverse-postorder walk: a value whose tracked inputs are all
+        # final is final after one evaluation; the rest wait for the residue
+        # solve.  An input not in ``ranges`` is final only if untracked.
+        transfer = _TRANSFER
+        residue: Set[Value] = set()
+        for block in reverse_postorder(function):
+            for inst in block.instructions:
+                handler = transfer.get(type(inst))
+                if handler is None or isinstance(inst.type, PointerType):
+                    continue
+                for operand in _inputs(inst):
+                    if (operand not in ranges and type(operand) in transfer
+                            and not isinstance(operand.type, PointerType)):
+                        residue.add(inst)
+                        break
+                else:
+                    ranges[inst] = handler(self, inst)
+        statistics = self.statistics
+        statistics.evaluations += len(ranges)
+        statistics.components += len(ranges)
+        if residue:
+            self._solve_residue(residue)
+        statistics.widening_points = len(self.widening_points)
 
-    def _solve_acyclic(self, value: Value) -> None:
-        self.ranges[value] = self._evaluate(value)
+    def _solve_residue(self, residue: Set[Value]) -> None:
+        """Solve the values the walk left waiting, one SCC at a time.
 
-    def _harvest(self, worklist: SweepWorklist) -> None:
-        """Fold a drained worklist's traffic counters into the statistics."""
-        self.statistics.pops += worklist.pops
-        self.statistics.coalesced_pushes += worklist.coalesced
+        Tarjan runs over the residue's def-use subgraph with its nodes in
+        instruction order; every input outside the residue is final.
+        """
+        ranges = self.ranges
+        statistics = self.statistics
+        nodes = [inst for block in self.function.blocks
+                 for inst in block.instructions if inst in residue]
+        users: Dict[Value, List[Value]] = {node: [] for node in nodes}
+        bottom = Interval.bottom()
+        for node in nodes:
+            ranges[node] = bottom
+            for operand in _inputs(node):
+                if operand in residue:
+                    users[operand].append(node)
+        for members in reversed(strongly_connected_components(nodes, users)):
+            statistics.components += 1
+            if len(members) == 1 and members[0] not in users[members[0]]:
+                ranges[members[0]] = self._evaluate(members[0])
+                continue
+            statistics.cyclic_components += 1
+            index_of = {value: index for index, value in enumerate(members)}
+            self._solve_cyclic(SCCComponent(members, [
+                sorted({index_of[user] for user in users[value] if user in index_of})
+                for value in members]))
 
     def _solve_cyclic(self, component: SCCComponent) -> None:
         """Change-driven solver: re-evaluate only users of changed values.
 
-        The :class:`~repro.util.worklist.SweepWorklist` holds member indices
-        keyed ``(sweep, index)``, which replays dense Gauss–Seidel sweeps
-        over the component: when the value at index ``i`` changes during
-        sweep ``s``, a user at index ``j > i`` is re-evaluated later in the
-        same sweep (it would have seen the update in the dense pass too) and
-        a user at ``j <= i`` in sweep ``s + 1``.  Values whose operands did
-        not change are skipped outright — their re-evaluation would
-        reproduce the stored interval, so the dense sweep's visit is a no-op
-        there.  The per-phase sweep limits are the class constants above,
-        shared with the dense reference, which makes the two solvers'
-        results bit-identical.
+        :meth:`_sweep` replays dense Gauss–Seidel sweeps over the component
+        in member order, visiting only marked members: when the value at
+        index ``i`` changes during a sweep, a user at index ``j > i`` is
+        re-evaluated later in the same sweep (it would have seen the update
+        in the dense pass too) and a user at ``j <= i`` in the next sweep.
+        Values whose operands did not change are skipped outright — their
+        re-evaluation would reproduce the stored interval, so the dense
+        sweep's visit is a no-op there.  The per-phase sweep limits are the
+        class constants above, shared with the dense reference, which makes
+        the two solvers' results bit-identical.
+        """
+        count = len(component.members)
+        # Phase 1a: bounded chaotic iteration.
+        marked, _changed = self._sweep(component, [True] * count, _replace,
+                                       self.ITERATIONS_BEFORE_WIDENING)
+        if True not in marked:
+            return
+        # Phase 1b: widening until the change frontier drains.
+        _marked, widened = self._sweep(component, marked, Interval.widen, None)
+        self.widening_points.update(widened)
+        self.statistics.widenings += len(widened)
+        # Phase 2: narrowing.  Every member re-enters once — the transfer
+        # changes from widening to narrowing, so "operands unchanged" no
+        # longer implies a no-op — then only users of refined values follow.
+        _marked, narrowed = self._sweep(component, [True] * count,
+                                        Interval.narrow,
+                                        self.MAX_NARROWING_ITERATIONS)
+        self.statistics.narrowings += len(narrowed)
+
+    def _sweep(self, component: SCCComponent, marked: List[bool],
+               combine: Callable[[Interval, Interval], Interval],
+               limit: Optional[int]) -> Tuple[List[bool], List[Value]]:
+        """Run sweeps over the ``marked`` members until none is marked or
+        ``limit`` sweeps have run.
+
+        A visit stores ``combine(stored, transfer result)``.  Returns the
+        marks left for the next sweep and, per change, the changed value.
         """
         members = component.members
         users = component.users
         ranges = self.ranges
+        evaluate = self._evaluate
         statistics = self.statistics
-
-        worklist = SweepWorklist(len(members))
-        # Phase 1a: bounded chaotic iteration.
-        while True:
-            sweep = worklist.next_sweep()
-            if sweep is None or sweep >= self.ITERATIONS_BEFORE_WIDENING:
-                break
-            sweep, index = worklist.pop()
-            value = members[index]
-            new = self._evaluate(value)
-            if new != ranges[value]:
+        changed: List[Value] = []
+        sweeps = 0
+        while True in marked and sweeps != limit:
+            following = [False] * len(members)
+            for index, value in enumerate(members):
+                if not marked[index]:
+                    continue
+                marked[index] = False
+                statistics.pops += 1
+                stored = ranges[value]
+                new = combine(stored, evaluate(value))
+                if new == stored:
+                    continue
                 ranges[value] = new
-                worklist.schedule(sweep, index, users[index])
-        if not worklist:
-            self._harvest(worklist)
-            return
-        # Phase 1b: widening until the change frontier drains.
-        while worklist:
-            sweep, index = worklist.pop()
-            value = members[index]
-            widened = ranges[value].widen(self._evaluate(value))
-            if widened != ranges[value]:
-                ranges[value] = widened
-                if value not in self.widening_points:
-                    self.widening_points.add(value)
-                statistics.widenings += 1
-                worklist.schedule(sweep, index, users[index])
-        self._harvest(worklist)
-        # Phase 2: narrowing.  Every member re-enters once — the transfer
-        # changes from widening to narrowing, so "operands unchanged" no
-        # longer implies a no-op — then only users of refined values follow.
-        worklist = SweepWorklist(len(members))
-        while True:
-            sweep = worklist.next_sweep()
-            if sweep is None or sweep >= self.MAX_NARROWING_ITERATIONS:
-                break
-            sweep, index = worklist.pop()
-            value = members[index]
-            narrowed = ranges[value].narrow(self._evaluate(value))
-            if narrowed != ranges[value]:
-                ranges[value] = narrowed
-                statistics.narrowings += 1
-                worklist.schedule(sweep, index, users[index])
-        self._harvest(worklist)
+                changed.append(value)
+                for user in users[index]:
+                    target = marked if user > index else following
+                    if target[user]:
+                        statistics.coalesced_pushes += 1
+                    else:
+                        target[user] = True
+            marked = following
+            sweeps += 1
+        return marked, changed
 
     # -- transfer functions -----------------------------------------------------------
-    def _operand_range(self, value: Value) -> Interval:
-        if isinstance(value, ConstantInt):
-            return Interval.constant(value.value)
-        if isinstance(value, Undef):
-            return Interval.top()
-        return self.ranges.get(value, Interval.top())
-
     def _evaluate(self, value: Value) -> Interval:
         self.statistics.evaluations += 1
-        if isinstance(value, Argument):
-            return self.argument_ranges.get(value, Interval.top())
-        if isinstance(value, ConstantInt):
-            return Interval.constant(value.value)
-        if isinstance(value, BinaryOp):
-            return self._evaluate_binary(value)
-        if isinstance(value, Phi):
-            result = Interval.bottom()
-            for incoming, _block in value.incoming():
-                result = result.join(self._operand_range(incoming))
-            return result
-        if isinstance(value, Copy):
-            source_range = self._operand_range(value.source)
-            return self._refine_sigma(value, source_range)
-        if isinstance(value, (Load, GetElementPtr)):
-            # Loads produce unknown integers; geps are pointers (ranges are
-            # not meaningful but keeping top keeps the graph uniform).
-            return Interval.top()
-        return Interval.top()
+        return _TRANSFER[type(value)](self, value)
 
     def _evaluate_binary(self, inst: BinaryOp) -> Interval:
-        lhs = self._operand_range(inst.lhs)
-        rhs = self._operand_range(inst.rhs)
-        if inst.op == "add":
-            return lhs.add(rhs)
-        if inst.op == "sub":
-            return lhs.sub(rhs)
-        if inst.op == "mul":
-            return lhs.mul(rhs)
-        if inst.op == "div":
-            return lhs.div(rhs)
-        if inst.op == "rem":
-            return lhs.rem(rhs)
+        ranges = self.ranges
+        lhs, rhs = inst.operands
+        lhs_range = ranges.get(lhs) or _untracked_range(lhs)
+        return _BINARY[inst.op](lhs_range, ranges.get(rhs) or _untracked_range(rhs))
+
+    def _evaluate_phi(self, phi: Phi) -> Interval:
+        ranges = self.ranges
+        result = Interval.bottom()
+        for incoming in phi.operands:
+            result = result.join(ranges.get(incoming) or _untracked_range(incoming))
+        return result
+
+    def _evaluate_copy(self, copy: Copy) -> Interval:
+        return self._refine_sigma(copy, self.range_of(copy.source))
+
+    def _evaluate_load(self, load: Load) -> Interval:
+        # A load produces an unknown integer.
         return Interval.top()
 
     def _refine_sigma(self, copy: Copy, source_range: Interval) -> Interval:
@@ -295,8 +354,8 @@ class RangeAnalysis:
             return source_range
         side = getattr(copy, "sigma_operand_side", None)
         on_true = getattr(copy, "sigma_on_true_branch", True)
-        lhs_range = self._operand_range(condition.lhs)
-        rhs_range = self._operand_range(condition.rhs)
+        lhs_range = self.range_of(condition.lhs)
+        rhs_range = self.range_of(condition.rhs)
         predicate = condition.predicate
         if not on_true:
             predicate = ICmp.NEGATED[predicate]
@@ -318,3 +377,32 @@ class RangeAnalysis:
         if predicate == "eq":
             return mine.refine_equal(other)
         return mine
+
+
+def _untracked_range(value: Value) -> Interval:
+    """The interval of a value with no entry: exact for a constant, else top."""
+    if isinstance(value, ConstantInt):
+        return Interval.constant(value.value)
+    return Interval.top()
+
+
+def _replace(_stored: Interval, new: Interval) -> Interval:
+    return new
+
+_BINARY = {
+    "add": Interval.add,
+    "sub": Interval.sub,
+    "mul": Interval.mul,
+    "div": Interval.div,
+    "rem": Interval.rem,
+}
+
+#: the transfer function of each tracked instruction class; an instruction
+#: of any other class, or of pointer type, is untracked (arguments are
+#: evaluated before the walk).
+_TRANSFER = {
+    BinaryOp: RangeAnalysis._evaluate_binary,
+    Phi: RangeAnalysis._evaluate_phi,
+    Copy: RangeAnalysis._evaluate_copy,
+    Load: RangeAnalysis._evaluate_load,
+}

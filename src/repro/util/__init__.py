@@ -8,7 +8,6 @@ from repro.util.ordered_set import OrderedSet
 from repro.util.unionfind import UnionFind
 from repro.util.worklist import (
     SolverInfo,
-    SweepWorklist,
     Worklist,
 )
 from repro.util.stats import (
@@ -22,7 +21,6 @@ from repro.util.stats import (
 __all__ = [
     "OrderedSet",
     "SolverInfo",
-    "SweepWorklist",
     "UnionFind",
     "Worklist",
     "coefficient_of_determination",

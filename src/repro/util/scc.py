@@ -1,9 +1,10 @@
 """Tarjan's strongly-connected-components algorithm, shared infrastructure.
 
-Both dependency condensations in the code base — the range analysis' def-use
-graph (:mod:`repro.rangeanalysis.graph`) and the module call graph
-(:mod:`repro.ir.callgraph`) — reduce to the same primitive: decompose a
-directed graph into SCCs and process the condensation in topological order.
+Both dependency condensations in the code base — the def-use graph of the
+range analysis' loop residue (:mod:`repro.rangeanalysis.analysis`) and the
+module call graph (:mod:`repro.ir.callgraph`) — reduce to the same
+primitive: decompose a directed graph into SCCs and process the
+condensation in topological order.
 The implementation is iterative (no recursion-limit surprises on long
 def-use chains or deep call chains) and deterministic: components come out
 in a fixed order for a fixed ``nodes`` sequence and successor lists.

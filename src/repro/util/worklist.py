@@ -7,15 +7,11 @@ state changed.  Pushing an item that is already pending is wasteful, so every
 worklist here tracks membership and counts the pushes it absorbed
 (*coalesced* pushes) next to the pops it served.
 
-Two classes implement the scheme:
-
-* :class:`Worklist` — the FIFO worklist with duplicate suppression (the
-  less-than solver's variable queue, its constraint-keyed reference
-  strategy and the Andersen solver).
-* :class:`SweepWorklist` — the range solver's ``(sweep, index)`` heap: a
-  pop at member index *i* schedules lower-indexed dependents into the
-  *next* sweep and higher-indexed ones into the *current* one, which is
-  exactly a Gauss–Seidel sweep without the no-op visits.
+:class:`Worklist` implements the scheme: the FIFO worklist with duplicate
+suppression (the less-than solver's variable queue, its constraint-keyed
+reference strategy and the Andersen solver).  The range solver replays
+Gauss–Seidel sweeps over member marks instead (see
+:meth:`repro.rangeanalysis.analysis.RangeAnalysis._sweep`).
 
 :class:`SolverInfo` is the cross-solver counter struct (transfer-function
 evaluations, widenings, SCC counts, worklist pops).  It merges losslessly,
@@ -24,7 +20,6 @@ which is how counters of several analyses add up into one report.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import (
     Deque,
@@ -32,11 +27,9 @@ from typing import (
     Generic,
     Hashable,
     Iterable,
-    List,
     Mapping,
     Optional,
     Set,
-    Tuple,
     TypeVar,
 )
 
@@ -133,65 +126,3 @@ class Worklist(Generic[T]):
 
     def __contains__(self, item: T) -> bool:
         return item in self._pending
-
-
-class SweepWorklist:
-    """The sparse range solver's ``(sweep, index)`` heap with dedup.
-
-    Items are member indices of one dependence component.  The heap is
-    ordered by ``(sweep, index)``: popping replays Gauss–Seidel sweeps in
-    member order, and :meth:`schedule` implements the sweep rule — a
-    dependent after the changed member is revisited in the *same* sweep (it
-    would have seen the update in a dense pass too), one before it in the
-    *next*.
-    """
-
-    __slots__ = ("_count", "_heap", "_pending", "pops", "pushes", "coalesced")
-
-    def __init__(self, count: int, seed_sweep: Optional[int] = 0) -> None:
-        self._count = count
-        self._heap: List[Tuple[int, int]] = []
-        self._pending: Set[Tuple[int, int]] = set()
-        self.pops = 0
-        self.pushes = 0
-        self.coalesced = 0
-        if seed_sweep is not None:
-            self.seed(seed_sweep)
-
-    def seed(self, sweep: int) -> None:
-        """Schedule every member for ``sweep`` (the initial full round)."""
-        for index in range(self._count):
-            self.push(sweep, index)
-
-    def push(self, sweep: int, index: int) -> bool:
-        entry = (sweep, index)
-        if entry in self._pending:
-            self.coalesced += 1
-            return False
-        self._pending.add(entry)
-        self.pushes += 1
-        heapq.heappush(self._heap, entry)
-        return True
-
-    def schedule(self, sweep: int, source_index: int,
-                 dependents: Iterable[int]) -> None:
-        """Schedule ``dependents`` of a member that changed during ``sweep``."""
-        for target_index in dependents:
-            target_sweep = sweep if target_index > source_index else sweep + 1
-            self.push(target_sweep, target_index)
-
-    def pop(self) -> Tuple[int, int]:
-        entry = heapq.heappop(self._heap)
-        self._pending.discard(entry)
-        self.pops += 1
-        return entry
-
-    def next_sweep(self) -> Optional[int]:
-        """The sweep of the next pop, or ``None`` when drained."""
-        return self._heap[0][0] if self._heap else None
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)

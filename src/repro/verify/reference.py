@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from repro.core.lessthan.constraints import Constraint, LTState, TOP
 from repro.core.lessthan.solver import ConstraintSolver
-from repro.rangeanalysis.analysis import RangeAnalysis
-from repro.rangeanalysis.graph import SCCComponent
+from repro.rangeanalysis.analysis import RangeAnalysis, SCCComponent
 from repro.util.worklist import Worklist
 
 __all__ = ["ConstraintKeyedSolver", "DenseRangeAnalysis"]

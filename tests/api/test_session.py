@@ -154,4 +154,26 @@ def test_report_statistics_are_a_snapshot():
     # retroactively mutate an earlier report.
     assert first.statistics is not second.statistics
     assert first.statistics.queries == queries_at_first
-    assert second.statistics.queries == 2 * queries_at_first
+    assert second.statistics.queries == queries_at_first
+
+
+SHIFT = """
+void f(int* v, int N) {
+  int i;
+  for (i = 0; i < N - 1; i++) {
+    v[i] = v[i + 1];
+  }
+}
+"""
+
+
+def test_disambiguate_twice_reports_per_call_queries():
+    unit = Session().compile(SHIFT, name="shift").analyze()
+    first = unit.disambiguate()
+    second = unit.disambiguate()
+    assert first.queries == first.statistics.queries == 3
+    # The cached disambiguator has answered six queries by now; the second
+    # report still counts only its own three.
+    assert second.queries == second.statistics.queries == 3
+    assert unit.disambiguator().statistics.queries == 6
+    assert [pair.no_alias for pair in first] == [pair.no_alias for pair in second]

@@ -148,9 +148,10 @@ def test_unit_key_sensitivity():
 
 
 def test_unit_key_is_pinned():
-    """Keys are part of the store format: an ``aaeval-9`` store must stay
-    warm for every release that keeps the version string."""
-    assert STORE_VERSION == "aaeval-9"
+    """Keys are part of the store format: an ``aaeval-10`` store must stay
+    warm for every release that keeps the version string.  The key
+    derivation is the one ``aaeval-9`` used."""
+    assert STORE_VERSION == "aaeval-10"
     assert unit_key("aaeval", "p", "int main() {}", ["lt"], 64) == (
         "unit-4be21b6604b84b7510a6485d5d7c0ae667d5a9d4d8f724cfef5df35df3ccb3b7")
 
@@ -225,9 +226,17 @@ def test_store_version_aaeval8_to_aaeval9_migration(store_file):
     """The whole-units-only bump: ``aaeval-8`` stores hold function-level
     entries and unit keys without the class limit (so a unit warmed at one
     limit answered a run at another), so stale ``aaeval-8`` entries never
-    serve."""
-    assert STORE_VERSION == "aaeval-9"
+    serve, also under the versions that came after ``aaeval-9``."""
+    assert STORE_VERSION not in ("aaeval-8", "aaeval-9")
     _assert_stale_version_never_serves(store_file("store"), "aaeval-8")
+
+
+def test_store_version_aaeval9_to_aaeval10_migration(store_file):
+    """The integer-only range solve bump: the persisted range counters in
+    ``statistics.solver`` differ from what ``aaeval-9`` stored (verdicts do
+    not), so stale ``aaeval-9`` entries never serve."""
+    assert STORE_VERSION == "aaeval-10"
+    _assert_stale_version_never_serves(store_file("store"), "aaeval-9")
 
 
 def test_text_hash_is_stable():

@@ -1,8 +1,8 @@
-"""Tests for the range-analysis driver and its dependency graph."""
+"""Tests for the range-analysis driver and its schedule."""
 
 from repro.ir import INT, IRBuilder, Module
 from repro.rangeanalysis import Interval, POS_INF, RangeAnalysis
-from repro.rangeanalysis.graph import DependencyGraph, strongly_connected_components
+from repro.util.scc import strongly_connected_components
 from tests.helpers import (
     build_counting_loop_module,
     build_diamond_module,
@@ -21,25 +21,25 @@ def test_scc_of_simple_graph():
     assert frozenset({"d"}) in as_sets
 
 
-def test_dependency_graph_orders_defs_before_uses():
+def test_walk_evaluates_defs_before_uses():
     module, function = build_straightline_module()
-    graph = DependencyGraph(function)
-    order = graph.components_in_topological_order()
-    flattened = [v for component in order for v in component]
-    a, b = function.arguments
+    analysis = RangeAnalysis(function, argument_ranges={
+        function.arguments[0]: Interval(0, 10),
+        function.arguments[1]: Interval(1, 1)})
     add = function.entry_block.instructions[0]
     sub = function.entry_block.instructions[1]
-    assert flattened.index(a) < flattened.index(add)
-    assert flattened.index(add) < flattened.index(sub)
+    # One evaluation per value: a and b, then c = a + b, then d = c - 1.
+    assert analysis.statistics.evaluations == 4
+    assert analysis.range_of(add) == Interval(1, 11)
+    assert analysis.range_of(sub) == Interval(0, 10)
 
 
-def test_dependency_graph_detects_loop_cycle():
+def test_residue_holds_the_loop_cycle():
     module, function = build_counting_loop_module()
-    graph = DependencyGraph(function)
-    cyclic = [c for c in graph.components_in_topological_order() if graph.component_is_cyclic(c)]
-    assert len(cyclic) == 1
-    names = {v.name for v in cyclic[0]}
-    assert "i" in names and "inext" in names
+    analysis = RangeAnalysis(function)
+    assert analysis.statistics.cyclic_components == 1
+    assert analysis.statistics.widenings >= 1
+    assert {value.name for value in analysis.widening_points} <= {"i", "inext"}
 
 
 def test_constants_propagate_through_straightline_code():

@@ -13,6 +13,7 @@ from repro.core import LessThanAnalysis
 from repro.frontend import compile_source
 from repro.ir import IRBuilder
 from repro.rangeanalysis import Interval, RangeAnalysis
+from repro.rangeanalysis.analysis import SCCComponent
 from repro.synth import kernel_module, kernel_names
 from repro.verify.reference import DenseRangeAnalysis
 from tests.helpers import (
@@ -118,6 +119,70 @@ def test_solver_selection_via_environment(monkeypatch):
     assert sparse.statistics.evaluations < dense.statistics.evaluations
     with pytest.raises(TypeError):
         RangeAnalysis(function, solver="dense")
+
+
+# -- the sweep replay ---------------------------------------------------------------
+
+def _scripted_sweep(users, marked, changes, limit=None):
+    """Run ``_sweep`` over three stand-in members whose transfer results are
+    scripted: member ``i`` changes on its first ``changes[i]`` visits.
+
+    Returns the visited member indices, the marks left and the changed ones.
+    """
+    _module, function = build_counting_loop_module()
+    analysis = RangeAnalysis(function)
+    members = [function.arguments[0]] + [
+        inst for inst in function.instructions() if inst.name in ("i", "inext")]
+    component = SCCComponent(members, users)
+    visits = []
+    left = dict(enumerate(changes))
+
+    def evaluate(value):
+        index = members.index(value)
+        visits.append(index)
+        if left[index]:
+            left[index] -= 1
+            return Interval.constant(len(visits))
+        return analysis.ranges[value]
+
+    analysis._evaluate = evaluate
+    for value in members:
+        analysis.ranges[value] = Interval.bottom()
+    analysis.statistics.coalesced_pushes = 0
+    marks, changed = analysis._sweep(component, marked, lambda _old, new: new, limit)
+    return visits, marks, [members.index(value) for value in changed], analysis
+
+
+def test_sweep_visits_marked_members_in_member_order():
+    visits, marks, changed, _analysis = _scripted_sweep(
+        [[], [], []], [True, True, True], [0, 0, 0])
+    assert visits == [0, 1, 2]
+    assert marks == [False, False, False] and changed == []
+
+
+def test_sweep_rule_same_sweep_forward_next_sweep_backward():
+    # A user after the changed member is revisited in the same sweep (a
+    # dense pass would have seen the update too); one before it waits for
+    # the next sweep.
+    visits, _marks, changed, _analysis = _scripted_sweep(
+        [[], [0, 2], []], [False, True, False], [0, 1, 0])
+    assert visits == [1, 2, 0]
+    assert changed == [1]
+    # With a one-sweep limit the backward user stays marked for the next.
+    visits, marks, _changed, _analysis = _scripted_sweep(
+        [[], [0, 2], []], [False, True, False], [0, 1, 0], limit=1)
+    assert visits == [1, 2]
+    assert marks == [True, False, False]
+
+
+def test_sweep_marks_each_member_once_per_sweep():
+    # Members 0 and 1 both change and both mark member 2: the second mark
+    # coalesces into the first, so member 2 is visited once.
+    visits, _marks, changed, analysis = _scripted_sweep(
+        [[2], [2], []], [True, True, False], [1, 1, 0])
+    assert visits == [0, 1, 2]
+    assert changed == [0, 1]
+    assert analysis.statistics.coalesced_pushes == 1
 
 
 # -- interval interning -----------------------------------------------------------

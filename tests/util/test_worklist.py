@@ -1,11 +1,10 @@
 """Unit tests for the shared worklist machinery.
 
-The FIFO :class:`Worklist`, the range solver's ``(sweep, index)``
-:class:`SweepWorklist` and the :class:`SolverInfo` counter struct.
+The FIFO :class:`Worklist` and the :class:`SolverInfo` counter struct.
 """
 
 from repro.util import Worklist
-from repro.util.worklist import SolverInfo, SweepWorklist
+from repro.util.worklist import SolverInfo
 
 
 def test_fifo_order():
@@ -66,40 +65,6 @@ def test_priority_worklist_coalesces_duplicate_pushes():
     assert wl.push("a") is True
     assert wl.pushes == 2
     assert wl.coalesced == 1
-
-
-# -- SweepWorklist ------------------------------------------------------------------
-
-def test_sweep_worklist_seeds_and_pops_in_rank_order():
-    # A member's rank within a sweep is its member index.
-    wl = SweepWorklist(3)
-    assert len(wl) == 3
-    assert wl.next_sweep() == 0
-    assert [wl.pop()[1] for _ in range(3)] == [0, 1, 2]
-    assert wl.next_sweep() is None
-    assert not wl
-
-
-def test_sweep_rule_same_sweep_forward_next_sweep_backward():
-    # A dependent after the changed member is revisited in the same sweep
-    # (a dense pass would have seen the update too); one before it waits
-    # for the next sweep.
-    wl = SweepWorklist(3, seed_sweep=None)
-    wl.schedule(0, 1, [2, 0])
-    assert wl.pop() == (0, 2)   # index 2 > index 1: same sweep
-    assert wl.pop() == (1, 0)   # index 0 < index 1: next sweep
-    assert not wl
-
-
-def test_sweep_worklist_dedups_per_sweep():
-    wl = SweepWorklist(2, seed_sweep=None)
-    assert wl.push(0, 1) is True
-    assert wl.push(0, 1) is False
-    assert wl.coalesced == 1
-    # The same index in a different sweep is a distinct entry.
-    assert wl.push(1, 1) is True
-    assert wl.pop() == (0, 1)
-    assert wl.pop() == (1, 1)
 
 
 # -- SolverInfo ---------------------------------------------------------------------
