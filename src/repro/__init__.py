@@ -17,14 +17,15 @@ High-level entry points
   mode, truncation, synth seed, trace) as one validated, frozen dataclass
   with the precedence chain *explicit argument > config field > ``REPRO_*``
   env var > default*.
-* ``python -m repro`` — the CLI (``eval``, ``print-ir``, ``stats``,
-  ``store``) over the same facade.
+* ``python -m repro`` — the CLI (``eval``, ``check``, ``print-ir``,
+  ``stats``, ``store``) over the same facade.
 * :class:`repro.core.LessThanAnalysis` — compute strict less-than sets for a
   function or module.
 * :class:`repro.core.StrictInequalityAliasAnalysis` — the alias analysis
   built on top of them (``LT`` in the paper's tables).
 * :class:`repro.alias.BasicAliasAnalysis`,
-  :class:`repro.alias.AndersenAliasAnalysis` — the baselines (``BA``, ``CF``).
+  :class:`repro.alias.AndersenAliasAnalysis` — the baselines (``BA``, ``CF``),
+  the only analyses besides ``LT`` an ``eval`` spec may name.
 * :func:`repro.alias.evaluate_module` — the ``aa-eval`` harness.
 * :func:`repro.frontend.compile_source` — compile mini-C sources to the IR.
 * :mod:`repro.synth` — synthetic workloads used by the benchmark harness.

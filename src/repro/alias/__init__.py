@@ -13,21 +13,14 @@ Baselines:
   offsets from the same base, null pointers.
 * :class:`AndersenAliasAnalysis` — an inclusion-based points-to analysis,
   standing in for the CFL-based analysis (CF) the paper compares against.
-* :class:`SteensgaardAliasAnalysis` — a unification-based points-to
-  analysis, provided as an additional classic baseline.
-* :class:`TypeBasedAliasAnalysis` — the C rule that pointers to different
-  scalar types do not alias.
 """
 
 from repro.alias.results import AliasResult, MemoryLocation
 from repro.alias.interface import AliasAnalysis, AliasAnalysisChain
 from repro.alias.basicaa import BasicAliasAnalysis
 from repro.alias.andersen import AndersenAliasAnalysis, AndersenPointsTo
-from repro.alias.steensgaard import SteensgaardAliasAnalysis
-from repro.alias.tbaa import TypeBasedAliasAnalysis
 from repro.alias.aaeval import (
     AliasEvaluation,
-    AliasEvaluator,
     collect_memory_locations,
     evaluate_function,
     evaluate_module,
@@ -41,10 +34,7 @@ __all__ = [
     "BasicAliasAnalysis",
     "AndersenAliasAnalysis",
     "AndersenPointsTo",
-    "SteensgaardAliasAnalysis",
-    "TypeBasedAliasAnalysis",
     "AliasEvaluation",
-    "AliasEvaluator",
     "collect_memory_locations",
     "evaluate_function",
     "evaluate_module",

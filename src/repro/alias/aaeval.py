@@ -155,28 +155,3 @@ def evaluate_module(module: Module, analysis: AliasAnalysis,
         evaluation = evaluation.merge(evaluate_function(function, analysis, size))
     return evaluation
 
-
-class AliasEvaluator:
-    """Convenience wrapper comparing several analyses on the same modules.
-
-    Used by the benchmark harness: feed it named analyses, call
-    :meth:`evaluate` per module (benchmark program), and read back one row
-    per (module, analysis) pair.
-    """
-
-    def __init__(self, analyses: Dict[str, AliasAnalysis]) -> None:
-        self.analyses = dict(analyses)
-        self.rows: List[Dict[str, object]] = []
-
-    def evaluate(self, name: str, module: Module) -> Dict[str, AliasEvaluation]:
-        results: Dict[str, AliasEvaluation] = {}
-        for label, analysis in self.analyses.items():
-            results[label] = evaluate_module(module, analysis)
-        row: Dict[str, object] = {"benchmark": name}
-        for label, evaluation in results.items():
-            row["{}_no_alias".format(label)] = evaluation.no_alias
-            row["{}_ratio".format(label)] = evaluation.no_alias_ratio
-        first = next(iter(results.values()))
-        row["queries"] = first.total_queries
-        self.rows.append(row)
-        return results

@@ -38,9 +38,6 @@ from repro.api.config import ConfigError, ReproConfig, VERIFY_MODES
 from repro.frontend import FrontendError
 from repro.obs import TRACER
 
-#: analysis members accepted inside an ``--specs`` item.
-KNOWN_MEMBERS = ("basicaa", "lt", "andersen", "steensgaard", "tbaa")
-
 DEFAULT_SPEC_STRING = "basicaa,lt,basicaa+lt"
 
 
@@ -91,13 +88,7 @@ def _parse_specs(text: str) -> Tuple[Tuple[str, ...], ...]:
         item = item.strip()
         if not item:
             continue
-        members = tuple(member.strip() for member in item.split("+"))
-        for member in members:
-            if member not in KNOWN_MEMBERS:
-                raise ConfigError(
-                    "--specs member {!r} is not one of {}".format(
-                        member, "/".join(KNOWN_MEMBERS)))
-        specs.append(members)
+        specs.append(tuple(member.strip() for member in item.split("+")))
     if not specs:
         raise ConfigError("--specs must name at least one analysis")
     return tuple(specs)

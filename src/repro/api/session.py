@@ -338,6 +338,7 @@ class Session:
         call.  The store is never touched: it memoizes units by source text,
         and a compiled module has none.
         """
+        _driver._check_members(specs)
         with self.config.activate():
             payload = _driver.worker_module.evaluate_module_functions(
                 module, specs, cache if cache is not None else self.cache)

@@ -9,7 +9,6 @@ from repro.core.lessthan.constraints import (
 from repro.core.lessthan.generation import ConstraintGenerator
 from repro.core.lessthan.solver import ConstraintSolver, SolverStatistics
 from repro.core.lessthan.analysis import LessThanAnalysis
-from repro.core.lessthan.inequality_graph import InequalityGraph
 
 __all__ = [
     "Constraint",
@@ -20,5 +19,4 @@ __all__ = [
     "ConstraintSolver",
     "SolverStatistics",
     "LessThanAnalysis",
-    "InequalityGraph",
 ]

@@ -19,7 +19,6 @@ from typing import Dict, FrozenSet, List, Optional
 
 from repro.core.lessthan.constraints import Constraint
 from repro.core.lessthan.generation import ConstraintGenerator
-from repro.core.lessthan.inequality_graph import InequalityGraph
 from repro.core.lessthan.solver import ConstraintSolver, SolverStatistics
 from repro.ir.function import Function
 from repro.ir.module import Module
@@ -83,9 +82,6 @@ class LessThanAnalysis:
     def ordered(self, a: Value, b: Value) -> bool:
         """True when the analysis proves ``a < b`` or ``b < a``."""
         return self.is_less_than(a, b) or self.is_less_than(b, a)
-
-    def inequality_graph(self) -> InequalityGraph:
-        return InequalityGraph(self.lt_sets)
 
     def constraint_count(self) -> int:
         return len(self.constraints)

@@ -105,12 +105,27 @@ class UnitResult:
 UnitLike = Union[WorkUnit, Tuple[str, str], object]
 
 
+def _check_members(specs: Sequence[Sequence[str]]) -> None:
+    """Raise :class:`~repro.api.config.ConfigError` on a member that is not
+    a key of :data:`repro.engine.worker.MEMBERS`."""
+    for spec in specs:
+        for member in spec:
+            if member not in worker_module.MEMBERS:
+                raise api_config.ConfigError(
+                    "spec member {!r} is not one of {}".format(
+                        member, "/".join(worker_module.MEMBERS)))
+
+
 def _normalize_units(units: Sequence[UnitLike], kind: str,
                      specs: Sequence[Sequence[str]]) -> List[WorkUnit]:
+    """One :class:`WorkUnit` per unit; an unknown spec member fails here,
+    before any unit runs."""
     spec_tuple = tuple(tuple(spec) for spec in specs)
+    _check_members(spec_tuple)
     normalized: List[WorkUnit] = []
     for unit in units:
         if isinstance(unit, WorkUnit):
+            _check_members(unit.specs)
             normalized.append(unit)
         elif isinstance(unit, tuple) and len(unit) == 2:
             name, source = unit

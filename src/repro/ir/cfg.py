@@ -2,17 +2,15 @@
 
 Blocks compute successors from their terminators; this module adds the
 derived views that analyses want: cached predecessor maps, reverse postorder,
-reachability and simple CFG edits (edge splitting), which the e-SSA transform
-uses to place σ-copies on critical edges.
+reachability, and the removal of unreachable blocks after lowering.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
-from repro.ir.instructions import Branch, Jump, Phi
 
 
 class ControlFlowGraph:
@@ -106,28 +104,4 @@ def remove_unreachable_blocks(function: Function) -> int:
             inst.erase_from_parent()
         function.remove_block(block)
     return len(dead)
-
-
-def split_critical_edge(pred: BasicBlock, succ: BasicBlock) -> Optional[BasicBlock]:
-    """Insert a new block on the edge ``pred -> succ`` if it is critical.
-
-    An edge is critical when ``pred`` has several successors and ``succ`` has
-    several predecessors.  Returns the inserted block, or ``None`` when the
-    edge was not critical (in which case nothing is changed).
-    """
-    if len(pred.successors()) < 2 or len(succ.predecessors()) < 2:
-        return None
-    function = pred.parent
-    if function is None:
-        raise ValueError("cannot split an edge of a detached block")
-    middle = function.append_block(name=function.next_block_name("split"))
-    middle.append(Jump(succ))
-    terminator = pred.terminator
-    if isinstance(terminator, (Branch, Jump)):
-        terminator.replace_successor(succ, middle)
-    for phi in succ.phis():
-        for i, incoming in enumerate(phi.incoming_blocks):
-            if incoming is pred:
-                phi.incoming_blocks[i] = middle
-    return middle
 

@@ -4,7 +4,6 @@ This package intentionally has no dependency on the IR or the analyses, so
 that every other subsystem may rely on it freely.
 """
 
-from repro.util.ordered_set import OrderedSet
 from repro.util.unionfind import UnionFind
 from repro.util.worklist import (
     SolverInfo,
@@ -19,7 +18,6 @@ from repro.util.stats import (
 )
 
 __all__ = [
-    "OrderedSet",
     "SolverInfo",
     "UnionFind",
     "Worklist",

@@ -1,9 +1,8 @@
 """Minimal Graphviz DOT emission.
 
-Several data structures in this project (control-flow graphs, dominator
-trees, inequality graphs, program dependence graphs) are naturally viewed as
-graphs.  This helper builds DOT text without depending on the ``graphviz``
-package, which is not available offline.
+:meth:`repro.pdg.ProgramDependenceGraph.to_dot` writes its graphs through
+this helper.  It builds DOT text without the ``graphviz`` package, which is
+not available offline.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """Union-find (disjoint sets) with path compression and union by rank.
 
-Used by the Steensgaard-style unification alias analysis and by the PDG
-builder when merging memory locations that may alias.
+Used by the PDG builder when merging memory locations that may alias.
 """
 
 from __future__ import annotations

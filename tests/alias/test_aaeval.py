@@ -3,7 +3,6 @@
 from repro.alias import (
     AliasAnalysisChain,
     AliasEvaluation,
-    AliasEvaluator,
     AliasResult,
     BasicAliasAnalysis,
 )
@@ -59,21 +58,6 @@ def test_merge_and_dict_round_trip():
     assert payload["queries"] == 3
     assert payload["no_alias"] == 1
 
-
-def test_alias_evaluator_collects_rows():
-    module, function = build_two_index_loop_module()
-    sraa = StrictInequalityAliasAnalysis(module)
-    evaluator = AliasEvaluator({
-        "ba": BasicAliasAnalysis(),
-        "lt": sraa,
-    })
-    results = evaluator.evaluate("two_index_loop", module)
-    assert set(results) == {"ba", "lt"}
-    assert len(evaluator.rows) == 1
-    row = evaluator.rows[0]
-    assert row["benchmark"] == "two_index_loop"
-    assert "ba_no_alias" in row and "lt_no_alias" in row
-    assert row["queries"] == results["ba"].total_queries
 
 
 def test_alias_many_matches_pairwise_queries():

@@ -1,13 +1,11 @@
-"""Tests for the Andersen (CF) and Steensgaard baselines and TBAA."""
+"""Tests for the Andersen points-to baseline (CF in the paper)."""
 
 from repro.alias import (
     AliasResult,
     AndersenAliasAnalysis,
     AndersenPointsTo,
-    SteensgaardAliasAnalysis,
-    TypeBasedAliasAnalysis,
 )
-from repro.ir import INT, IRBuilder, IntType, Module, pointer_to
+from repro.ir import INT, IRBuilder, Module, pointer_to
 
 
 def build_two_object_module():
@@ -107,44 +105,9 @@ def test_andersen_store_load_propagation():
     assert cf.alias_values(reloaded, other) is AliasResult.NO_ALIAS
 
 
-def test_steensgaard_is_coarser_but_sound():
-    module, f, obj_a, obj_b, merged = build_two_object_module()
-    steens = SteensgaardAliasAnalysis(module)
-    # The phi unifies both objects into one class: everything related to the
-    # phi may alias; the two allocations themselves got merged too (that is
-    # the price of unification).
-    assert steens.alias_values(merged, obj_a) is AliasResult.MAY_ALIAS
-    assert steens.alias_values(merged, obj_b) is AliasResult.MAY_ALIAS
 
-
-def test_steensgaard_keeps_unrelated_objects_apart():
-    module = Module("m")
-    f = module.create_function("f", INT, [], [])
-    entry = f.append_block(name="entry")
-    builder = IRBuilder(entry)
-    a = builder.malloc(INT, name="a")
-    b = builder.malloc(INT, name="b")
-    builder.store(builder.const(1), a)
-    builder.store(builder.const(2), b)
-    builder.ret(builder.const(0))
-    steens = SteensgaardAliasAnalysis(module)
-    assert steens.alias_values(a, b) is AliasResult.NO_ALIAS
-
-
-def test_tbaa_different_pointee_types_do_not_alias():
-    module = Module("m")
-    p32 = pointer_to(IntType(32))
-    p64 = pointer_to(IntType(64))
-    f = module.create_function("f", INT, [p32, p64], ["a", "b"])
-    entry = f.append_block(name="entry")
-    IRBuilder(entry).ret(IRBuilder.const(0))
-    tbaa = TypeBasedAliasAnalysis()
-    a, b = f.arguments
-    assert tbaa.alias_values(a, b) is AliasResult.NO_ALIAS
-    assert tbaa.alias_values(a, a) is AliasResult.MAY_ALIAS
 
 
 def test_unprepared_analyses_are_conservative():
     module, f, obj_a, obj_b, merged = build_two_object_module()
     assert AndersenAliasAnalysis().alias_values(obj_a, obj_b) is AliasResult.MAY_ALIAS
-    assert SteensgaardAliasAnalysis().alias_values(obj_a, obj_b) is AliasResult.MAY_ALIAS

@@ -134,6 +134,12 @@ def test_invalid_configuration_exits_2(source_file, capsys):
     assert "workers" in capsys.readouterr().err
     assert main(["eval", source_file, "--specs", "bogus"]) == 2
     assert "bogus" in capsys.readouterr().err
+    # Members that were retired with their analyses get the same message.
+    for retired in ("steensgaard", "tbaa"):
+        assert main(["eval", source_file, "--specs", "lt," + retired]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and retired in err
+        assert "basicaa/lt/andersen" in err
 
 
 def test_missing_source_file_exits_2(capsys):

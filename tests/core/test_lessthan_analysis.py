@@ -2,7 +2,6 @@
 
 from repro.core import LessThanAnalysis
 from repro.core.lessthan.generation import ConstraintGenerator
-from repro.core.lessthan.inequality_graph import InequalityGraph
 from repro.ir import Copy, INT, IRBuilder, Module, pointer_to, verify_function
 from tests.helpers import (
     build_counting_loop_module,
@@ -167,17 +166,6 @@ def test_constraint_generation_is_linear_and_covers_all_values():
     assert analysis.statistics.constraint_count == analysis.constraint_count()
     assert analysis.statistics.pops_per_constraint >= 1.0
 
-
-def test_inequality_graph_matches_lt_sets():
-    module, function = build_two_index_loop_module()
-    analysis = LessThanAnalysis(module)
-    graph = analysis.inequality_graph()
-    assert isinstance(graph, InequalityGraph)
-    for greater, smaller_set in analysis.lt_sets.items():
-        for smaller in smaller_set:
-            assert graph.has_edge(smaller, greater)
-    dot = graph.to_dot()
-    assert dot.startswith("digraph")
 
 
 def test_analysis_on_already_converted_function():

@@ -7,7 +7,8 @@ evaluation entry point.
 import pytest
 
 from repro.api import ReproConfig, Session
-from repro.engine import AnalysisStore
+from repro.api.config import ConfigError
+from repro.engine import AnalysisStore, WorkUnit
 from repro.frontend import compile_source
 from repro.passes import FunctionAnalysisCache
 
@@ -331,6 +332,21 @@ def test_unknown_kind_raises(session):
     with pytest.raises(KeyError):
         session.run_workload([("prog_a", SOURCE)], kind="no-such-job",
                              workers=0)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_unknown_spec_member_is_a_config_error(session, workers):
+    # Checked before any unit runs, serial or pooled, naming the members.
+    with pytest.raises(ConfigError, match="basicaa/lt/andersen"):
+        session.run_workload(UNITS, specs=(("basicaa",), ("bogus",)),
+                             workers=workers)
+    unit = WorkUnit("aaeval", "prog_a", SOURCE, (("lt", "tbaa"),))
+    with pytest.raises(ConfigError, match="'tbaa'"):
+        session.run_workload([unit], workers=workers)
+    # The in-process entry point checks the same table.
+    module = compile_source(SOURCE, module_name="prog_a")
+    with pytest.raises(ConfigError, match="'steensgaard'"):
+        session.evaluate(module, specs=(("steensgaard",),))
 
 
 def test_rejects_unbuildable_units(session):

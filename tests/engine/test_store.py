@@ -190,53 +190,20 @@ def _assert_stale_version_never_serves(path, old_version):
         assert reopened.get("fresh-key") == PAYLOAD
 
 
-def test_store_version_aaeval4_to_aaeval5_migration(store_file):
-    """The fingerprint-keying bump: stale ``aaeval-4`` entries never serve,
-    also under the versions that came after ``aaeval-5``."""
-    assert STORE_VERSION not in ("aaeval-4", "aaeval-5")
-    _assert_stale_version_never_serves(store_file("store"), "aaeval-4")
+#: each retired store version and why it was retired: ``aaeval-4``
+#: fingerprint keying, ``aaeval-5`` the SolverInfo shape, ``aaeval-6``
+#: counting each lt query once, ``aaeval-7`` σ-refined classification,
+#: ``aaeval-8`` whole units only (function entries, no class limit in the
+#: unit key), ``aaeval-9`` the integer-only range solve (persisted range
+#: counters).
+STALE_VERSIONS = ("aaeval-4", "aaeval-5", "aaeval-6", "aaeval-7", "aaeval-8",
+                  "aaeval-9")
 
 
-def test_store_version_aaeval5_to_aaeval6_migration(store_file):
-    """The SolverInfo-shape bump: stale ``aaeval-5`` entries never serve,
-    also under the versions that came after ``aaeval-6``."""
-    assert STORE_VERSION not in ("aaeval-5", "aaeval-6")
-    _assert_stale_version_never_serves(store_file("store"), "aaeval-5")
-
-
-def test_store_version_aaeval6_to_aaeval7_migration(store_file):
-    """The once-per-pair bump: the lt disambiguator's persisted
-    ``statistics.queries`` now counts each pair once, so stale ``aaeval-6``
-    entries never serve, also under the versions that came after
-    ``aaeval-7``."""
-    assert STORE_VERSION not in ("aaeval-6", "aaeval-7")
-    _assert_stale_version_never_serves(store_file("store"), "aaeval-6")
-
-
-def test_store_version_aaeval7_to_aaeval8_migration(store_file):
-    """The σ-refined classification bump: split copies and verdicts can
-    differ from what ``aaeval-7`` persisted, and so can the persisted range
-    counters, so stale ``aaeval-7`` entries never serve, also under the
-    versions that came after ``aaeval-8``."""
-    assert STORE_VERSION not in ("aaeval-7", "aaeval-8")
-    _assert_stale_version_never_serves(store_file("store"), "aaeval-7")
-
-
-def test_store_version_aaeval8_to_aaeval9_migration(store_file):
-    """The whole-units-only bump: ``aaeval-8`` stores hold function-level
-    entries and unit keys without the class limit (so a unit warmed at one
-    limit answered a run at another), so stale ``aaeval-8`` entries never
-    serve, also under the versions that came after ``aaeval-9``."""
-    assert STORE_VERSION not in ("aaeval-8", "aaeval-9")
-    _assert_stale_version_never_serves(store_file("store"), "aaeval-8")
-
-
-def test_store_version_aaeval9_to_aaeval10_migration(store_file):
-    """The integer-only range solve bump: the persisted range counters in
-    ``statistics.solver`` differ from what ``aaeval-9`` stored (verdicts do
-    not), so stale ``aaeval-9`` entries never serve."""
+@pytest.mark.parametrize("old_version", STALE_VERSIONS)
+def test_stale_store_version_never_serves(store_file, old_version):
     assert STORE_VERSION == "aaeval-10"
-    _assert_stale_version_never_serves(store_file("store"), "aaeval-9")
+    _assert_stale_version_never_serves(store_file("store"), old_version)
 
 
 def test_text_hash_is_stable():

@@ -6,7 +6,6 @@ from repro.ir.cfg import (
     reachable_blocks,
     remove_unreachable_blocks,
     reverse_postorder,
-    split_critical_edge,
 )
 from repro.ir.dominators import DominatorTree
 from tests.helpers import build_counting_loop_module, build_diamond_module, build_two_index_loop_module
@@ -57,17 +56,6 @@ def test_remove_unreachable_fixes_phis():
     phi = join.phis()[0]
     assert all(block is not then_block for block in phi.incoming_blocks)
 
-
-def test_split_critical_edge_inserts_block_and_updates_phi():
-    module, function = build_two_index_loop_module()
-    header = function.block_by_name("header")
-    exit_block = function.block_by_name("exit")
-    body = function.block_by_name("body")
-    # header -> body is critical? header has 2 successors; body has 1 pred, so no.
-    assert split_critical_edge(header, body) is None
-    # Build a real critical edge: add a second predecessor to the exit block.
-    # header -> exit already exists; exit has only one predecessor, so not critical yet.
-    assert split_critical_edge(header, exit_block) is None
 
 
 def test_dominator_tree_of_diamond():

@@ -1,4 +1,4 @@
-"""Tests for mem2reg, SSA destruction and the reference interpreter."""
+"""Tests for mem2reg and the reference interpreter."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.frontend import compile_source
 from repro.ir import INT, IRBuilder, Module, pointer_to, print_module, verify_function
 from repro.ir.interpreter import Interpreter, InterpreterError, Pointer
 from repro.ir.ssa import promotable_allocas, promote_memory_to_registers
-from repro.ir.ssa_destruction import destruct_ssa, remove_copies
 from repro.ir.values import Undef
 from repro.synth import CsmithConfig, RandomProgramGenerator
 from tests.helpers import (
@@ -223,20 +222,3 @@ def test_pointer_identity_semantics():
     assert p.moved(2) == Pointer(1, 6)
     assert p != Pointer(2, 4)
     assert hash(p) == hash(Pointer(1, 4))
-
-
-def test_ssa_destruction_removes_phis_and_preserves_verification_structure():
-    module, function = build_diamond_module()
-    eliminated = destruct_ssa(function)
-    assert eliminated == 1
-    opcodes = [inst.opcode for inst in function.instructions()]
-    assert "phi" not in opcodes
-    assert "copy" in opcodes
-
-
-def test_remove_copies_forward_substitutes():
-    module, function = build_diamond_module()
-    destruct_ssa(function)
-    removed = remove_copies(function)
-    assert removed > 0
-    assert all(inst.opcode != "copy" for inst in function.instructions())
