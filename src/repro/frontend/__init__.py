@@ -4,9 +4,10 @@ The paper's motivating programs (Figure 1) and its Csmith-generated
 workloads are C code.  This package provides a small C-like language — just
 enough to express those programs — together with a lexer (one compiled
 master regex), a recursive descent parser, and a lowering pass that produces
-our SSA IR (local scalars are first lowered to ``alloca`` slots and then
-promoted by mem2reg).  Source text is ASCII: a non-ASCII character, even a
-digit or letter, is a :class:`LexerError` with its line and column.
+our SSA IR (a local scalar whose address is never taken goes straight to
+SSA values; arrays and address-taken locals live in ``alloca`` slots).
+Source text is ASCII: a non-ASCII character, even a digit or letter, is a
+:class:`LexerError` with its line and column.
 
 Supported subset: ``int``/``void`` types with arbitrary pointer depth,
 function definitions and calls, local declarations (including fixed-size

@@ -1,15 +1,19 @@
 """Lowering mini-C ASTs to the SSA IR.
 
-The translation is the textbook one: every local variable becomes an
-``alloca`` slot accessed through loads and stores, control flow becomes
-explicit basic blocks, and a final mem2reg pass promotes the scalar slots to
-SSA registers so that the analyses see the same shape of code Clang + LLVM
-``-mem2reg`` would produce for the paper's C programs.
+Control flow becomes explicit basic blocks.  A local scalar whose address
+is never taken (found by one walk over the function before it is lowered)
+goes straight to SSA values: the lowering records its writes per block and
+hands its reads' reaching definitions to the SSA step of
+:mod:`repro.ir.ssa`, which places the φ-functions once the CFG is complete.
+Arrays and address-taken locals live in ``alloca`` slots accessed through
+loads and stores.  The analyses thus see the shape of code Clang + LLVM
+``-mem2reg`` would produce for the paper's C programs, and no slot is built
+only to be promoted away.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.frontend import ast
 from repro.frontend.lexer import FrontendError
@@ -24,15 +28,18 @@ from repro.ir import (
     pointer_to,
 )
 from repro.ir.cfg import remove_unreachable_blocks
-from repro.ir.instructions import Jump, Return
-from repro.ir.ssa import promote_memory_to_registers
+from repro.ir.ssa import PromotedScalars, Scalar, promote_memory_to_registers
 from repro.ir.types import Type
-from repro.ir.values import ConstantInt, Value
+from repro.ir.values import NullPointer, Value
 from repro.ir.verifier import verify_module
 from repro.obs import TRACER
 
 _COMPARISONS = {"<": "slt", "<=": "sle", ">": "sgt", ">=": "sge", "==": "eq", "!=": "ne"}
 _ARITHMETIC = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "rem"}
+
+#: where a variable lives: the ``alloca`` slot of an array or address-taken
+#: local, or the :class:`Scalar` of a promoted one.
+Storage = Union[Value, Scalar]
 
 
 class LoweringError(FrontendError):
@@ -52,17 +59,25 @@ def _lower_type(spec: ast.TypeSpec, extra_depth: int = 0) -> Type:
     raise LoweringError("unknown type name {!r}".format(spec.base))
 
 
+def _converts(value_type: Type, expected: Type) -> bool:
+    """Whether a value of ``value_type`` may be returned or passed as ``expected``.
+
+    A comparison's ``i1`` widens to ``int`` as in C; anything else must match.
+    """
+    return value_type == expected or (value_type.is_bool() and expected.is_int())
+
+
 class _Scope:
-    """A lexical scope mapping names to their alloca slot and element type."""
+    """A lexical scope mapping names to what they are bound to."""
 
     def __init__(self, parent: Optional["_Scope"] = None) -> None:
         self.parent = parent
-        self.slots: Dict[str, Tuple[Value, Type, bool]] = {}
+        self.slots: Dict[str, object] = {}
 
-    def declare(self, name: str, slot: Value, value_type: Type, is_array: bool) -> None:
-        self.slots[name] = (slot, value_type, is_array)
+    def declare(self, name: str, entry: object) -> None:
+        self.slots[name] = entry
 
-    def lookup(self, name: str) -> Optional[Tuple[Value, Type, bool]]:
+    def lookup(self, name: str) -> Optional[object]:
         scope: Optional[_Scope] = self
         while scope is not None:
             if name in scope.slots:
@@ -71,10 +86,95 @@ class _Scope:
         return None
 
 
-class _FunctionLowering:
-    """Lowers the body of one function."""
+def _address_taken(definition: ast.FunctionDef) -> Set[int]:
+    """``id`` of every parameter and declarator of ``definition`` under ``&``.
 
-    def __init__(self, module: Module, function: Function, definition: ast.FunctionDef) -> None:
+    One walk over the body, in source order, with the lowering's scope
+    rules: a scope per block, per ``if`` branch and loop body, and one per
+    ``for`` header, and a declarator visible from its own initialiser on.
+    So ``&x`` marks the declaration the lowering resolves that ``x`` to.
+    Names the lowering will reject are skipped; it reports them.
+    """
+    taken: Set[int] = set()
+    parameters = _Scope()
+    for parameter in definition.parameters:
+        parameters.declare(parameter.name, parameter)
+    # Statements (and the expressions of a ``for`` header) on an explicit
+    # stack, children pushed in reverse, so the walk visits them in source
+    # order and no nesting depth exhausts Python's stack.
+    stack: List[Tuple[Any, _Scope]] = [(definition.body, parameters)]
+    while stack:
+        node, scope = stack.pop()
+        kind = type(node)
+        if kind is ast.ExpressionStmt:
+            _mark_address_taken(node.expression, scope, taken)
+        elif kind is ast.DeclarationStmt:
+            for declarator in node.declarators:
+                scope.declare(declarator.name, declarator)
+                if declarator.initializer is not None:
+                    _mark_address_taken(declarator.initializer, scope, taken)
+        elif kind is ast.BlockStmt:
+            inner = _Scope(scope)
+            stack.extend((statement, inner) for statement in reversed(node.statements))
+        elif kind is ast.IfStmt:
+            _mark_address_taken(node.condition, scope, taken)
+            if node.else_branch is not None:
+                stack.append((node.else_branch, _Scope(scope)))
+            stack.append((node.then_branch, _Scope(scope)))
+        elif kind is ast.WhileStmt:
+            _mark_address_taken(node.condition, scope, taken)
+            stack.append((node.body, _Scope(scope)))
+        elif kind is ast.ForStmt:
+            header = _Scope(scope)
+            for part, part_scope in ((node.step, header), (node.body, _Scope(header)),
+                                     (node.condition, header), (node.init, header)):
+                if part is not None:
+                    stack.append((part, part_scope))
+        elif kind is ast.ReturnStmt:
+            if node.value is not None:
+                _mark_address_taken(node.value, scope, taken)
+        elif isinstance(node, ast.Expression):
+            _mark_address_taken(node, scope, taken)
+    return taken
+
+
+def _mark_address_taken(expression: ast.Expression, scope: _Scope, taken: Set[int]) -> None:
+    """Add to ``taken`` what each ``&x`` in ``expression`` resolves to in ``scope``."""
+    nodes: List[Any] = [expression]
+    while nodes:
+        node = nodes.pop()
+        kind = type(node)
+        if kind is ast.BinaryExpr:
+            nodes.append(node.lhs)
+            nodes.append(node.rhs)
+        elif kind is ast.AssignExpr:
+            nodes.append(node.target)
+            nodes.append(node.value)
+        elif kind is ast.IndexExpr:
+            nodes.append(node.base)
+            nodes.append(node.index)
+        elif kind is ast.UnaryExpr:
+            operand = node.operand
+            if node.op == "&" and type(operand) is ast.VariableRef:
+                declaration = scope.lookup(operand.name)
+                if declaration is not None:
+                    taken.add(id(declaration))
+            else:
+                nodes.append(operand)
+        elif kind is ast.CallExpr:
+            nodes.extend(node.arguments)
+
+
+class _FunctionLowering:
+    """Lowers the body of one function.
+
+    With ``promote`` (the default) every non-array local whose address is
+    never taken is a promoted :class:`Scalar`; without it every local gets
+    an ``alloca`` slot.
+    """
+
+    def __init__(self, module: Module, function: Function, definition: ast.FunctionDef,
+                 promote: bool = True) -> None:
         self.module = module
         self.function = function
         self.definition = definition
@@ -82,12 +182,25 @@ class _FunctionLowering:
         self.scope = _Scope()
         self.loop_stack: List[Tuple[BasicBlock, BasicBlock]] = []  # (continue, break)
         self._name_counts: Dict[str, int] = {}
+        self.scalars = PromotedScalars()
+        self._address_taken = _address_taken(definition) if promote else None
 
     def _fresh(self, hint: str) -> str:
         """Readable value names, made unique per function."""
         count = self._name_counts.get(hint, 0)
         self._name_counts[hint] = count + 1
         return hint if count == 0 else "{}.{}".format(hint, count)
+
+    def _reserve(self, hint: str) -> None:
+        """Take the name :meth:`_fresh` would give, for a value never built.
+
+        A promoted local keeps the names of its slot and loads reserved, so
+        every later name is the one the slot-based lowering gives it.
+        """
+        self._name_counts[hint] = self._name_counts.get(hint, 0) + 1
+
+    def _promoted(self, declaration: ast.Node) -> bool:
+        return self._address_taken is not None and id(declaration) not in self._address_taken
 
     # -- plumbing --------------------------------------------------------------------
     def _new_block(self, hint: str) -> BasicBlock:
@@ -107,13 +220,22 @@ class _FunctionLowering:
         entry = self._new_block("entry")
         self.builder.set_insert_point(entry)
         for argument, parameter in zip(self.function.arguments, self.definition.parameters):
-            slot = self.builder.alloca(argument.type, self._fresh(parameter.name + ".addr"))
-            self.builder.store(argument, slot)
-            self.scope.declare(parameter.name, slot, argument.type, is_array=False)
+            storage: Storage
+            if self._promoted(parameter):
+                self._reserve(parameter.name + ".addr")
+                storage = self.scalars.declare(argument.type, entry)
+                self.scalars.write(entry, storage, argument)
+            else:
+                storage = self.builder.alloca(argument.type, self._fresh(parameter.name + ".addr"))
+                self.builder.store(argument, storage)
+            self.scope.declare(parameter.name, (storage, argument.type, False))
         self.lower_block(self.definition.body, _Scope(self.scope))
         if not self._current_block_terminated():
-            if self.function.return_type.is_void():
+            return_type = self.function.return_type
+            if return_type.is_void():
                 self.builder.ret(None)
+            elif return_type.is_pointer():
+                self.builder.ret(NullPointer(return_type))  # type: ignore[arg-type]
             else:
                 self.builder.ret(self.builder.const(0))
 
@@ -133,10 +255,7 @@ class _FunctionLowering:
         elif isinstance(statement, ast.ForStmt):
             self.lower_for(statement, scope)
         elif isinstance(statement, ast.ReturnStmt):
-            value = None
-            if statement.value is not None:
-                value = self.lower_expression(statement.value, scope)
-            self.builder.ret(value)
+            self.lower_return(statement, scope)
         elif isinstance(statement, ast.BreakStmt):
             if not self.loop_stack:
                 raise LoweringError("break outside of a loop (line {})".format(statement.line))
@@ -152,6 +271,23 @@ class _FunctionLowering:
         for statement in block.statements:
             self.lower_statement(statement, scope)
 
+    def lower_return(self, statement: ast.ReturnStmt, scope: _Scope) -> None:
+        return_type = self.function.return_type
+        if statement.value is None:
+            if not return_type.is_void():
+                raise LoweringError("function {!r} must return a value (line {})".format(
+                    self.function.name, statement.line))
+            self.builder.ret(None)
+            return
+        value = self.lower_expression(statement.value, scope)
+        if return_type.is_void():
+            raise LoweringError("void function {!r} cannot return a value (line {})".format(
+                self.function.name, statement.line))
+        if not _converts(value.type, return_type):
+            raise LoweringError("cannot return {} from function {!r} returning {} (line {})".format(
+                value.type, self.function.name, return_type, statement.line))
+        self.builder.ret(value)
+
     def lower_declaration(self, declaration: ast.DeclarationStmt, scope: _Scope) -> None:
         for declarator in declaration.declarators:
             value_type = _lower_type(declaration.type_spec, declarator.pointer_depth)
@@ -160,13 +296,18 @@ class _FunctionLowering:
             if declarator.array_size is not None:
                 slot = self.builder.alloca(value_type, self._fresh(declarator.name),
                                            array_size=self.builder.const(declarator.array_size))
-                scope.declare(declarator.name, slot, value_type, is_array=True)
+                scope.declare(declarator.name, (slot, value_type, True))
+                continue
+            storage: Storage
+            if self._promoted(declarator):
+                self._reserve(declarator.name)
+                storage = self.scalars.declare(value_type, self.builder.block)
             else:
-                slot = self.builder.alloca(value_type, self._fresh(declarator.name))
-                scope.declare(declarator.name, slot, value_type, is_array=False)
-                if declarator.initializer is not None:
-                    value = self.lower_expression(declarator.initializer, scope)
-                    self._store(value, slot, declarator.line)
+                storage = self.builder.alloca(value_type, self._fresh(declarator.name))
+            scope.declare(declarator.name, (storage, value_type, False))
+            if declarator.initializer is not None:
+                value = self.lower_expression(declarator.initializer, scope)
+                self._store(value, storage, declarator.line)
 
     def lower_if(self, statement: ast.IfStmt, scope: _Scope) -> None:
         then_block = self._new_block("if.then")
@@ -258,19 +399,19 @@ class _FunctionLowering:
 
     # -- expressions -----------------------------------------------------------------------------
     def lower_expression(self, expression: ast.Expression, scope: _Scope) -> Value:
-        if isinstance(expression, ast.IntLiteral):
-            return self.builder.const(expression.value)
         if isinstance(expression, ast.VariableRef):
             return self._load_variable(expression, scope)
-        if isinstance(expression, ast.AssignExpr):
-            return self.lower_assignment(expression, scope)
+        if isinstance(expression, ast.IntLiteral):
+            return self.builder.const(expression.value)
         if isinstance(expression, ast.BinaryExpr):
             return self.lower_binary(expression, scope)
+        if isinstance(expression, ast.AssignExpr):
+            return self.lower_assignment(expression, scope)
         if isinstance(expression, ast.UnaryExpr):
             return self.lower_unary(expression, scope)
         if isinstance(expression, ast.IndexExpr):
             address = self.lower_address(expression, scope)
-            return self.builder.load(address)
+            return self.builder.load(address)  # type: ignore[arg-type]
         if isinstance(expression, ast.CallExpr):
             return self.lower_call(expression, scope)
         raise LoweringError("unsupported expression {!r}".format(expression))
@@ -280,23 +421,38 @@ class _FunctionLowering:
         if entry is None:
             raise LoweringError("use of undeclared variable {!r} (line {})".format(
                 reference.name, reference.line))
-        slot, value_type, is_array = entry
+        storage, _value_type, is_array = entry  # type: ignore[misc]
         if is_array:
             # Arrays decay to a pointer to their first element.
-            return slot
-        return self.builder.load(slot, self._fresh(reference.name + ".val"))
+            return storage
+        if isinstance(storage, Scalar):
+            self._reserve(reference.name + ".val")
+            return self.scalars.read(self.builder.block, storage)
+        return self.builder.load(storage, self._fresh(reference.name + ".val"))
 
-    def lower_address(self, expression: ast.Expression, scope: _Scope) -> Value:
-        """Lower an lvalue expression to the address it designates."""
+    def _load(self, storage: Storage) -> Value:
+        """An unnamed read of ``storage``."""
+        if isinstance(storage, Scalar):
+            # No load is built, but its value number stays taken, so every
+            # later number is the one the slot-based lowering gives.
+            self.function.next_value_name()
+            return self.scalars.read(self.builder.block, storage)
+        return self.builder.load(storage)
+
+    def lower_address(self, expression: ast.Expression, scope: _Scope) -> Storage:
+        """Lower an lvalue expression to the address it designates.
+
+        A promoted local has no address: its :class:`Scalar` is returned.
+        """
         if isinstance(expression, ast.VariableRef):
             entry = scope.lookup(expression.name)
             if entry is None:
                 raise LoweringError("use of undeclared variable {!r} (line {})".format(
                     expression.name, expression.line))
-            slot, _value_type, is_array = entry
+            storage, _value_type, is_array = entry  # type: ignore[misc]
             if is_array:
                 raise LoweringError("cannot assign to an array name (line {})".format(expression.line))
-            return slot
+            return storage
         if isinstance(expression, ast.IndexExpr):
             base = self.lower_expression(expression.base, scope)
             if not base.type.is_pointer():
@@ -311,21 +467,25 @@ class _FunctionLowering:
         raise LoweringError("expression is not assignable (line {})".format(expression.line))
 
     def lower_assignment(self, assignment: ast.AssignExpr, scope: _Scope) -> Value:
-        address = self.lower_address(assignment.target, scope)
+        target = self.lower_address(assignment.target, scope)
         value = self.lower_expression(assignment.value, scope)
         if assignment.op != "=":
-            current = self.builder.load(address)
+            current = self._load(target)
             op = _ARITHMETIC[assignment.op[0]]
             value = self._arith(op, current, value)
-        self._store(value, address, assignment.line)
+        self._store(value, target, assignment.line)
         return value
 
-    def _store(self, value: Value, address: Value, line: int) -> None:
-        slot_type = address.type.pointee
+    def _store(self, value: Value, target: Storage, line: int) -> None:
+        promoted = isinstance(target, Scalar)
+        slot_type = target.type if promoted else target.type.pointee  # type: ignore[attr-defined]
         if value.type != slot_type:
             raise LoweringError("cannot assign {} to {} (line {})".format(
                 value.type, slot_type, line))
-        self.builder.store(value, address)
+        if promoted:
+            self.scalars.write(self.builder.block, target, value)  # type: ignore[arg-type]
+        else:
+            self.builder.store(value, target)  # type: ignore[arg-type]
 
     def lower_binary(self, expression: ast.BinaryExpr, scope: _Scope) -> Value:
         # Left-associative chains (``a + b + ... + z``) nest down their left
@@ -380,9 +540,11 @@ class _FunctionLowering:
             return self.builder.icmp_eq(operand, self.builder.const(0))
         if expression.op == "&":
             # Address-of: the operand's slot/element address becomes a value.
-            # The touched alloca is no longer promotable, which is exactly
-            # what a C compiler does when a local's address escapes.
-            return self.lower_address(expression.operand, scope)
+            # A local under ``&`` is never promoted (see _address_taken),
+            # exactly as a C compiler keeps an escaping local in memory.
+            address = self.lower_address(expression.operand, scope)
+            assert not isinstance(address, Scalar), "address of a promoted local"
+            return address
         raise LoweringError("unsupported unary operator {!r}".format(expression.op))
 
     def lower_call(self, call: ast.CallExpr, scope: _Scope) -> Value:
@@ -399,6 +561,11 @@ class _FunctionLowering:
         if len(arguments) != len(callee.arguments):
             raise LoweringError("wrong number of arguments in call to {!r} (line {})".format(
                 call.callee, call.line))
+        for position, (argument, parameter) in enumerate(zip(arguments, callee.arguments), 1):
+            if not _converts(argument.type, parameter.type):
+                raise LoweringError("cannot pass {} as argument {} of {!r}, which expects {} "
+                                    "(line {})".format(argument.type, position, call.callee,
+                                                       parameter.type, call.line))
         return self.builder.call(callee, arguments)
 
 
@@ -406,24 +573,33 @@ def lower_program(program: ast.Program, module_name: str = "program",
                   promote: bool = True, verify: bool = True) -> Module:
     """Lower a parsed program to an IR module.
 
-    ``promote`` runs mem2reg after lowering (recommended: the analyses expect
-    SSA scalars).  ``verify`` runs the IR verifier on the result.
+    ``promote`` lowers the locals whose address is never taken straight to
+    SSA values (recommended: the analyses expect SSA scalars); without it
+    every local lives in an ``alloca`` slot.  ``verify`` runs the IR
+    verifier on the result.
     """
     module = Module(module_name)
     # First pass: declare every function so calls can be resolved.
     for definition in program.functions:
+        if module.get_function(definition.name) is not None:
+            raise LoweringError("redefinition of function {!r} (line {})".format(
+                definition.name, definition.line))
         return_type = _lower_type(definition.return_type)
         arg_types = [_lower_type(p.type_spec) for p in definition.parameters]
         arg_names = [p.name for p in definition.parameters]
+        for index, parameter in enumerate(definition.parameters):
+            if parameter.name in arg_names[:index]:
+                raise LoweringError("duplicate parameter {!r} of function {!r} (line {})".format(
+                    parameter.name, definition.name, parameter.line))
         module.create_function(definition.name, return_type, arg_types, arg_names)
-    # Second pass: lower bodies.
+    # Second pass: lower bodies, then place each function's φs.
     for definition in program.functions:
         function = module.get_function(definition.name)
         assert function is not None
-        _FunctionLowering(module, function, definition).run()
+        lowering = _FunctionLowering(module, function, definition, promote)
+        lowering.run()
         remove_unreachable_blocks(function)
-        if promote:
-            promote_memory_to_registers(function)
+        promote_memory_to_registers(function, lowering.scalars)
     if verify:
         with TRACER.span("ir.verify", module=module_name):
             verify_module(module)

@@ -7,7 +7,7 @@ reachability, and the removal of unreachable blocks after lowering.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
@@ -37,7 +37,8 @@ class ControlFlowGraph:
         return [(b, s) for b in self.function.blocks for s in self.succs(b)]
 
 
-def reverse_postorder(function: Function) -> List[BasicBlock]:
+def reverse_postorder(function: Function,
+                      cfg: Optional[ControlFlowGraph] = None) -> List[BasicBlock]:
     """Blocks in reverse postorder of a DFS from the entry block.
 
     The DFS keeps an explicit stack of (block, successor iterator) frames and
@@ -45,20 +46,22 @@ def reverse_postorder(function: Function) -> List[BasicBlock]:
     recursive DFS gives, with no recursion-depth limit on long CFGs and no
     self-referencing closure left behind for the cycle collector.
     Unreachable blocks are appended at the end in their textual order so that
-    analyses still visit every block.
+    analyses still visit every block.  Successors come from ``cfg`` when
+    one is given.
     """
     entry = function.entry_block
     if entry is None:
         return []
+    successors_of = cfg.succs if cfg is not None else BasicBlock.successors
     visited: Set[BasicBlock] = {entry}
     postorder: List[BasicBlock] = []
-    stack = [(entry, iter(entry.successors()))]
+    stack = [(entry, iter(successors_of(entry)))]
     while stack:
         block, successors = stack[-1]
         for succ in successors:
             if succ not in visited:
                 visited.add(succ)
-                stack.append((succ, iter(succ.successors())))
+                stack.append((succ, iter(successors_of(succ))))
                 break
         else:
             stack.pop()

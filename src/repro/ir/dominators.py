@@ -8,7 +8,7 @@ verifier's SSA checks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.cfg import ControlFlowGraph, reverse_postorder
@@ -16,51 +16,52 @@ from repro.ir.function import Function
 from repro.ir.instructions import Instruction, Phi
 
 
+_EMPTY: FrozenSet[BasicBlock] = frozenset()
+
+
 class DominatorTree:
     """Immediate dominators, dominance queries and dominance frontiers."""
 
-    def __init__(self, function: Function) -> None:
+    def __init__(self, function: Function, cfg: Optional[ControlFlowGraph] = None) -> None:
         self.function = function
-        self.cfg = ControlFlowGraph(function)
-        self.rpo = reverse_postorder(function)
+        self.cfg = cfg if cfg is not None else ControlFlowGraph(function)
+        self.rpo = reverse_postorder(function, self.cfg)
         self._rpo_index: Dict[BasicBlock, int] = {b: i for i, b in enumerate(self.rpo)}
         self.idom: Dict[BasicBlock, Optional[BasicBlock]] = {}
         self.children: Dict[BasicBlock, List[BasicBlock]] = {}
         #: per reachable block, its dominator-tree preorder number and the
         #: last number in its subtree (built by the first dominance query).
         self._subtrees: Optional[Dict[BasicBlock, Tuple[int, int]]] = None
+        #: per block, its dominance frontier (built by the first frontier query).
+        self._frontier: Optional[Dict[BasicBlock, Set[BasicBlock]]] = None
         self._compute_idoms()
         self._compute_children()
-        self.frontier: Dict[BasicBlock, Set[BasicBlock]] = self._compute_frontier()
 
     # -- construction -----------------------------------------------------------
     def _compute_idoms(self) -> None:
         entry = self.function.entry_block
         if entry is None:
             return
-        idom: Dict[BasicBlock, Optional[BasicBlock]] = {b: None for b in self.rpo}
-        idom[entry] = entry
+        # Only processed blocks have an entry while the iteration runs.
+        idom: Dict[BasicBlock, Optional[BasicBlock]] = {entry: entry}
+        predecessors = self.cfg.predecessors
         changed = True
         while changed:
             changed = False
             for block in self.rpo:
                 if block is entry:
                     continue
-                processed_preds = [
-                    p for p in self.cfg.preds(block)
-                    if p in idom and idom.get(p) is not None
-                ]
-                if not processed_preds:
-                    continue
-                new_idom = processed_preds[0]
-                for pred in processed_preds[1:]:
-                    new_idom = self._intersect(pred, new_idom, idom)
-                if idom[block] is not new_idom:
+                new_idom = None
+                for pred in predecessors.get(block, ()):
+                    if pred in idom:
+                        new_idom = pred if new_idom is None else self._intersect(pred, new_idom, idom)
+                if new_idom is not None and idom.get(block) is not new_idom:
                     idom[block] = new_idom
                     changed = True
-        # Entry's idom is conventionally None (it has no strict dominator).
+        # Entry's idom is conventionally None (it has no strict dominator),
+        # and so is an unreachable block's.
         idom[entry] = None
-        self.idom = idom
+        self.idom = {block: idom.get(block) for block in self.rpo}
 
     def _intersect(self, a: BasicBlock, b: BasicBlock,
                    idom: Dict[BasicBlock, Optional[BasicBlock]]) -> BasicBlock:
@@ -77,23 +78,30 @@ class DominatorTree:
         return finger_a
 
     def _compute_children(self) -> None:
-        self.children = {block: [] for block in self.rpo}
-        for block in self.rpo:
-            parent = self.idom.get(block)
+        # Only blocks with children have an entry.
+        children: Dict[BasicBlock, List[BasicBlock]] = {}
+        for block, parent in self.idom.items():
             if parent is not None and parent is not block:
-                self.children[parent].append(block)
+                kids = children.get(parent)
+                if kids is None:
+                    children[parent] = [block]
+                else:
+                    kids.append(block)
+        self.children = children
 
     def _compute_frontier(self) -> Dict[BasicBlock, Set[BasicBlock]]:
-        frontier: Dict[BasicBlock, Set[BasicBlock]] = {b: set() for b in self.rpo}
+        # Only blocks with a non-empty frontier have an entry.
+        frontier: Dict[BasicBlock, Set[BasicBlock]] = {}
+        idom = self.idom
         for block in self.rpo:
             preds = self.cfg.preds(block)
             if len(preds) < 2:
                 continue
             for pred in preds:
                 runner: Optional[BasicBlock] = pred
-                while runner is not None and runner is not self.idom.get(block):
+                while runner is not None and runner is not idom.get(block):
                     frontier.setdefault(runner, set()).add(block)
-                    runner = self.idom.get(runner)
+                    runner = idom.get(runner)
         return frontier
 
     # -- queries -------------------------------------------------------------------
@@ -117,28 +125,38 @@ class DominatorTree:
         return subtree[0] <= position[0] <= subtree[1]
 
     def _number_subtrees(self) -> Dict[BasicBlock, Tuple[int, int]]:
-        preorder = list(self.dom_tree_preorder())
-        sizes: Dict[BasicBlock, int] = {}
+        preorder = self.dom_tree_preorder()
+        numbers = {block: number for number, block in enumerate(preorder)}
+        # A subtree's last number is its last child's subtree's last number.
+        last: Dict[BasicBlock, int] = {}
+        children = self.children
         for block in reversed(preorder):
-            sizes[block] = 1 + sum(sizes[child] for child in self.children.get(block, ()))
-        return {block: (number, number + sizes[block] - 1)
-                for number, block in enumerate(preorder)}
+            kids = children.get(block)
+            last[block] = last[kids[-1]] if kids else numbers[block]
+        return {block: (numbers[block], last[block]) for block in preorder}
 
     def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         return a is not b and self.dominates(a, b)
 
-    def dominance_frontier(self, block: BasicBlock) -> Set[BasicBlock]:
-        return self.frontier.get(block, set())
+    def dominance_frontier(self, block: BasicBlock) -> AbstractSet[BasicBlock]:
+        if self._frontier is None:
+            self._frontier = self._compute_frontier()
+        return self._frontier.get(block, _EMPTY)
 
-    def dom_tree_preorder(self) -> Iterator[BasicBlock]:
+    def dom_tree_preorder(self) -> List[BasicBlock]:
         entry = self.function.entry_block
         if entry is None:
-            return
+            return []
+        preorder: List[BasicBlock] = []
+        children = self.children
         stack = [entry]
         while stack:
             block = stack.pop()
-            yield block
-            stack.extend(reversed(self.children.get(block, [])))
+            preorder.append(block)
+            kids = children.get(block)
+            if kids:
+                stack.extend(reversed(kids))
+        return preorder
 
     # -- instruction-level dominance --------------------------------------------------
     def instruction_dominates(self, a: Instruction, b: Instruction) -> bool:

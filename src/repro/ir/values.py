@@ -2,8 +2,8 @@
 
 Every operand of an instruction is a :class:`Value`.  Values track their
 uses, which gives the analyses cheap access to def-use chains and lets
-transformation passes (mem2reg, e-SSA construction) rewrite operands with
-``replace_all_uses_with``.
+transformation passes (SSA and e-SSA construction) rewrite operands
+through them.
 """
 
 from __future__ import annotations

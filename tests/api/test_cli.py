@@ -229,7 +229,12 @@ def test_store_path_that_is_not_a_database_exits_2(source_file, tmp_path,
     "int f(int x) { return y; }\n",
     "int f(int *a, int c) { int x = 1; if (c) x = a; return x; }\n",
     "int main() { int x = \u00b2; return x; }\n",
-], ids=["parse", "lexer", "lowering", "store-type", "unicode-digit"])
+    "int f() { return 1; } int f() { return 2; }\n",
+    "int main(int a, int a) { return a; }\n",
+    "void g() { } int main() { return g(); }\n",
+    "int g(int *p) { return 0; } int main() { return g(3); }\n",
+], ids=["parse", "lexer", "lowering", "store-type", "unicode-digit", "duplicate-function",
+        "duplicate-parameter", "return-type", "argument-type"])
 def test_source_that_does_not_compile_exits_2(source_file, tmp_path, capsys,
                                               bad_source):
     """A source the frontend rejects is a diagnostic and exit 2, never a

@@ -211,6 +211,54 @@ def test_ill_typed_store_is_a_lowering_error(source, message):
         compile_source(source)
 
 
+@pytest.mark.parametrize("source, message", [
+    ("int f() { return 1; }\nint f() { return 2; }",
+     r"redefinition of function 'f' \(line 2\)"),
+    ("int main(int a,\n int a) { return a; }",
+     r"duplicate parameter 'a' of function 'main' \(line 2\)"),
+], ids=["function", "parameter"])
+def test_duplicate_definition_is_a_lowering_error(source, message):
+    with pytest.raises(LoweringError, match=message):
+        compile_source(source)
+
+
+@pytest.mark.parametrize("source, message", [
+    ("void g() { }\nint main() {\n return g(); }",
+     r"cannot return void from function 'main' returning i64 \(line 3\)"),
+    ("int g(int *p) { return *p; }\nint main() {\n return g(3); }",
+     r"cannot pass i64 as argument 1 of 'g', which expects i64\* \(line 3\)"),
+    ("int g(int a, int *p) { return a; }\nint main(int *q) {\n return g(q, q); }",
+     r"cannot pass i64\* as argument 1 of 'g', which expects i64 \(line 3\)"),
+    ("void main() {\n return 3; }",
+     r"void function 'main' cannot return a value \(line 2\)"),
+    ("int main() {\n return; }",
+     r"function 'main' must return a value \(line 2\)"),
+    ("int *f(int *p) {\n return 0; }",
+     r"cannot return i64 from function 'f' returning i64\* \(line 2\)"),
+], ids=["void-value", "int-for-pointer", "pointer-for-int", "value-from-void",
+        "missing-value", "int-for-pointer-return"])
+def test_ill_typed_return_or_argument_is_a_lowering_error(source, message):
+    with pytest.raises(LoweringError, match=message):
+        compile_source(source)
+
+
+def test_comparison_results_widen_to_int_returns_and_arguments():
+    source = ("int id(int x) { return x; }\n"
+              "int f(int a, int b) { return id(a < b) + (a == b); }")
+    assert run(source, "f", [1, 2])[0] == 1
+    assert run(source, "f", [2, 2])[0] == 1
+    assert run(source, "f", [3, 2])[0] == 0
+
+
+def test_falling_off_a_pointer_function_returns_null():
+    source = ("int *f(int *p, int c) {\n if (c) return p; }\n"
+              "int main() { int a[2]; a[0] = 5; int *q = f(a, 1); f(a, 0); return *q; }")
+    module = compile_source(source)
+    function = module.get_function("f")
+    assert function.blocks[-1].terminator.value.type == function.return_type
+    assert Interpreter(module).run("main") == 5
+
+
 def test_void_function_returns_none():
     module = compile_source("void nothing(int x) { x = x + 1; }")
     assert Interpreter(module).run("nothing", [1]) is None

@@ -1,64 +1,70 @@
-"""Tests for mem2reg and the reference interpreter."""
+"""Tests for SSA construction in the lowering and for the reference interpreter."""
 
 import pytest
 
 from repro.frontend import compile_source
-from repro.ir import INT, IRBuilder, Module, pointer_to, print_module, verify_function
+from repro.ir import INT, IRBuilder, Module, print_module, verify_function
+from repro.ir.instructions import Alloca, Load, Store
 from repro.ir.interpreter import Interpreter, InterpreterError, Pointer
-from repro.ir.ssa import promotable_allocas, promote_memory_to_registers
 from repro.ir.values import Undef
-from repro.synth import CsmithConfig, RandomProgramGenerator
+from repro.synth import CsmithConfig, RandomProgramGenerator, spec_sources
 from tests.helpers import (
     build_counting_loop_module,
     build_diamond_module,
     build_two_index_loop_module,
 )
 
+MAX_SOURCE = """
+int max(int a, int b) {
+  int slot = a;
+  if (a < b) slot = b;
+  return slot;
+}
+"""
 
-def build_alloca_max_module():
-    """max(a, b) written with an alloca-backed local, as a frontend would."""
-    module = Module("m")
-    f = module.create_function("max", INT, [INT, INT], ["a", "b"])
-    entry = f.append_block(name="entry")
-    then_block = f.append_block(name="then")
-    done = f.append_block(name="done")
-    builder = IRBuilder(entry)
-    a, b = f.arguments
-    slot = builder.alloca(INT, "slot")
-    builder.store(a, slot)
-    cond = builder.icmp_slt(a, b)
-    builder.branch(cond, then_block, done)
-    builder.set_insert_point(then_block)
-    builder.store(b, slot)
-    builder.jump(done)
-    builder.set_insert_point(done)
-    result = builder.load(slot, "result")
-    builder.ret(result)
-    return module, f, slot
+
+def _opcodes(function):
+    return [inst.opcode for inst in function.instructions()]
 
 
 def test_promotable_alloca_detection():
-    module, f, slot = build_alloca_max_module()
-    assert promotable_allocas(f) == [slot]
+    # Parameters and scalars get no slot; an array and a local under ``&``
+    # keep theirs.
+    source = """
+    int f(int n) {
+      int s = 0; int t; int a[4]; int *p = &t;
+      *p = n; a[0] = s; s = s + t + a[0];
+      return s;
+    }
+    """
+    function = compile_source(source).get_function("f")
+    allocas = [inst for inst in function.instructions() if isinstance(inst, Alloca)]
+    assert sorted(inst.name for inst in allocas) == ["a", "t"]
+    assert not any(inst.name == "n.addr" for inst in function.instructions())
 
 
 def test_alloca_whose_address_escapes_is_not_promotable():
-    module = Module("m")
-    f = module.create_function("f", INT, [], [])
-    entry = f.append_block(name="entry")
-    builder = IRBuilder(entry)
-    slot = builder.alloca(INT, "slot")
-    builder.gep(slot, builder.const(1), "escaped")
-    builder.ret(builder.const(0))
-    assert promotable_allocas(f) == []
+    # ``&x`` pins the inner ``x`` and the parameter ``n`` to memory while
+    # the outer ``x`` of the same name is promoted.
+    source = """
+    int f(int n) {
+      int x = 1;
+      { int x = n; int *p = &x; *p = *p + 1; n = x; }
+      int *q = &n;
+      return x + *q;
+    }
+    """
+    function = compile_source(source).get_function("f")
+    allocas = [inst.name for inst in function.instructions() if isinstance(inst, Alloca)]
+    assert allocas == ["n.addr", "x.1"]
+    module = compile_source(source + "int main() { return f(4); }")
+    assert Interpreter(module).run("main") == 6
 
 
 def test_mem2reg_introduces_phi_and_removes_memory_ops():
-    module, f, slot = build_alloca_max_module()
-    promoted = promote_memory_to_registers(f)
-    assert promoted == 1
-    verify_function(f)
-    opcodes = [inst.opcode for inst in f.instructions()]
+    function = compile_source(MAX_SOURCE).get_function("max")
+    verify_function(function)
+    opcodes = _opcodes(function)
     assert "alloca" not in opcodes
     assert "load" not in opcodes
     assert "store" not in opcodes
@@ -66,16 +72,33 @@ def test_mem2reg_introduces_phi_and_removes_memory_ops():
 
 
 def test_mem2reg_preserves_semantics():
-    module, f, slot = build_alloca_max_module()
-    before = Interpreter(module).run("max", [3, 9])
-    promote_memory_to_registers(f)
-    after = Interpreter(module).run("max", [3, 9])
-    assert before == after == 9
-    assert Interpreter(module).run("max", [9, 3]) == 9
+    for promote in (False, True):
+        module = compile_source(MAX_SOURCE, promote=promote)
+        assert ("alloca" in _opcodes(module.get_function("max"))) is not promote
+        assert Interpreter(module).run("max", [3, 9]) == 9
+        assert Interpreter(module).run("max", [9, 3]) == 9
+
+
+def test_spec_corpus_builds_no_memory_operation_for_promoted_locals(monkeypatch):
+    # Every alloca, load and store the lowering builds survives into the
+    # final IR: none is built only for SSA construction to erase again.
+    built = []
+    insert = IRBuilder._insert
+
+    def recording_insert(self, instruction):
+        built.append(instruction)
+        return insert(self, instruction)
+
+    monkeypatch.setattr(IRBuilder, "_insert", recording_insert)
+    for name, text in spec_sources():
+        compile_source(text, module_name=name)
+    memory = [inst for inst in built if isinstance(inst, (Alloca, Load, Store))]
+    assert memory
+    assert all(inst.parent is not None for inst in memory)
 
 
 def _run_unpromoted_and_promoted(source):
-    """``main``'s result on the memory-slot IR and on the mem2reg'd IR."""
+    """``main``'s result on the memory-slot IR and on the SSA IR."""
     return [Interpreter(compile_source(source, promote=promote), max_steps=400000).run("main")
             for promote in (False, True)]
 
@@ -90,7 +113,7 @@ def test_mem2reg_preserves_random_program_results(depth):
 
 
 def test_mem2reg_rotates_slots_through_each_other():
-    # Each store's value is a load of another promoted slot.
+    # Each write's value is a read of another promoted scalar.
     source = """
     int main() {
       int a = 1; int b = 2; int t = 0; int s = 0; int i = 0;
@@ -120,31 +143,25 @@ def test_mem2reg_slot_stored_in_one_branch():
     assert _run_unpromoted_and_promoted(source) == [50, 50]
 
 
-def test_mem2reg_fills_phi_entry_of_unreachable_predecessor():
-    module = Module("m")
-    f = module.create_function("f", INT, [INT], ["c"])
-    entry = f.append_block(name="entry")
-    then_block = f.append_block(name="then")
-    dead = f.append_block(name="dead")
-    join = f.append_block(name="join")
-    builder = IRBuilder(entry)
-    slot = builder.alloca(INT, "slot")
-    builder.store(builder.const(0), slot)
-    builder.branch(builder.icmp_slt(f.arguments[0], builder.const(0)), then_block, join)
-    builder.set_insert_point(then_block)
-    builder.store(builder.const(1), slot)
-    builder.jump(join)
-    builder.set_insert_point(dead)
-    builder.jump(join)
-    builder.set_insert_point(join)
-    builder.ret(builder.load(slot, "result"))
-    before = [Interpreter(module).run("f", [c]) for c in (-1, 1)]
-    assert promote_memory_to_registers(f) == 1
-    verify_function(f)
-    incoming = {block.name: value for value, block in join.phis()[0].incoming()}
-    assert sorted(incoming) == ["dead", "entry", "then"]
-    assert isinstance(incoming["dead"], Undef)
-    assert [Interpreter(module).run("f", [c]) for c in (-1, 1)] == before == [1, 0]
+def test_mem2reg_ignores_writes_in_unreachable_predecessors():
+    # The write after ``continue`` lands in a dead block that jumps to the
+    # loop header; the block is removed before φs are placed, so the
+    # header's φs have one entry per live predecessor and none from it.
+    source = """
+    int f(int c) {
+      int x = 0;
+      while (c > 0) { x = x + c; c = c - 1; continue; x = 100; }
+      return x;
+    }
+    int main() { return f(4) * 10 + f(2); }
+    """
+    function = compile_source(source).get_function("f")
+    verify_function(function)
+    assert not any(block.name.startswith("dead") for block in function.blocks)
+    header = function.block_by_name("while.cond1")
+    for phi in header.phis():
+        assert sorted(block.name for block in phi.incoming_blocks) == ["entry0", "while.body2"]
+    assert _run_unpromoted_and_promoted(source) == [103, 103]
 
 
 def test_interpreter_runs_counting_loop():
