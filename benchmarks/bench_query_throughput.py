@@ -18,8 +18,7 @@ import time
 
 from harness import full_scale, print_table, write_results
 
-from repro.api import env_float
-from repro.api.config import resolved_class_limit
+from repro.api import ReproConfig, env_float
 from repro.alias import AliasEvaluation, evaluate_module
 from repro.alias.aaeval import collect_pointer_values
 from repro.core import LessThanAnalysis, StrictInequalityAliasAnalysis
@@ -35,20 +34,23 @@ REPEATS = 5 if full_scale() else 3
 #: the acceptance threshold; wall-clock ratios are noisy on shared CI
 #: runners, so the smoke job lowers it via the environment.
 MIN_SPEEDUP = env_float("REPRO_MIN_SPEEDUP", 5.0)
+#: the equivalence-class limit of both paths (``REPRO_CLASS_LIMIT``, default
+#: 64; 0 = unlimited).
+CLASS_LIMIT = ReproConfig().class_limit
 
 
 def _seed_evaluate_module(module):
     """The seed path: a fresh analysis per evaluation and the
     recompute-per-query reference (equivalence-class walks per pair)."""
     analysis = LessThanAnalysis(module, build_essa=True)
-    limit = resolved_class_limit()
     evaluation = AliasEvaluation()
     for function in module.defined_functions():
         pointers = collect_pointer_values(function)
         for i in range(len(pointers)):
             for j in range(i + 1, len(pointers)):
                 if reference_disambiguate(pointers[i], pointers[j],
-                                          analysis.lt_sets, limit):
+                                          analysis.lt_sets,
+                                          CLASS_LIMIT or None):
                     evaluation.no_alias += 1
                 else:
                     evaluation.may_alias += 1
@@ -87,7 +89,7 @@ def _measure_program(program):
     seed_seconds, seed_eval = _time_repeats(
         lambda: _seed_evaluate_module(module), REPEATS)
 
-    cache = FunctionAnalysisCache()
+    cache = FunctionAnalysisCache(class_limit=CLASS_LIMIT)
     cached_seconds, cached_eval = _time_repeats(
         lambda: _cached_evaluate_module(program, cache), REPEATS)
 
@@ -111,7 +113,8 @@ def test_query_throughput_cached_vs_seed(benchmark):
     rows = [_measure_program(program) for program in programs]
 
     # pytest-benchmark tracks the cached path on one representative program.
-    benchmark(_cached_evaluate_module, programs[0], FunctionAnalysisCache())
+    benchmark(_cached_evaluate_module, programs[0],
+              FunctionAnalysisCache(class_limit=CLASS_LIMIT))
 
     total_seed = sum(row.pop("_seed_seconds") for row in rows)
     total_cached = sum(row.pop("_cached_seconds") for row in rows)

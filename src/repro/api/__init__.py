@@ -13,7 +13,7 @@ Three layers, built on top of each other:
   ``print-ir``, ``stats`` and ``store`` subcommands over the same facade.
 
 ``repro.api.config`` imports nothing from the rest of the package (lower
-layers depend on it for ``REPRO_*`` resolution), so this ``__init__``
+layers import its defaults and ``ConfigError``), so this ``__init__``
 imports it eagerly and loads the session/CLI layers lazily via PEP 562 to
 keep the import graph acyclic.
 """
@@ -21,7 +21,6 @@ keep the import graph acyclic.
 from repro.api.config import (
     ConfigError,
     ReproConfig,
-    active_config,
     env_flag,
     env_float,
     env_int,
@@ -42,7 +41,6 @@ __all__ = [
     "CompiledUnit",
     "DisambiguationReport",
     "UpdateResult",
-    "active_config",
     "env_flag",
     "env_float",
     "env_int",

@@ -53,12 +53,12 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                        help="store byte budget (0 = unbounded)")
     group.add_argument("--class-limit", type=int, default=None, metavar="N",
                        help="equivalence-class truncation limit (0 = unlimited)")
-    group.add_argument("--verify", default=None, choices=VERIFY_MODES,
-                       help="self-check every solved pipeline (post = after "
-                            "each in-process solve, paranoid = also inside "
-                            "pool workers)")
+    group.add_argument("--verify", default=None, metavar="MODE",
+                       help="self-check every solved unit, serial or pooled "
+                            "({})".format("/".join(VERIFY_MODES)))
     group.add_argument("--seed", type=int, default=None, metavar="N",
-                       help="synthetic-workload base seed")
+                       help="base seed of --synth testsuite (the spec "
+                            "programs each have their own seed)")
     group.add_argument("--trace", default=None, metavar="FILE",
                        help="write a Chrome trace-event JSON timeline "
                             "(open in about:tracing or Perfetto)")
@@ -136,7 +136,7 @@ def _print_table(rows: Sequence[Dict[str, object]]) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _collect_units(args: argparse.Namespace,
+def _collect_units(args: argparse.Namespace, seed: int,
                    command: str = "eval") -> List[Tuple[str, str]]:
     if args.count < 1:
         raise ConfigError("--count must be at least 1, got {}"
@@ -147,7 +147,8 @@ def _collect_units(args: argparse.Namespace,
         from repro.synth import build_testsuite_sources, spec_sources
 
         if args.synth == "testsuite":
-            units.extend(build_testsuite_sources(count=args.count))
+            units.extend(build_testsuite_sources(count=args.count,
+                                                 base_seed=seed))
         else:
             units.extend(spec_sources()[:args.count])
     if not units:
@@ -166,9 +167,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     specs = _parse_specs(args.specs)
     labels = ["+".join(spec) for spec in specs]
     config = _config_from_arguments(args)
-    with config.activate():
-        # Inside the activation so --seed reaches the synthetic generators.
-        units = _collect_units(args)
+    units = _collect_units(args, config.synth_seed)
     with Session(config) as session:
         results = session.run_workload(units, specs=specs)
     if config.trace:
@@ -237,8 +236,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.api.session import Session
 
     config = _config_from_arguments(args)
-    with config.activate():
-        units = _collect_units(args, command="check")
+    units = _collect_units(args, config.synth_seed, command="check")
     unit_reports = []
     with Session(config) as session:
         for name, source in units:
@@ -347,11 +345,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 "REPRO_VERIFY={}".format(session.config.verify))
         lt_statistics = unit.lessthan().statistics
         range_totals: Dict[str, int] = {}
-        with session.config.activate():
-            for function in unit.module.defined_functions():
-                for key, value in (session.cache.ranges(function)
-                                   .statistics.as_dict().items()):
-                    range_totals[key] = range_totals.get(key, 0) + value
+        for function in unit.module.defined_functions():
+            for key, value in (session.cache.ranges(function)
+                               .statistics.as_dict().items()):
+                range_totals[key] = range_totals.get(key, 0) + value
 
         print("module {}: {} instructions, {} functions".format(
             name, unit.module.instruction_count(),
@@ -413,7 +410,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             for key, value in verify_stats.items():
                 print("  {:24s} {}".format(key, value))
         else:
-            print("  (no verification runs — set REPRO_VERIFY=post|paranoid "
+            print("  (no verification runs — set REPRO_VERIFY=post "
                   "or run 'repro check')")
         if "store" in statistics:
             print("[store]")
@@ -435,8 +432,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             else:
                 from repro.engine.store import AnalysisStore
 
-                with AnalysisStore(path, readonly=True,
-                                   max_bytes=0) as store_handle:
+                with AnalysisStore(path, readonly=True) as store_handle:
                     for key, value in store_handle.info().items():
                         print("  {:24s} {}".format(key, value))
         if args.timings:
@@ -452,7 +448,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         # mistyped path; fail loudly instead.
         raise ConfigError("no analysis store at {!r}".format(args.path))
     if args.action == "info":
-        store = AnalysisStore(args.path, readonly=True, max_bytes=0)
+        store = AnalysisStore(args.path, readonly=True)
         try:
             info = store.info()
         finally:
@@ -464,13 +460,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
         if args.max_mb is None:
             raise ConfigError("store evict needs --max-mb")
         budget = int(args.max_mb * 1024 * 1024)
-        with AnalysisStore(args.path, max_bytes=0) as store:
+        with AnalysisStore(args.path) as store:
             evicted = store.evict(budget)
             remaining = store.size_bytes()
         print("evicted {} entries; {} bytes remain".format(evicted, remaining))
         return 0
     # clear
-    with AnalysisStore(args.path, max_bytes=0) as store:
+    with AnalysisStore(args.path) as store:
         entries = len(store)
         store.clear()
     print("cleared {} entries".format(entries))

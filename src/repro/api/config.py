@@ -22,13 +22,16 @@ instead of the silent fallbacks (or raw ``ValueError`` deep in the stack)
 of earlier revisions.
 
 This module is the *only* place in ``src/repro`` that reads ``REPRO_*``
-environment variables.  Lower layers (the engine driver, the analysis
-store, the disambiguator, the verification hooks) call the
-``resolved_*`` functions below, which consult the innermost *active*
-config — installed by ``Session`` for the duration of its operations and
-re-installed inside worker processes — before falling back to the
-environment.  It deliberately imports nothing from the rest of the
-package so that any module may depend on it without cycles.
+environment variables.  The :class:`~repro.api.session.Session` and the
+CLI resolve one config at construction and pass each value to its one
+reader as an argument: the class limit to
+:class:`~repro.passes.analysis_cache.FunctionAnalysisCache`, the verify
+mode and class limit to the engine's work units, the byte budget to
+:class:`~repro.engine.store.AnalysisStore` and the seed to the synthetic
+generators.  Library calls below ``Session`` therefore use the built-in
+defaults, whatever the environment says.  This module imports nothing
+from the rest of the package, so any module may depend on it without
+cycles.
 
 Field ↔ environment-variable map (see the README for the same table):
 
@@ -49,9 +52,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Optional
 
 
 class ConfigError(ValueError):
@@ -79,10 +81,12 @@ class _Unset:
 UNSET = _Unset()
 
 #: self-check modes of the verification pass suite (``repro.verify``):
-#: ``off`` skips it, ``post`` re-checks every in-process solve, and
-#: ``paranoid`` additionally runs inside pool workers, shipping reports
-#: back through the unit payload.
-VERIFY_MODES = ("off", "post", "paranoid")
+#: ``off`` skips it, ``post`` re-checks every solved unit, serial or pooled.
+VERIFY_MODES = ("off", "post")
+
+#: the built-in defaults of the two settings lower layers take as arguments.
+DEFAULT_CLASS_LIMIT = 64
+DEFAULT_SYNTH_SEED = 7
 
 _FALSEY = ("", "0", "false", "no", "off")
 _TRUTHY = ("1", "true", "yes", "on")
@@ -204,7 +208,7 @@ def _resolve_class_limit(value: object) -> int:
     if isinstance(value, _Unset):
         raw = _env("REPRO_CLASS_LIMIT")
         if raw is None:
-            return 64
+            return DEFAULT_CLASS_LIMIT
         return _parse_int("class_limit", "REPRO_CLASS_LIMIT", raw, True,
                           minimum=0)
     return _parse_int("class_limit", "REPRO_CLASS_LIMIT", value, False,
@@ -215,7 +219,7 @@ def _resolve_synth_seed(value: object) -> int:
     if isinstance(value, _Unset):
         raw = _env("REPRO_SYNTH_SEED")
         if raw is None:
-            return 7
+            return DEFAULT_SYNTH_SEED
         return _parse_int("synth_seed", "REPRO_SYNTH_SEED", raw, True)
     return _parse_int("synth_seed", "REPRO_SYNTH_SEED", value, False)
 
@@ -272,93 +276,10 @@ class ReproConfig:
         """A copy with ``changes`` applied (and re-validated)."""
         return dataclasses.replace(self, **changes)
 
-    @contextmanager
-    def activate(self) -> Iterator["ReproConfig"]:
-        """Make this config the innermost *active* config for a ``with`` block.
-
-        While active, every ``resolved_*`` lookup below answers from this
-        config instead of the environment — this is how a
-        :class:`~repro.api.session.Session`'s knobs reach code deep in the
-        pipeline (class truncation, self-checks) without threading a
-        parameter through every layer.
-        """
-        push_config(self)
-        try:
-            yield self
-        finally:
-            pop_config(self)
-
     def __str__(self) -> str:
         pairs = ", ".join("{}={!r}".format(f.name, getattr(self, f.name))
                           for f in dataclasses.fields(self))
         return "ReproConfig({})".format(pairs)
-
-
-# ---------------------------------------------------------------------------
-# The active-config stack
-# ---------------------------------------------------------------------------
-
-_ACTIVE: List[ReproConfig] = []
-
-
-def active_config() -> Optional[ReproConfig]:
-    """The innermost active config, or ``None`` (fall back to the environment)."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-def push_config(config: ReproConfig) -> None:
-    _ACTIVE.append(config)
-
-
-def pop_config(config: ReproConfig) -> None:
-    if _ACTIVE and _ACTIVE[-1] is config:
-        _ACTIVE.pop()
-    elif config in _ACTIVE:  # pragma: no cover - unbalanced exits
-        _ACTIVE.remove(config)
-
-
-def install_config(config: ReproConfig) -> None:
-    """Install ``config`` as this process's base config (no pairing pop).
-
-    Worker processes call this from their pool initializer so that the
-    coordinator's session config governs truncation and self-checks
-    inside every worker, under both the ``fork`` and ``spawn`` start
-    methods.
-    """
-    if not _ACTIVE or _ACTIVE[0] != config:
-        _ACTIVE.insert(0, config)
-
-
-# ---------------------------------------------------------------------------
-# Resolution entry points for the lower layers
-# ---------------------------------------------------------------------------
-
-def resolved_store_max_bytes() -> Optional[int]:
-    config = active_config()
-    if config is not None:
-        return config.store_max_bytes
-    megabytes = _resolve_store_max_mb(UNSET)
-    return int(megabytes * 1024 * 1024) if megabytes is not None else None
-
-
-def resolved_verify() -> str:
-    """The self-check mode: ``off``, ``post``, or ``paranoid``."""
-    config = active_config()
-    return config.verify if config is not None else _resolve_verify(UNSET)
-
-
-def resolved_class_limit() -> Optional[int]:
-    """The equivalence-class truncation limit (``None`` = unlimited)."""
-    config = active_config()
-    limit = (config.class_limit if config is not None
-             else _resolve_class_limit(UNSET))
-    return limit if limit > 0 else None
-
-
-def resolved_synth_seed() -> int:
-    config = active_config()
-    return (config.synth_seed if config is not None
-            else _resolve_synth_seed(UNSET))
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,12 @@ The three call shapes::
     with Session(ReproConfig(workers=4, store_path="warm.sqlite")) as session:
         results = session.run_workload(sources)
 
-Every operation runs with the session's config *active*
-(:meth:`ReproConfig.activate`), so class truncation, self-checks and
-store parameters resolve from the config deep inside the pipeline — and
-are re-installed inside worker processes by the engine's pool initializer.
+The session resolves its config once, at construction, and passes each
+value to its one reader: the class limit to its
+:class:`~repro.passes.analysis_cache.FunctionAnalysisCache` and to every
+work unit, the verify mode to every evaluation, the byte budget to the
+store it opens.  Pool workers receive the class limit and verify mode on
+each :class:`~repro.engine.workunit.WorkUnit`.
 
 ``Session`` is the only evaluation entry point; the engine package holds
 the coordinator internals it drives.
@@ -141,38 +143,34 @@ class CompiledUnit:
 
     def lessthan(self) -> LessThanAnalysis:
         """The (memoized) module-level less-than analysis."""
-        with self.session.config.activate():
-            return self.session.cache.module_lessthan(self.module)
+        return self.session.cache.module_lessthan(self.module)
 
     def disambiguator(self) -> PointerDisambiguator:
         """The session-cached disambiguator over :meth:`lessthan`."""
-        with self.session.config.activate():
-            return self.session.cache.module_disambiguator(self.module)
+        return self.session.cache.module_disambiguator(self.module)
 
     def disambiguate(self) -> DisambiguationReport:
         """Query every unordered pointer pair of every defined function."""
-        with self.session.config.activate():
-            disambiguator = self.session.cache.module_disambiguator(
-                self.module)
-            # The session-cached disambiguator's query counter carries the
-            # queries of earlier calls; the report counts this call's only.
-            queries_before = disambiguator.statistics.queries
-            pairs: List[PairVerdict] = []
-            for function in self.module.defined_functions():
-                pointers = collect_pointer_values(function)
-                for i, j, reason in disambiguator.disambiguate_pairs(pointers):
-                    pairs.append(PairVerdict(
-                        function.name,
-                        getattr(pointers[i], "name", str(pointers[i])),
-                        getattr(pointers[j], "name", str(pointers[j])),
-                        reason))
-            # Snapshot the counters: the session-cached disambiguator keeps
-            # accumulating across later queries, and a report must describe
-            # the state at the time it was produced.
-            statistics = DisambiguationStatistics.from_dict(
-                disambiguator.statistics.as_dict())
-            statistics.queries -= queries_before
-            return DisambiguationReport(pairs, statistics)
+        disambiguator = self.session.cache.module_disambiguator(self.module)
+        # The session-cached disambiguator's query counter carries the
+        # queries of earlier calls; the report counts this call's only.
+        queries_before = disambiguator.statistics.queries
+        pairs: List[PairVerdict] = []
+        for function in self.module.defined_functions():
+            pointers = collect_pointer_values(function)
+            for i, j, reason in disambiguator.disambiguate_pairs(pointers):
+                pairs.append(PairVerdict(
+                    function.name,
+                    getattr(pointers[i], "name", str(pointers[i])),
+                    getattr(pointers[j], "name", str(pointers[j])),
+                    reason))
+        # Snapshot the counters: the session-cached disambiguator keeps
+        # accumulating across later queries, and a report must describe
+        # the state at the time it was produced.
+        statistics = DisambiguationStatistics.from_dict(
+            disambiguator.statistics.as_dict())
+        statistics.queries -= queries_before
+        return DisambiguationReport(pairs, statistics)
 
     def evaluate(self, specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
                  **kwargs: object) -> UnitResult:
@@ -186,14 +184,15 @@ class CompiledUnit:
         need a solved state to certify), then validates the IR/e-SSA form,
         the interval and less-than fixpoint certificates, and every NoAlias
         verdict of the session-cached disambiguator.  Returns the
-        :class:`~repro.verify.VerificationReport`; inspect ``.ok`` or call
+        :class:`~repro.verify.VerificationReport`, also counted into
+        :data:`repro.verify.COUNTERS`; inspect ``.ok`` or call
         ``.raise_if_failed()``.
         """
-        with self.session.config.activate():
-            analysis = self.session.cache.module_lessthan(self.module)
-            disambiguator = self.session.cache.module_disambiguator(
-                self.module)
-            return verify_analysis(analysis, disambiguator)
+        report = verify_analysis(
+            self.session.cache.module_lessthan(self.module),
+            self.session.cache.module_disambiguator(self.module))
+        _VERIFY_COUNTERS.record(report)
+        return report
 
     # -- views -------------------------------------------------------------------
     def print_ir(self) -> str:
@@ -239,7 +238,7 @@ class Session:
         elif overrides:
             config = config.replace(**overrides)
         self.config = config
-        self.cache = FunctionAnalysisCache()
+        self.cache = FunctionAnalysisCache(class_limit=config.class_limit)
         self._compiled: List[CompiledUnit] = []
         #: the module each name's latest update_source call compiled.
         self._updated: Dict[str, Module] = {}
@@ -262,10 +261,7 @@ class Session:
         return self._store
 
     def _open_store(self, path: str) -> AnalysisStore:
-        return AnalysisStore(
-            path,
-            max_bytes=(self.config.store_max_bytes
-                       if self.config.store_max_bytes is not None else 0))
+        return AnalysisStore(path, max_bytes=self.config.store_max_bytes or 0)
 
     def _resolve_store_arg(self, store: object):
         """``(store object, caller owns/closes it)`` under the precedence
@@ -306,8 +302,7 @@ class Session:
     # -- the fluent pipeline -------------------------------------------------------
     def compile(self, source: str, name: str = "module") -> CompiledUnit:
         """Compile mini-C ``source`` into a session-bound pipeline stage."""
-        with self.config.activate():
-            module = compile_source(source, module_name=name)
+        module = compile_source(source, module_name=name)
         unit = CompiledUnit(self, name, source, module)
         self._compiled.append(unit)
         return unit
@@ -336,13 +331,15 @@ class Session:
         Shares the session cache (pass ``cache=`` to substitute one), so the
         module's analyses are solved once; the query loops run on every
         call.  The store is never touched: it memoizes units by source text,
-        and a compiled module has none.
+        and a compiled module has none.  A substituted cache brings its own
+        class limit; the session's verify mode applies either way.
         """
         _driver._check_members(specs)
-        with self.config.activate():
-            payload = _driver.worker_module.evaluate_module_functions(
-                module, specs, cache if cache is not None else self.cache)
-            return UnitResult(payload)
+        payload = _driver.worker_module.evaluate_module_functions(
+            module, specs, cache if cache is not None else self.cache,
+            verify=self.config.verify)
+        _driver._absorb_verify(payload)
+        return UnitResult(payload)
 
     def update_source(self, name: str, source: str,
                       specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
@@ -367,9 +364,8 @@ class Session:
         modules passed to :meth:`evaluate` are never released.
         """
         with collector_paused():
-            with self.config.activate():
-                module = compile_source(source, module_name=name)
-                refresh = self.cache.refresh(module)
+            module = compile_source(source, module_name=name)
+            refresh = self.cache.refresh(module)
             previous = self._updated.get(name)
             self._updated[name] = module
             if previous is not None:
@@ -398,21 +394,22 @@ class Session:
         returned list is input-ordered regardless of worker scheduling;
         ``on_result`` observes each :class:`UnitResult` as it lands.
         """
-        with self.config.activate():
-            work = _driver._normalize_units(units, kind, specs)
-            worker_count = self._worker_count(workers)
-            store_obj, owned = self._resolve_store_arg(store)
-            on_payload = None
-            if on_result is not None:
-                on_payload = lambda payload: on_result(UnitResult(payload))
-            try:
-                payloads = _driver._run_units(work, worker_count, store_obj,
-                                              max_tasks_per_child,
-                                              on_payload=on_payload)
-            finally:
-                if owned and store_obj is not None:
-                    store_obj.close()
-            return [UnitResult(payload) for payload in payloads]
+        work = _driver._normalize_units(units, kind, specs,
+                                        self.config.class_limit,
+                                        self.config.verify)
+        worker_count = self._worker_count(workers)
+        store_obj, owned = self._resolve_store_arg(store)
+        on_payload = None
+        if on_result is not None:
+            on_payload = lambda payload: on_result(UnitResult(payload))
+        try:
+            payloads = _driver._run_units(work, worker_count, store_obj,
+                                          max_tasks_per_child,
+                                          on_payload=on_payload)
+        finally:
+            if owned and store_obj is not None:
+                store_obj.close()
+        return [UnitResult(payload) for payload in payloads]
 
     def _worker_count(self, workers: Optional[int]) -> int:
         if workers is None:
@@ -445,23 +442,17 @@ class Session:
         ``max``/``p50``/``p99`` (seconds); ``lanes`` carries per-worker busy
         time and skew when units ran in a pool.  Empty when the session is
         not tracing (construct it with ``ReproConfig(trace=...)`` or set
-        ``REPRO_TRACE``).  ``cache``/``store`` counters are always present —
-        the shape benchmarks and the future ``serve`` daemon read p50/p99
-        from.
+        ``REPRO_TRACE``).  ``cache``/``store`` counters and the interval
+        intern cache's lifetime counters (``interval_intern``) are always
+        present.
         """
         from repro.rangeanalysis.interval import Interval
 
-        # Publish the interval intern-cache counters as gauges (idempotent:
-        # they are lifetime totals, so repeated metrics() calls must not
-        # accumulate).
-        registry = TRACER.metrics
-        for key, value in Interval.intern_info().items():
-            registry.set_gauge("interval.intern.{}".format(key), value)
         timeline = TRACER.timeline()
         metrics: Dict[str, object] = {
             "phases": timeline.phase_summary(),
             "lanes": timeline.lane_summary(),
-            "counters": TRACER.metrics.snapshot(),
+            "interval_intern": Interval.intern_info(),
         }
         metrics.update(self.statistics())
         return metrics

@@ -45,7 +45,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.api.config import resolved_class_limit
+from repro.api.config import DEFAULT_CLASS_LIMIT
 from repro.core.lessthan.analysis import LessThanAnalysis
 from repro.ir.instructions import Copy, GetElementPtr, Instruction
 from repro.ir.values import Argument, ConstantInt, Value
@@ -221,15 +221,10 @@ class PointerDisambiguator:
     """
 
     def __init__(self, analysis: LessThanAnalysis,
-                 class_limit: Optional[int] = None) -> None:
+                 class_limit: int = DEFAULT_CLASS_LIMIT) -> None:
         self.analysis = analysis
-        # Precedence: explicit argument > active ReproConfig >
-        # REPRO_CLASS_LIMIT > default (64).  Pass 0 for "no truncation".
-        if class_limit is None:
-            class_limit = resolved_class_limit()
-        elif class_limit <= 0:
-            class_limit = None
-        self.class_limit = class_limit
+        # 0 means no truncation.
+        self.class_limit = class_limit if class_limit > 0 else None
         self.statistics = DisambiguationStatistics()
         # Fold the fixed-point solver counters of the underlying analyses in
         # at construction: the less-than constraint solve plus every

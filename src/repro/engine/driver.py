@@ -10,14 +10,13 @@ write-back overlaps with still-running units, an optional observer sees
 every payload immediately, and a sort on the input index restores
 deterministic output order.
 
-Defaults resolve through :class:`repro.api.config.ReproConfig` (explicit
-argument > config field > ``REPRO_*`` environment variable > default):
-
-* ``workers`` / ``REPRO_WORKERS`` — worker-process count (``0`` = serial).
-* ``store_path`` / ``REPRO_STORE`` — path of the sqlite analysis store
-  (unset = no persistence); ``store_max_mb`` / ``REPRO_STORE_MAX_MB``
-  bounds the store's payload footprint (least-recently-used entries are
-  swept after each write batch).
+The session passes every setting in as an argument: the worker count,
+the store handle (opened with its byte budget), and the class limit and
+verify mode, which travel to the workers on each
+:class:`~repro.engine.workunit.WorkUnit`.  Nothing here reads a global
+config.  Under ``verify="post"`` every unit's report comes back in its
+payload, serial or pooled, and :func:`_absorb_verify` counts and judges it
+once.
 
 Workers only ever *read* the store; freshly computed entries return to the
 coordinator inside each payload and are written back here, keeping the
@@ -26,18 +25,20 @@ writer count at one regardless of the worker count.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import repro
-from repro.api import config as api_config
+from repro.api.config import ConfigError
 from repro.alias.aaeval import AliasEvaluation
 from repro.core.disambiguation import DisambiguationStatistics
 from repro.engine import worker as worker_module
 from repro.engine.store import AnalysisStore
 from repro.engine.workunit import WorkUnit
 from repro.obs import TRACER
+from repro.verify import COUNTERS, VerificationReport
 
 
 def _start_method() -> str:
@@ -111,29 +112,32 @@ def _check_members(specs: Sequence[Sequence[str]]) -> None:
     for spec in specs:
         for member in spec:
             if member not in worker_module.MEMBERS:
-                raise api_config.ConfigError(
+                raise ConfigError(
                     "spec member {!r} is not one of {}".format(
                         member, "/".join(worker_module.MEMBERS)))
 
 
 def _normalize_units(units: Sequence[UnitLike], kind: str,
-                     specs: Sequence[Sequence[str]]) -> List[WorkUnit]:
-    """One :class:`WorkUnit` per unit; an unknown spec member fails here,
-    before any unit runs."""
+                     specs: Sequence[Sequence[str]], class_limit: int,
+                     verify: str) -> List[WorkUnit]:
+    """One :class:`WorkUnit` per unit, each carrying ``class_limit`` and
+    ``verify``; an unknown spec member fails here, before any unit runs."""
     spec_tuple = tuple(tuple(spec) for spec in specs)
     _check_members(spec_tuple)
     normalized: List[WorkUnit] = []
     for unit in units:
         if isinstance(unit, WorkUnit):
             _check_members(unit.specs)
-            normalized.append(unit)
+            normalized.append(dataclasses.replace(
+                unit, class_limit=class_limit, verify=verify))
         elif isinstance(unit, tuple) and len(unit) == 2:
             name, source = unit
-            normalized.append(WorkUnit(kind, name, source, spec_tuple))
+            normalized.append(WorkUnit(kind, name, source, spec_tuple,
+                                       class_limit, verify))
         elif hasattr(unit, "name") and hasattr(unit, "source"):
             # WorkloadProgram and friends.
             normalized.append(WorkUnit(kind, unit.name, unit.source,
-                                       spec_tuple))
+                                       spec_tuple, class_limit, verify))
         else:
             raise TypeError("cannot build a WorkUnit from {!r}".format(unit))
     return normalized
@@ -155,27 +159,24 @@ def _absorb_telemetry(payload: Dict[str, object]) -> None:
         TRACER.absorb_shard(spans, lane, epoch)
 
 
-def _absorb_verify(payload: Dict[str, object]) -> None:
-    """Fold a pool payload's shipped verification report into the process.
+def _absorb_verify(payload: Dict[str, object], pooled: bool = False) -> None:
+    """Count and judge a payload's verification report (coordinator-side).
 
-    Under ``REPRO_VERIFY=paranoid`` every worker verifies its own unit and
-    attaches the report to the payload (in-process runs raise right in the
-    worker module instead).  The coordinator counts the shipped report into
-    :data:`repro.verify.COUNTERS` and re-raises its error findings here, so
-    paranoid failures surface identically whether the unit ran pooled or
-    not.  The field is popped unconditionally so verdict output never
-    carries verification data.
+    Under ``verify="post"`` every unit attaches its report to its payload,
+    wherever it ran.  This one function pops the field, so verdict output
+    never carries verification data, records the report into
+    :data:`repro.verify.COUNTERS` once and raises :class:`~repro.verify.
+    VerifyError` on error findings, naming the worker when ``pooled``.
     """
     shipped = payload.pop("verify", None)
-    if not shipped:
+    if shipped is None:
         return
-    from repro.verify import COUNTERS, VerificationReport
-
     report = VerificationReport.from_dict(shipped)
     COUNTERS.record(report)
-    report.raise_if_failed(
-        "REPRO_VERIFY=paranoid (worker pid {})".format(
-            payload.get("pid", "?")))
+    context = "REPRO_VERIFY=post"
+    if pooled:
+        context += " (worker pid {})".format(payload.get("pid", "?"))
+    report.raise_if_failed(context)
 
 
 def _write_back(store: Optional[AnalysisStore],
@@ -214,6 +215,7 @@ def _run_units(units: List[WorkUnit], workers: int,
         payloads = []
         for unit in units:
             payload = worker_module.run_work_unit(unit, store=store)
+            _absorb_verify(payload)
             _write_back(store, payload)
             payloads.append(payload)
             if on_payload is not None:
@@ -223,11 +225,9 @@ def _run_units(units: List[WorkUnit], workers: int,
     if store is not None:
         store_spec = (store.path, store.version)
     context = multiprocessing.get_context(_start_method())
-    # Ship the active config (if any) into every worker so that self-checks
-    # and class truncation resolve exactly as on the coordinator.
     pool = context.Pool(processes=workers,
                         initializer=worker_module.initialize_worker,
-                        initargs=(_source_root(), api_config.active_config()),
+                        initargs=(_source_root(), TRACER.enabled),
                         maxtasksperchild=max_tasks_per_child)
     arrived: List[Tuple[int, Dict[str, object]]] = []
     try:
@@ -236,7 +236,7 @@ def _run_units(units: List[WorkUnit], workers: int,
         for index, payload in pool.imap_unordered(
                 worker_module.execute, tasks, chunksize=1):
             _absorb_telemetry(payload)
-            _absorb_verify(payload)
+            _absorb_verify(payload, pooled=True)
             _write_back(store, payload)
             arrived.append((index, payload))
             if on_payload is not None:

@@ -30,8 +30,9 @@ Growth is managed: every entry records its pickled size and the store
 *generation* it was written in (the generation counter advances on each
 writable open), so long-lived stores can be swept with
 :meth:`AnalysisStore.evict` — oldest generations go first, deterministically
-— down to a byte budget.  Set ``REPRO_STORE_MAX_MB`` to have every write
-batch enforce the budget automatically.
+— down to a byte budget.  A store opened with ``max_bytes`` (a session's
+``store_max_mb`` / ``REPRO_STORE_MAX_MB``) enforces the budget after
+every write batch.
 
 Eviction approximates **LRU**, not FIFO: a lookup that hits *touches* the
 entry, promoting it to the store's current generation, so hot entries
@@ -51,7 +52,7 @@ import pickle
 import sqlite3
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.api.config import ConfigError, resolved_store_max_bytes
+from repro.api.config import ConfigError
 
 #: bump when the analysis pipeline's semantics or the key derivation change
 #: in a way that makes previously persisted entries stale or unreachable.
@@ -93,7 +94,7 @@ def unit_key(kind: str, name: str, source: str, labels: Sequence[str],
     """Content-address a whole work unit's payload by its *source text*.
 
     The frontend is deterministic, so the source uniquely determines the IR;
-    the labels and the resolved equivalence-class limit (``None`` =
+    the labels and the equivalence-class limit (``0`` or ``None`` =
     unlimited) determine every verdict on top of it.  A hit answers the unit
     before compilation even starts.
     """
@@ -245,20 +246,16 @@ class AnalysisStore:
     ``max_bytes`` bounds the store's payload footprint: whenever a write
     batch pushes the total past the budget, the oldest *generations* of
     entries (a generation = one writable open) are swept first, in
-    deterministic key order within a generation.  ``None`` defers to the
-    ``REPRO_STORE_MAX_MB`` environment switch; ``0`` disables the budget.
+    deterministic key order within a generation.  ``0`` disables the
+    budget.
     """
 
     def __init__(self, path: str, version: str = STORE_VERSION,
-                 readonly: bool = False,
-                 max_bytes: Optional[int] = None) -> None:
+                 readonly: bool = False, max_bytes: int = 0) -> None:
         self.path = path
         self.version = version
         self.readonly = readonly
-        if max_bytes is None:
-            self.max_bytes = resolved_store_max_bytes()
-        else:
-            self.max_bytes = max_bytes if max_bytes > 0 else None
+        self.max_bytes = max_bytes if max_bytes > 0 else None
         self.hits = 0
         self.misses = 0
         self.evictions = 0

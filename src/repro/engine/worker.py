@@ -13,8 +13,13 @@ The engine's caching discipline is one memo per unit:
    limit); a hit is the payload, and nothing is compiled,
 2. on a miss, compile the source, convert the module to e-SSA form and
    evaluate every requested analysis configuration over every function,
+   truncating equivalence classes at the unit's ``class_limit``,
 3. ship the merged payload back to the coordinator, which alone writes it
    to the store.
+
+Under the unit's ``verify="post"`` the solved analysis is self-checked
+wherever the unit runs, and the report rides back in the payload for the
+coordinator to count and judge.
 
 Every evaluation path — serial, pooled, store-warmed — follows the same
 pipeline convention (evaluate on the e-SSA-converted module), so per-pair
@@ -27,12 +32,6 @@ import os
 import sys
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.api.config import (
-    ReproConfig,
-    install_config,
-    resolved_class_limit,
-    resolved_verify,
-)
 from repro.alias.aaeval import AliasEvaluation, evaluate_function_verdicts
 from repro.alias.basicaa import BasicAliasAnalysis
 from repro.alias.andersen import AndersenAliasAnalysis
@@ -51,38 +50,19 @@ from repro.passes.analysis_cache import FunctionAnalysisCache
 from repro.util.collector import collector_paused
 from repro.verify import VerificationReport, verify_alias_analysis
 
-#: True inside a multiprocessing pool worker (set by :func:`initialize_worker`).
-#: The self-check hook consults it: in-process runs verify under ``post`` and
-#: ``paranoid`` and raise on failure; pool workers verify under ``paranoid``
-#: only and ship the report back through the payload for the coordinator to
-#: judge (raising inside the pool would surface as an opaque pool error).
-_IN_POOL_WORKER = False
-
-
-def initialize_worker(src_path: Optional[str],
-                      config: Optional[ReproConfig] = None) -> None:
+def initialize_worker(src_path: Optional[str], trace: bool = False) -> None:
     """Pool initializer: make ``repro`` importable under the spawn method.
 
     Forked workers inherit the parent's ``sys.path``; spawned ones re-import
     from scratch and only see ``PYTHONPATH``, so the coordinator passes the
-    source root it imported ``repro`` from.
-
-    ``config`` is the coordinator's active :class:`ReproConfig`, installed
-    as this process's base config so that self-checks and
-    equivalence-class truncation resolve identically in every worker —
-    under ``spawn`` as well as ``fork`` (environment variables alone would
-    miss a session whose config differs from the environment).  When that
-    config carries a trace path, this worker's tracer starts recording too;
-    the span buffer ships back with each payload (see :func:`execute`).
+    source root it imported ``repro`` from.  With ``trace`` this worker's
+    tracer starts recording too; the span buffer ships back with each
+    payload (see :func:`execute`).
     """
-    global _IN_POOL_WORKER
-    _IN_POOL_WORKER = True
     if src_path and src_path not in sys.path:
         sys.path.insert(0, src_path)
-    if config is not None:
-        install_config(config)
-        if config.trace:
-            TRACER.enable()
+    if trace:
+        TRACER.enable()
 
 
 #: every analysis an ``aaeval`` spec may name, by member name: BA, LT and
@@ -104,7 +84,8 @@ def build_analysis(member: str, module: Module,
 def evaluate_module_functions(module: Module,
                               specs: Sequence[Sequence[str]] = (("lt",),),
                               cache: Optional[FunctionAnalysisCache] = None,
-                              name: Optional[str] = None) -> Dict[str, object]:
+                              name: Optional[str] = None,
+                              verify: str = "off") -> Dict[str, object]:
     """Evaluate ``specs`` over every defined function of ``module``.
 
     This is the core of the ``aaeval`` job, also callable in-process on an
@@ -117,6 +98,11 @@ def evaluate_module_functions(module: Module,
     counts are tallied from those codes.  ``cache`` supplies the analyses;
     the query loops run on every call, and the payload's ``queries`` counts
     this call's queries only.
+
+    With ``verify="post"`` the self-check suite runs over the solved LT
+    analysis and its report rides in the payload's ``verify`` field, which
+    the coordinator pops, counts and judges
+    (:func:`repro.engine.driver._absorb_verify`).
     """
     cache = cache if cache is not None else FunctionAnalysisCache()
     functions = list(module.defined_functions())
@@ -165,18 +151,6 @@ def evaluate_module_functions(module: Module,
             statistics = statistics.merge(analysis.disambiguator.statistics)
             statistics.queries -= queries_before[member]
 
-    # Self-check hook (REPRO_VERIFY): after the statistics snapshot — the
-    # audit restores the disambiguator counters it touches, so verified and
-    # unverified runs produce byte-identical payloads.
-    verify_report = None
-    verify_mode = resolved_verify()
-    if (verify_mode != "off" and members
-            and (verify_mode == "paranoid" or not _IN_POOL_WORKER)):
-        verify_report = _verify_prepared_analyses(members)
-        if verify_report is not None and not _IN_POOL_WORKER:
-            verify_report.raise_if_failed(
-                "REPRO_VERIFY={}".format(verify_mode))
-
     payload: Dict[str, object] = {
         "kind": "aaeval",
         "name": name if name is not None else module.name,
@@ -186,11 +160,14 @@ def evaluate_module_functions(module: Module,
         "statistics": statistics.as_dict(),
         "pid": os.getpid(),
     }
-    if verify_report is not None and _IN_POOL_WORKER:
-        # Ship the report like tracing spans: the coordinator pops the field
-        # (never persisted — _PERSISTED_FIELDS excludes it), folds the
-        # counters into its own totals and raises on error findings.
-        payload["verify"] = verify_report.as_dict()
+    # Self-check hook (REPRO_VERIFY): after the statistics snapshot — the
+    # audit restores the disambiguator counters it touches, so verified and
+    # unverified runs produce byte-identical payloads once the coordinator
+    # pops this field (_PERSISTED_FIELDS excludes it too).
+    if verify == "post" and members:
+        report = _verify_prepared_analyses(members)
+        if report is not None:
+            payload["verify"] = report.as_dict()
     return payload
 
 
@@ -212,7 +189,7 @@ def _verify_prepared_analyses(
 def _job_aaeval(unit: WorkUnit, module: Module,
                 cache: FunctionAnalysisCache) -> Dict[str, object]:
     return evaluate_module_functions(module, unit.specs, cache,
-                                     name=unit.name)
+                                     name=unit.name, verify=unit.verify)
 
 
 def _job_lessthan_stats(unit: WorkUnit, module: Module,
@@ -285,7 +262,7 @@ def _run_work_unit(unit: WorkUnit,
     memo_key = None
     if store is not None and unit.kind in CACHEABLE_KINDS:
         memo_key = unit_key(unit.kind, unit.name, unit.source, unit.labels(),
-                            resolved_class_limit())
+                            unit.class_limit)
         cached = store.get(memo_key)
         if cached is not None:
             payload = dict(cached)
@@ -298,7 +275,7 @@ def _run_work_unit(unit: WorkUnit,
             payload["pid"] = os.getpid()
             return payload
     module = compile_source(unit.source, module_name=unit.name)
-    cache = FunctionAnalysisCache()
+    cache = FunctionAnalysisCache(class_limit=unit.class_limit)
     try:
         payload = JOBS[unit.kind](unit, module, cache)
     finally:

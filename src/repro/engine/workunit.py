@@ -5,13 +5,17 @@ worker process: a job kind, a program name and the program's *source text*
 (the worker compiles it itself — the compiled IR is full of identity-keyed
 object graphs that do not survive pickling, while the frontend and mem2reg
 are deterministic, so recompiling yields bit-identical IR in every process).
-A unit always covers every defined function of its program.
+A unit always covers every defined function of its program, and carries
+the two settings that govern its evaluation: the equivalence-class limit
+and the self-check mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
+
+from repro.api.config import DEFAULT_CLASS_LIMIT
 
 #: the default analysis configurations of the paper's tables: BA alone, LT
 #: alone, and the BA + LT chain.
@@ -39,6 +43,10 @@ class WorkUnit:
     source: str
     #: analysis configurations to evaluate (``aaeval`` jobs).
     specs: Tuple[Tuple[str, ...], ...] = DEFAULT_SPECS
+    #: equivalence-class truncation limit (``0`` = unlimited).
+    class_limit: int = DEFAULT_CLASS_LIMIT
+    #: self-check mode of ``aaeval`` jobs: ``off`` or ``post``.
+    verify: str = "off"
 
     def labels(self) -> List[str]:
         return [spec_label(spec) for spec in self.specs]

@@ -1,4 +1,4 @@
-"""repro.obs — the observability plane: tracing, metrics, timelines.
+"""repro.obs — the observability plane: tracing and timelines.
 
 Importable from every layer (it depends only on the stdlib).  The usual
 entry point is the process-wide :data:`TRACER`::
@@ -16,15 +16,13 @@ See :mod:`repro.obs.tracer` for the span/timer semantics,
 from repro.obs.chrome import (to_chrome_trace, validate_chrome_trace,
                               write_chrome_trace)
 from repro.obs.timeline import MAIN_LANE, Timeline
-from repro.obs.tracer import (NOOP_SPAN, MetricsRegistry, Span, Timer,
-                              Tracer, TRACER)
+from repro.obs.tracer import NOOP_SPAN, Span, Timer, Tracer, TRACER
 
 __all__ = [
     "TRACER",
     "Tracer",
     "Span",
     "Timer",
-    "MetricsRegistry",
     "NOOP_SPAN",
     "Timeline",
     "MAIN_LANE",

@@ -1,4 +1,4 @@
-"""Phase-scoped tracing: spans, always-on timers and the metrics registry.
+"""Phase-scoped tracing: spans and always-on timers.
 
 The instrument plane of the pipeline.  Every layer (frontend, mem2reg,
 e-SSA, both fixed-point solvers, the disambiguator, the execution engine)
@@ -148,72 +148,20 @@ class Timer:
         return bool(self._span.__exit__(*exc))
 
 
-class MetricsRegistry:
-    """One home for counters and gauges across the whole pipeline.
-
-    Absorbs the pre-existing counter families — fixed-point
-    :class:`~repro.util.worklist.SolverInfo` counters, analysis-store
-    ``hits``/``misses``, :class:`~repro.passes.analysis_cache.
-    CacheStatistics` — into flat dot-named counters so dashboards and
-    :meth:`repro.api.session.Session.metrics` read one registry instead of
-    four ad-hoc structs.
-    """
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
-
-    def add(self, name: str, value: float = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + value
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
-    def absorb(self, prefix: str, mapping: Mapping[str, object]) -> None:
-        """Fold a statistics dict in as ``prefix.key`` counters.
-
-        Nested dicts recurse (``cache.by_kind.ranges``); non-numeric leaves and
-        ratio-style floats computed elsewhere are kept as gauges when the
-        key ends in ``_ratio``/``_rate``, counters otherwise.
-        """
-        for key, value in mapping.items():
-            name = "{}.{}".format(prefix, key)
-            if isinstance(value, Mapping):
-                self.absorb(name, value)
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            elif key.endswith(("_ratio", "_rate")):
-                self.set_gauge(name, float(value))
-            else:
-                self.add(name, value)
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-        }
-
-    def clear(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-
-
 class Tracer:
-    """The process-wide tracer: span factory, buffer and metrics registry.
+    """The process-wide tracer: span factory and buffer.
 
     One instance (:data:`TRACER`) exists per process.  ``enabled`` starts
     false; the :class:`~repro.api.session.Session` enables it when its
     config carries a ``trace`` path, the CLI enables it for
-    ``stats --timings``, and worker processes enable it from the shipped
-    coordinator config in their pool initializer.
+    ``stats --timings``, and pool workers enable it in their initializer
+    when the coordinator's tracer is on.
     """
 
-    __slots__ = ("enabled", "metrics", "_spans", "_stack", "_epoch",
-                 "_gc_start")
+    __slots__ = ("enabled", "_spans", "_stack", "_epoch", "_gc_start")
 
     def __init__(self) -> None:
         self.enabled = False
-        self.metrics = MetricsRegistry()
         self._spans: List[Dict[str, object]] = []
         self._stack: List[Span] = []
         self._epoch: Optional[float] = None
@@ -231,11 +179,6 @@ class Tracer:
         if not self.enabled:
             return Timer(NOOP_SPAN)
         return Timer(Span(self, name, attrs))
-
-    def count(self, name: str, value: float = 1) -> None:
-        """Bump a registry counter (dropped while disabled)."""
-        if self.enabled:
-            self.metrics.add(name, value)
 
     def _on_collect(self, phase: str, info: Dict[str, int]) -> None:
         """The :data:`gc.callbacks` hook: one ``gc.collect`` span per
@@ -261,7 +204,7 @@ class Tracer:
 
     # -- lifecycle ---------------------------------------------------------------
     def enable(self) -> None:
-        """Start a fresh capture (clears the buffer and the registry)."""
+        """Start a fresh capture (clears the buffer)."""
         if not self.enabled:
             self.reset()
             self.enabled = True
@@ -277,7 +220,6 @@ class Tracer:
     def reset(self) -> None:
         self._spans = []
         self._stack = []
-        self.metrics.clear()
 
     @contextmanager
     def suppress(self) -> Iterator[None]:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.api.config import DEFAULT_CLASS_LIMIT
 from repro.essa.transform import EssaInfo, convert_to_essa
 from repro.ir import callgraph
 from repro.ir.function import Function
@@ -140,7 +141,10 @@ class FunctionAnalysisCache:
     dirtied and purges the previous compile's state.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, class_limit: int = DEFAULT_CLASS_LIMIT) -> None:
+        #: the equivalence-class limit of the disambiguators built here
+        #: (``0`` = unlimited).
+        self.class_limit = class_limit
         self._essa: Dict[Function, EssaInfo] = {}
         self._ranges: Dict[Function, RangeAnalysis] = {}
         self._module_lessthan: Dict[Module, "LessThanAnalysis"] = {}
@@ -209,7 +213,8 @@ class FunctionAnalysisCache:
             self.statistics.record("disambiguator", hit=True)
             return cached
         self.statistics.record("disambiguator", hit=False)
-        disambiguator = PointerDisambiguator(self.module_lessthan(module))
+        disambiguator = PointerDisambiguator(self.module_lessthan(module),
+                                             self.class_limit)
         self._module_disambiguators[module] = disambiguator
         return disambiguator
 

@@ -77,7 +77,7 @@ class Interval:
     _interned: Dict[Tuple[Extended, Extended], "Interval"] = {}
     _INTERN_CAP = 1 << 16
     #: lifetime probe counters of :meth:`of` (hit = answered from the cache);
-    #: surfaced through ``MetricsRegistry`` / ``python -m repro stats`` so a
+    #: surfaced through ``Session.metrics()`` / ``python -m repro stats`` so a
     #: long-lived session can watch the cache instead of guessing.
     _intern_hits = 0
     _intern_misses = 0

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.api.config import resolved_synth_seed
+from repro.api.config import DEFAULT_SYNTH_SEED
 from repro.frontend import compile_source
 from repro.ir.module import Module
 from repro.synth.csmith import CsmithConfig, RandomProgramGenerator
@@ -128,18 +128,15 @@ def compose_program(name: str, kernel_instances: Sequence[str],
 # The test-suite-like collection (Figures 8 and 11)
 # ---------------------------------------------------------------------------
 
-def testsuite_recipes(count: int = 100, base_seed: Optional[int] = None) \
+def testsuite_recipes(count: int = 100, base_seed: int = DEFAULT_SYNTH_SEED) \
         -> List[Tuple[str, List[str], List[Tuple[int, int, int, int]]]]:
     """The ``(name, kernels, random_specs)`` recipe of every collection program.
 
     All RNG draws happen here, in one place, so the compiled
     (:func:`build_testsuite_programs`) and source-only
     (:func:`build_testsuite_sources`) views of the collection are guaranteed
-    to describe the same programs.  ``base_seed=None`` defers to the active
-    :class:`~repro.api.config.ReproConfig` / ``REPRO_SYNTH_SEED`` (default 7).
+    to describe the same programs.
     """
-    if base_seed is None:
-        base_seed = resolved_synth_seed()
     rng = random.Random(base_seed)
     pools = list(POINTER_KERNEL_POOL) + list(ALLOC_KERNEL_POOL)
     recipes: List[Tuple[str, List[str], List[Tuple[int, int, int, int]]]] = []
@@ -157,7 +154,7 @@ def testsuite_recipes(count: int = 100, base_seed: Optional[int] = None) \
 
 
 def build_testsuite_programs(count: int = 100,
-                             base_seed: Optional[int] = None) -> List[WorkloadProgram]:
+                             base_seed: int = DEFAULT_SYNTH_SEED) -> List[WorkloadProgram]:
     """``count`` benchmark programs of (roughly) increasing size.
 
     Program ``i`` contains ``1 + i // 8`` kernel instances plus one random
@@ -169,7 +166,7 @@ def build_testsuite_programs(count: int = 100,
 
 
 def build_testsuite_sources(count: int = 100,
-                            base_seed: Optional[int] = None) -> List[Tuple[str, str]]:
+                            base_seed: int = DEFAULT_SYNTH_SEED) -> List[Tuple[str, str]]:
     """``(name, source)`` pairs of the collection, without compiling.
 
     The execution engine's coordinator hands these straight to worker

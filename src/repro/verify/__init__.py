@@ -9,9 +9,10 @@ Entry points:
 
 * ``python -m repro check`` — lint + certify source files or synthetic
   workloads, with per-function diagnostics (``--json`` for machines);
-* ``REPRO_VERIFY=off|post|paranoid`` / ``ReproConfig.verify`` — run the
-  suite automatically after every solve (``paranoid`` also inside pool
-  workers, shipping reports back through the unit payload);
+* ``REPRO_VERIFY=off|post`` / ``ReproConfig.verify`` — run the suite
+  over every unit a ``Session`` evaluates, serial or in a pool worker; the
+  report rides back in the unit payload and the coordinator counts and
+  judges it;
 * :meth:`repro.api.session.Session.verify` — verify everything a session
   has compiled, returning the merged :class:`VerificationReport`.
 

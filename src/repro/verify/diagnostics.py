@@ -7,9 +7,9 @@ but not provably unsound), and which function/value it anchors to.
 
 A :class:`VerificationReport` aggregates the findings of a verification run
 together with counters of the checks that *passed* (so "0 problems" is
-distinguishable from "0 checks ran").  Reports are plain-data and picklable:
-under ``REPRO_VERIFY=paranoid`` pool workers ship them back to the
-coordinator through the unit payload (``as_dict``/``from_dict``/``merge``),
+distinguishable from "0 checks ran").  Reports are plain data: under
+``REPRO_VERIFY=post`` every unit, serial or pooled, returns its report to
+the coordinator through the unit payload (``as_dict``/``from_dict``),
 exactly like tracing spans.
 """
 

@@ -13,8 +13,10 @@ sets):
 
 :func:`verify_alias_analysis` runs the same suite over a
 :class:`~repro.core.sraa.StrictInequalityAliasAnalysis` (the engine hook's
-entry point), and the module-level :data:`COUNTERS` accumulate run totals
-for the ``[verify]`` section of ``python -m repro stats``.
+entry point).  Neither records anything: the callers that judge a report
+(the engine's coordinator, ``Session``) count it into the module-level
+:data:`COUNTERS`, the totals of the ``[verify]`` section of
+``python -m repro stats``.
 """
 
 from __future__ import annotations
@@ -50,17 +52,6 @@ class VerifyCounters:
         self.errors += len(report.errors)
         self.warnings += len(report.warnings)
 
-    def absorb(self, data: Dict[str, int]) -> None:
-        """Fold a shipped report summary in (the coordinator's merge path)."""
-        self.runs += 1
-        self.functions += int(data.get("functions", 0))
-        self.checks += sum(int(c) for c in (data.get("checked", {}) or {}).values())
-        for entry in data.get("diagnostics", []) or []:
-            if entry.get("severity") == "warning":
-                self.warnings += 1
-            else:
-                self.errors += 1
-
     def reset(self) -> None:
         self.__init__()
 
@@ -74,7 +65,9 @@ class VerifyCounters:
         }
 
 
-#: totals of every verification run in this process.
+#: totals of the verification runs this process judged: the engine's
+#: coordinator records each unit's report, :meth:`repro.api.session.
+#: CompiledUnit.verify` each of its runs.
 COUNTERS = VerifyCounters()
 
 
@@ -113,7 +106,6 @@ def verify_analysis(analysis: LessThanAnalysis,
                 for function in analysis.functions:
                     audit_verdicts(function, disambiguator, analysis.lt_sets,
                                    report)
-    COUNTERS.record(report)
     return report
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from repro.alias import AliasResult, BasicAliasAnalysis, MemoryLocation
 from repro.alias.aaeval import collect_memory_locations, collect_pointer_values
-from repro.api import ReproConfig
 from repro.core import (
     DisambiguationReason,
     LessThanAnalysis,
@@ -51,11 +50,11 @@ def prepared():
 
     def get(group, class_limit):
         if (group, class_limit) not in built:
-            with ReproConfig(class_limit=class_limit).activate():
-                built[(group, class_limit)] = [
-                    (module, StrictInequalityAliasAnalysis(
-                        module, cache=FunctionAnalysisCache()))
-                    for module in _group_modules(group)]
+            built[(group, class_limit)] = [
+                (module, StrictInequalityAliasAnalysis(
+                    module,
+                    cache=FunctionAnalysisCache(class_limit=class_limit)))
+                for module in _group_modules(group)]
         return built[(group, class_limit)]
 
     return get

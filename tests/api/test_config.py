@@ -14,15 +14,9 @@ import pytest
 from repro.api.config import (
     ConfigError,
     ReproConfig,
-    active_config,
     env_flag,
     env_float,
     env_int,
-    install_config,
-    resolved_class_limit,
-    resolved_store_max_bytes,
-    resolved_synth_seed,
-    resolved_verify,
 )
 
 ALL_VARS = (
@@ -57,7 +51,7 @@ def test_environment_resolution(monkeypatch):
     monkeypatch.setenv("REPRO_CLASS_LIMIT", "8")
     monkeypatch.setenv("REPRO_SYNTH_SEED", "11")
     monkeypatch.setenv("REPRO_FULL", "1")
-    monkeypatch.setenv("REPRO_VERIFY", "paranoid")
+    monkeypatch.setenv("REPRO_VERIFY", "post")
     config = ReproConfig()
     assert config.workers == 4
     assert config.store_path == "/tmp/store.sqlite"
@@ -65,7 +59,7 @@ def test_environment_resolution(monkeypatch):
     assert config.store_max_bytes == int(1.5 * 1024 * 1024)
     assert config.class_limit == 8
     assert config.synth_seed == 11
-    assert config.verify == "paranoid"
+    assert config.verify == "post"
     assert env_flag("REPRO_FULL") is True
 
 
@@ -93,6 +87,7 @@ def test_zero_budget_means_unbounded():
     ("REPRO_SYNTH_SEED", "x"),
     ("REPRO_FULL", "maybe"),
     ("REPRO_VERIFY", "always"),
+    ("REPRO_VERIFY", "paranoid"),  # retired: post verifies pooled units too
 ])
 def test_invalid_environment_values_raise(monkeypatch, env_var, value):
     monkeypatch.setenv(env_var, value)
@@ -109,6 +104,7 @@ def test_invalid_environment_values_raise(monkeypatch, env_var, value):
     ("store_max_mb", -0.5),
     ("class_limit", -3),
     ("verify", "always"),
+    ("verify", "paranoid"),
 ])
 def test_invalid_explicit_values_name_the_field(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -123,45 +119,44 @@ def test_replace_revalidates():
         config.replace(workers=-1)
 
 
-def test_active_config_wins_over_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "4")
+def test_session_config_reaches_every_reader(monkeypatch, tmp_path):
+    """A Session passes its own config, not the environment, to the
+    readers of the class limit, the verify mode and the store budget."""
+    from repro.api import Session
+    from repro.verify import COUNTERS
+
     monkeypatch.setenv("REPRO_VERIFY", "post")
-    config = ReproConfig(workers=0, verify="off", class_limit=0,
-                         store_path="/tmp/cfg.sqlite", store_max_mb=1,
-                         synth_seed=3)
-    assert active_config() is None
-    assert resolved_verify() == "post"  # environment (no active config)
-    with config.activate():
-        assert active_config() is config
-        assert active_config().workers == 0
-        assert resolved_verify() == "off"
-        assert active_config().store_path == "/tmp/cfg.sqlite"
-        assert resolved_store_max_bytes() == 1024 * 1024
-        assert resolved_class_limit() is None  # 0 = unlimited
-        assert resolved_synth_seed() == 3
-        # Nested configs shadow the outer one, then restore it.
-        with config.replace(workers=7).activate():
-            assert active_config().workers == 7
-        assert active_config() is config
-    assert active_config() is None
-    assert resolved_verify() == "post"
+    monkeypatch.setenv("REPRO_CLASS_LIMIT", "3")
+    monkeypatch.setenv("REPRO_STORE_MAX_MB", "5")
+    config = ReproConfig(verify="off", class_limit=0, store_max_mb=1,
+                         store_path=str(tmp_path / "s.sqlite"))
+    COUNTERS.reset()
+    with Session(config) as session:
+        assert session.cache.class_limit == 0
+        assert session.store.max_bytes == 1024 * 1024
+        unit = session.compile("int f(int *p) { return p[0]; }")
+        assert unit.disambiguator().class_limit is None  # 0 = unlimited
+        session.evaluate(unit.module)
+    assert COUNTERS.runs == 0  # verify="off" beat REPRO_VERIFY=post
 
 
-def test_resolved_class_limit_default():
-    assert resolved_class_limit() == 64
+def test_library_calls_below_session_use_the_defaults(monkeypatch, tmp_path):
+    """Only ReproConfig reads REPRO_*: the layers below Session take each
+    setting as an argument and default to the built-in value."""
+    from repro.engine.store import AnalysisStore
+    from repro.passes import FunctionAnalysisCache
+    from repro.synth import build_testsuite_sources
 
-
-def test_install_config_is_idempotent():
-    from repro.api import config as config_module
-
-    config = ReproConfig(workers=3)
-    try:
-        install_config(config)
-        install_config(config)
-        assert active_config() is config
-        assert config_module._ACTIVE == [config]
-    finally:
-        config_module._ACTIVE.clear()
+    default_sources = build_testsuite_sources(count=1)
+    monkeypatch.setenv("REPRO_CLASS_LIMIT", "3")
+    monkeypatch.setenv("REPRO_STORE_MAX_MB", "1")
+    monkeypatch.setenv("REPRO_SYNTH_SEED", "11")
+    assert FunctionAnalysisCache().class_limit == 64
+    with AnalysisStore(str(tmp_path / "s.sqlite")) as store:
+        assert store.max_bytes is None
+    assert build_testsuite_sources(count=1) == default_sources
+    assert (build_testsuite_sources(count=1, base_seed=11)
+            != default_sources)
 
 
 def test_config_is_hashable_and_picklable():

@@ -250,6 +250,38 @@ def test_class_limit_is_part_of_the_unit_key(tmp_path):
     assert limited.payload["labels"] != warm.payload["labels"]
 
 
+def test_class_limit_crosses_the_pool_by_argument(tmp_path):
+    """Pool workers truncate classes at the session's limit and key the
+    store by it, exactly as the serial path does."""
+    from repro.synth.workloads import spec_sources
+
+    units = spec_sources(["lbm", "mcf"])
+    runs = {}
+    for limit, workers in ((1, 0), (1, 2), (64, 2)):
+        path = str(tmp_path / "limit{}-w{}.sqlite".format(limit, workers))
+        with Session(class_limit=limit) as session:
+            results = session.run_workload(units, specs=SPECS,
+                                           workers=workers, store=path)
+        with AnalysisStore(path) as store:
+            runs[limit, workers] = (_labels(results), sorted(store.keys()))
+    assert runs[1, 2] == runs[1, 0]
+    assert runs[64, 2][0] != runs[1, 2][0]  # truncation changes verdicts
+    assert set(runs[64, 2][1]).isdisjoint(runs[1, 2][1])
+
+
+def test_work_units_carry_the_session_settings():
+    """A WorkUnit passed in takes the session's class limit and verify mode,
+    like the units built from ``(name, source)`` pairs."""
+    from repro.engine.driver import _normalize_units
+
+    given = WorkUnit("aaeval", "prog_a", SOURCE, (("lt",),))
+    assert (given.class_limit, given.verify) == (64, "off")
+    units = _normalize_units([given, ("prog_b", SOURCE)], "aaeval",
+                             (("lt",),), 1, "post")
+    assert [(unit.name, unit.class_limit, unit.verify) for unit in units] \
+        == [("prog_a", 1, "post"), ("prog_b", 1, "post")]
+
+
 def test_store_version_mismatch_recomputes(session, tmp_path):
     store_path = str(tmp_path / "store.sqlite")
     with AnalysisStore(store_path, version="old") as store:

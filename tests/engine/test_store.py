@@ -299,23 +299,23 @@ def test_readonly_store_refuses_eviction(store_file):
 
 
 def test_default_store_max_bytes_parsing(monkeypatch):
-    from repro.api.config import ConfigError, resolved_store_max_bytes
+    from repro.api.config import ConfigError, ReproConfig
 
     monkeypatch.delenv("REPRO_STORE_MAX_MB", raising=False)
-    assert resolved_store_max_bytes() is None
+    assert ReproConfig().store_max_bytes is None
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "2")
-    assert resolved_store_max_bytes() == 2 * 1024 * 1024
+    assert ReproConfig().store_max_bytes == 2 * 1024 * 1024
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "0.5")
-    assert resolved_store_max_bytes() == 512 * 1024
+    assert ReproConfig().store_max_bytes == 512 * 1024
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "0")
-    assert resolved_store_max_bytes() is None
+    assert ReproConfig().store_max_bytes is None
     # Invalid values fail loudly at the config boundary (no silent fallback).
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "not-a-number")
     with pytest.raises(ConfigError, match="REPRO_STORE_MAX_MB"):
-        resolved_store_max_bytes()
+        ReproConfig()
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "-1")
     with pytest.raises(ConfigError, match="REPRO_STORE_MAX_MB"):
-        resolved_store_max_bytes()
+        ReproConfig()
 
 
 # ---------------------------------------------------------------------------

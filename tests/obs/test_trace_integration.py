@@ -185,6 +185,8 @@ def test_metrics_without_tracing_reports_counters_only():
         metrics = session.metrics()
     assert metrics["phases"] == {}
     assert metrics["cache"]["misses"] > 0
+    assert set(metrics["interval_intern"]) == {
+        "capacity", "size", "hits", "misses", "hit_rate"}
 
 
 # ---------------------------------------------------------------------------

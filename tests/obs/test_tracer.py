@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.obs import NOOP_SPAN, MetricsRegistry, TRACER, Tracer
+from repro.obs import NOOP_SPAN, TRACER, Tracer
 
 
 @pytest.fixture
@@ -47,11 +47,6 @@ def test_disabled_span_records_nothing(tracer):
         with tracer.span("inner"):
             pass
     assert tracer.spans() == []
-
-
-def test_disabled_counters_are_dropped(tracer):
-    tracer.count("cache.hits", 3)
-    assert tracer.metrics.counters == {}
 
 
 def test_noop_span_has_zero_duration_and_discards_annotations(tracer):
@@ -256,39 +251,3 @@ def test_absorb_shard_is_a_noop_when_disabled(tracer):
 
 def test_clock_epoch_is_memoized(tracer):
     assert tracer.clock_epoch() == tracer.clock_epoch()
-
-
-# ---------------------------------------------------------------------------
-# The metrics registry
-# ---------------------------------------------------------------------------
-
-def test_registry_counters_accumulate():
-    registry = MetricsRegistry()
-    registry.add("cache.hits")
-    registry.add("cache.hits", 4)
-    assert registry.counters["cache.hits"] == 5
-
-
-def test_registry_absorbs_nested_statistics_dicts():
-    registry = MetricsRegistry()
-    registry.absorb("solver", {
-        "evaluations": 10,
-        "by_kind": {"ranges": 3, "essa": 2},
-        "hit_ratio": 0.5,
-        "strategy": "sparse",  # non-numeric: skipped
-    })
-    assert registry.counters["solver.evaluations"] == 10
-    assert registry.counters["solver.by_kind.ranges"] == 3
-    assert registry.counters["solver.by_kind.essa"] == 2
-    assert registry.gauges["solver.hit_ratio"] == 0.5
-    assert "solver.strategy" not in registry.counters
-
-
-def test_registry_snapshot_is_sorted_and_detached():
-    registry = MetricsRegistry()
-    registry.add("b", 1)
-    registry.add("a", 1)
-    snapshot = registry.snapshot()
-    assert list(snapshot["counters"]) == ["a", "b"]
-    registry.add("c", 1)
-    assert "c" not in snapshot["counters"]

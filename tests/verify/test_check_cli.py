@@ -60,9 +60,12 @@ def test_check_without_sources_is_a_usage_error(capsys):
     assert "at least one source" in capsys.readouterr().err
 
 
-def test_check_rejects_unknown_verify_mode(source_file):
-    with pytest.raises(SystemExit):
-        main(["check", source_file, "--verify", "sometimes"])
+def test_check_rejects_unknown_verify_mode(source_file, capsys):
+    # "paranoid" was retired: post verifies pooled units too.
+    for mode in ("sometimes", "paranoid"):
+        assert main(["check", source_file, "--verify", mode]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: verify={!r} is not one of off/post".format(mode))
 
 
 def test_stats_prints_verify_section(source_file, capsys):

@@ -1,13 +1,14 @@
 """The ``REPRO_VERIFY`` knob through the engine and the Session facade.
 
-``post`` verifies after every in-process solve; ``paranoid`` additionally
-verifies inside pool workers and ships the report back through the shard
-payload (absorbed into the coordinator's counters, never leaking into
-verdict output).  ``Session.verify()`` is the programmatic surface, and
+``post`` verifies every unit wherever it runs, in-process or in a pool
+worker; the report comes back in the unit payload and the coordinator
+counts it once, raises on error findings and pops it, so it never leaks
+into verdict output.  ``Session.verify()`` is the programmatic surface, and
 ``statistics()`` exposes the accumulated ``[verify]`` counters.
 """
 
 import json
+import os
 
 import pytest
 
@@ -44,6 +45,18 @@ def test_post_mode_verifies_in_process_solves():
     assert COUNTERS.errors == 0
 
 
+def test_serial_post_run_counts_each_unit_once():
+    units = [("m{}".format(i), SOURCE) for i in range(3)]
+    with Session(ReproConfig(verify="post", workers=0)) as session:
+        results = session.run_workload(units, specs=(("lt",),), store=False)
+        assert COUNTERS.runs == len(units)
+        module = session.compile(SOURCE, name="e").module
+        evaluated = session.evaluate(module, specs=(("lt",),))
+    assert COUNTERS.runs == len(units) + 1
+    for result in results + [evaluated]:
+        assert "verify" not in result.payload
+
+
 def test_off_mode_runs_no_checks():
     with Session(ReproConfig(verify="off", workers=0)) as session:
         session.run_workload([("m", SOURCE)], specs=(("lt",),), store=False)
@@ -59,25 +72,45 @@ def test_post_mode_does_not_change_verdicts():
     assert plain[0].statistics.as_dict() == checked[0].statistics.as_dict()
 
 
+# Pooled verification used to be the ``paranoid`` mode; ``post`` does it
+# now, and the test keeps its name.
 def test_paranoid_pool_ships_reports_to_the_coordinator():
     units = [("m{}".format(i), SOURCE) for i in range(3)]
-    with Session(ReproConfig(verify="paranoid", workers=2)) as session:
-        results = session.run_workload(units, specs=(("lt",),), store=False)
-    # The coordinator absorbed each worker's report...
+    with Session(ReproConfig(verify="post", workers=2)) as session:
+        pooled = session.run_workload(units, specs=(("lt",),), store=False)
+    # Each unit was verified in a worker, and the coordinator absorbed each
+    # report once...
+    assert os.getpid() not in {result["pid"] for result in pooled}
     assert COUNTERS.runs == len(units)
     assert COUNTERS.checks > 0
     assert COUNTERS.errors == 0
-    # ...and popped it from the payload, keeping verdict output clean.
-    for result in results:
-        assert "verify" not in result.payload
+    # ...and popped it, so the payload is the unverified one.
+    with Session(ReproConfig(verify="off", workers=2)) as session:
+        plain = session.run_workload(units, specs=(("lt",),), store=False)
+    assert COUNTERS.runs == len(units)
+    for verified, unverified in zip(pooled, plain):
+        assert "verify" not in verified.payload
+        assert verified.payload["labels"] == unverified.payload["labels"]
+        assert (verified.payload["statistics"]
+                == unverified.payload["statistics"])
 
 
-def test_post_mode_skips_pool_workers_but_paranoid_does_not():
-    units = [("m", SOURCE), ("m2", SOURCE)]
-    with Session(ReproConfig(verify="post", workers=2)) as session:
-        session.run_workload(units, specs=(("lt",),), store=False)
-    # post: workers do not verify, nothing shipped, coordinator saw nothing.
-    assert COUNTERS.runs == 0
+@pytest.mark.parametrize("pooled,context", [
+    (False, "REPRO_VERIFY=post: "),
+    (True, "REPRO_VERIFY=post (worker pid 123): "),
+], ids=["serial", "pooled"])
+def test_absorb_verify_counts_once_and_raises_on_errors(pooled, context):
+    from repro.engine.driver import _absorb_verify
+    from repro.verify import VerificationReport, VerifyError
+
+    report = VerificationReport()
+    report.add("verdict", "error", "f", "p", "forged NoAlias")
+    payload = {"verify": report.as_dict(), "pid": 123}
+    with pytest.raises(VerifyError) as raised:
+        _absorb_verify(payload, pooled=pooled)
+    assert str(raised.value).startswith(context)
+    assert "verify" not in payload
+    assert (COUNTERS.runs, COUNTERS.errors) == (1, 1)
 
 
 def test_session_verify_and_statistics_counters():
